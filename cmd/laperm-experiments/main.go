@@ -83,15 +83,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, line)
 		}
 	}
-	switch *scale {
-	case "tiny":
-		opts.Scale = kernels.ScaleTiny
-	case "small":
-		opts.Scale = kernels.ScaleSmall
-	case "medium":
-		opts.Scale = kernels.ScaleMedium
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	if opts.Scale, err = spec.ParseScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *workloads != "" {

@@ -16,7 +16,7 @@ import (
 	"strings"
 
 	"laperm/internal/exp"
-	"laperm/internal/kernels"
+	"laperm/internal/spec"
 )
 
 // emit writes fn's output to path. "-" streams to stdout (which is never
@@ -41,18 +41,12 @@ func main() {
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default all)")
 	flag.Parse()
 
-	opts := exp.Options{}
-	switch *scale {
-	case "tiny":
-		opts.Scale = kernels.ScaleTiny
-	case "small":
-		opts.Scale = kernels.ScaleSmall
-	case "medium":
-		opts.Scale = kernels.ScaleMedium
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
+	sc, err := spec.ParseScale(*scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opts := exp.Options{Scale: sc}
 	if *workloads != "" {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}

@@ -10,12 +10,12 @@
 //	curl -s localhost:8077/v1/runs/<id>/trace         # per-job Perfetto trace
 //	curl -s localhost:8077/v1/artifacts/<id>/trace.perfetto.json
 //	curl -s localhost:8077/metrics                    # Prometheus text
-//	curl -s localhost:8077/metrics.json               # JSON view
 //
 // The run ID is the SHA-256 of the spec's canonical form: identical
 // submissions coalesce while in flight and are answered from the cache once
 // complete, and the engine's bit-determinism makes cached artifacts
-// byte-identical to a fresh run's. SIGINT/SIGTERM drain gracefully: new runs
+// byte-identical to a fresh run's. A run counts as complete only while its
+// result.json verifies on disk; an evicted or corrupt entry is recomputed. SIGINT/SIGTERM drain gracefully: new runs
 // get 503, queued and running jobs finish (up to -drain-timeout), then the
 // listener shuts down.
 //

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -167,6 +168,27 @@ func TestSensitivityExperimentsRun(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "max level L") {
 		t.Error("levels output missing header")
+	}
+}
+
+// TestExperimentsKeepCallerOptions: every simulating experiment passes the
+// caller's Options down to its cells. The Meter is the observable witness:
+// an experiment that rebuilds Options drops it along with DenseClock,
+// Attribution and Workers.
+func TestExperimentsKeepCallerOptions(t *testing.T) {
+	footprintOnly := map[string]bool{"table1": true, "table2": true, "fig2": true}
+	for _, e := range All() {
+		if footprintOnly[e.ID] {
+			continue
+		}
+		o := fastOptions("bfs-citation")
+		o.Meter = NewMeter()
+		if err := e.Run(o, io.Discard); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if o.Meter.Cycles() == 0 {
+			t.Errorf("%s: Meter saw no simulated cycles; the caller's Options were dropped", e.ID)
+		}
 	}
 }
 

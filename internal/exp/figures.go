@@ -146,7 +146,7 @@ func Fig8From(m *Matrix, w io.Writer) error {
 
 // runFig9a prints IPC normalised to CDP+RR (Figure 9(a)).
 func runFig9a(o Options, w io.Writer) error {
-	m, err := RunMatrix(Options{Scale: o.Scale, Workloads: o.Workloads, Config: o.Config})
+	m, err := RunMatrix(o)
 	if err != nil {
 		return err
 	}

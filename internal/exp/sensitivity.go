@@ -7,7 +7,6 @@ import (
 	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
-	"laperm/internal/metrics"
 	"laperm/internal/smx"
 )
 
@@ -53,7 +52,8 @@ func runLatency(o Options, w io.Writer) error {
 		c := cells[i]
 		cfg := o.config()
 		cfg.DTBLLaunchLatency = LatencySweepPoints[c.li]
-		opt := Options{Scale: o.Scale, Config: cfg}
+		opt := o
+		opt.Config = cfg
 		base, err := RunOne(wks[c.wi], gpu.DTBL, "rr", opt)
 		if err != nil {
 			return 0, err
@@ -118,7 +118,8 @@ func runLevels(o Options, w io.Writer) error {
 	results, err := sweep(o, len(levels)*len(scheds), func(i int) (*gpu.Result, error) {
 		cfg := o.config()
 		cfg.MaxPriorityLevels = levels[i/len(scheds)]
-		opt := Options{Scale: o.Scale, Config: cfg}
+		opt := o
+		opt.Config = cfg
 		return RunOne(NestedWorkload(), gpu.DTBL, scheds[i%len(scheds)], opt)
 	})
 	if err != nil {
@@ -152,8 +153,9 @@ func runClusters(o Options, w io.Writer) error {
 	results, err := sweep(o, len(wks)*len(sizes)*len(scheds), func(i int) (*gpu.Result, error) {
 		cfg := o.config()
 		cfg.NumSMX = 12 // divisible by every swept cluster size
-		cfg.SMXsPerCluster = sizes[(i / len(scheds)) % len(sizes)]
-		opt := Options{Scale: o.Scale, Config: cfg}
+		cfg.SMXsPerCluster = sizes[(i/len(scheds))%len(sizes)]
+		opt := o
+		opt.Config = cfg
 		return RunOne(wks[i/(len(sizes)*len(scheds))], gpu.DTBL, scheds[i%len(scheds)], opt)
 	})
 	if err != nil {
@@ -186,7 +188,8 @@ func runWarp(o Options, w io.Writer) error {
 	}
 	policies := []smx.Policy{smx.GTO, smx.LRR, smx.TwoLevel}
 	ratios, err := sweep(o, len(wks)*len(policies), func(i int) (float64, error) {
-		opt := Options{Scale: o.Scale, Config: o.Config, WarpPolicy: policies[i%len(policies)]}
+		opt := o
+		opt.WarpPolicy = policies[i%len(policies)]
 		rr, err := RunOne(wks[i/len(policies)], gpu.DTBL, "rr", opt)
 		if err != nil {
 			return 0, err
@@ -307,5 +310,3 @@ func runBackup(o Options, w io.Writer) error {
 	fmt.Fprintln(w, "Adaptive-Bind stage-3 backup policy ablation (DTBL)")
 	return t.write(w)
 }
-
-var _ = metrics.Mean // metrics is used by figures.go in this package

@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -102,8 +103,7 @@ type Config struct {
 	// Telemetry, when non-nil, is the metric registry the server
 	// instruments itself onto — share one across servers to aggregate, or
 	// leave nil and the server creates a private registry (reachable via
-	// Server.Telemetry). Both expositions, GET /metrics (Prometheus text)
-	// and GET /metrics.json, render from this registry.
+	// Server.Telemetry). GET /metrics renders it as Prometheus text.
 	Telemetry *telemetry.Registry
 	// Logger, when non-nil, receives structured logs: one line per job
 	// lifecycle transition at Info, per-request access lines at Debug.
@@ -266,20 +266,19 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}", s.instrument("/v1/runs/{id}", s.handleStatus))
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.instrument("/v1/runs/{id}/events", s.handleEvents))
 	mux.HandleFunc("GET /v1/runs/{id}/trace", s.instrument("/v1/runs/{id}/trace", s.handleTrace))
-	mux.HandleFunc("GET /v1/artifacts/{id}/{name}", s.instrument("/v1/artifacts/{id}/{name}", s.handleArtifact))
+	mux.HandleFunc("GET /v1/artifacts/{id}/{name}",
+		s.instrument("/v1/artifacts/{id}/{name}", s.handleArtifact(ArtifactNames)))
 	mux.HandleFunc("POST /v1/sweeps", s.instrument("/v1/sweeps", s.handleSweepSubmit))
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.instrument("/v1/sweeps/{id}", s.handleSweepStatus))
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.instrument("/v1/sweeps/{id}/events", s.handleSweepEvents))
 	mux.HandleFunc("POST /v1/sweeps/{id}/cancel", s.instrument("/v1/sweeps/{id}/cancel", s.handleSweepCancel))
 	mux.HandleFunc("GET /v1/sweeps/{id}/artifacts/{name}",
-		s.instrument("/v1/sweeps/{id}/artifacts/{name}", s.handleSweepArtifact))
+		s.instrument("/v1/sweeps/{id}/artifacts/{name}", s.handleArtifact(SweepArtifactNames)))
 	mux.HandleFunc("GET /v1/workloads", s.instrument("/v1/workloads", s.handleWorkloads))
 	mux.HandleFunc("GET /v1/schedulers", s.instrument("/v1/schedulers", s.handleSchedulers))
 	mux.HandleFunc("GET /v1/models", s.instrument("/v1/models", s.handleModels))
-	// Prometheus text exposition; the JSON view of the same registry
-	// stays at /metrics.json for humans and the smoke tests.
+	// Prometheus text exposition of the server's metric registry.
 	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetricsProm))
-	mux.HandleFunc("GET /metrics.json", s.instrument("/metrics.json", s.handleMetricsJSON))
 	// Liveness: the process is up and serving HTTP. Always 200 — a
 	// draining or saturated server is still alive and must not be killed
 	// by a liveness probe mid-drain.
@@ -314,12 +313,12 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 // classifies the failure so clients branch on a stable string, never on
 // message text.
 const (
-	ErrKindBadRequest  = "bad-request"   // 400: the request itself is wrong; retrying it verbatim cannot help
-	ErrKindNotFound    = "not-found"     // 404: no such run, sweep, or artifact
-	ErrKindRateLimited = "rate-limited"  // 429: shed or throttled; retry the idempotent request after retry_after
-	ErrKindDraining    = "draining"      // 503: this process is shutting down; go to another backend
-	ErrKindTransient   = "transient"     // 503: momentary server-side failure; retry after retry_after
-	ErrKindInternal    = "internal"      // 500: a bug, not a caller problem
+	ErrKindBadRequest  = "bad-request"  // 400: the request itself is wrong; retrying it verbatim cannot help
+	ErrKindNotFound    = "not-found"    // 404: no such run, sweep, or artifact
+	ErrKindRateLimited = "rate-limited" // 429: shed or throttled; retry the idempotent request after retry_after
+	ErrKindDraining    = "draining"     // 503: this process is shutting down; go to another backend
+	ErrKindTransient   = "transient"    // 503: momentary server-side failure; retry after retry_after
+	ErrKindInternal    = "internal"     // 500: a bug, not a caller problem
 )
 
 // apiError is the one JSON error envelope every endpoint writes: a stable
@@ -385,6 +384,18 @@ func internalErr(w http.ResponseWriter, err error) {
 	writeAPIError(w, http.StatusInternalServerError, ErrKindInternal, false, 0, err)
 }
 
+// missing answers a lookup that found nothing. A transient (injected) cache
+// read failure is retryable; anything else — no entry, or a corrupt entry
+// that verification just discarded — is an honest miss the caller resolves
+// by resubmitting.
+func missing(w http.ResponseWriter, readErr, miss error) {
+	if faults.IsInjected(readErr) {
+		transientErr(w, readErr)
+		return
+	}
+	notFound(w, miss)
+}
+
 // tenantOf extracts the request's fair-share tenant: the X-Laperm-Tenant
 // header, defaulting to spec.DefaultTenant.
 func tenantOf(r *http.Request) string {
@@ -429,54 +440,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok && j.State() != StateFailed {
-		// In-flight or finished in this process. Attaching to a live job
-		// is a coalesce; matching a done job is a cache hit. Either way
-		// the job now carries a direct claim: a sweep that also owns it
-		// may no longer release it on cancellation.
-		j.noteSingleton()
-		if j.State() == StateDone {
-			s.tel.cacheHits.Inc()
-		} else {
-			s.tel.coalesced.Inc()
-			j.noteCoalesced()
-		}
+	j, how, result, err := s.resolveLocked(id, sp, flowKey{tenant: tenantOf(r)}, 1)
+	if err != nil {
 		s.mu.Unlock()
-		s.respondJob(w, http.StatusOK, j)
-		return
-	}
-	if _, ok := s.cache.Lookup(id); ok {
-		// Complete entry from a previous process (or an evicted job
-		// record). Verify before serving: ReadArtifact hashes the result
-		// against the entry's manifest and discards corrupt debris, in
-		// which case this submission falls through to a fresh execution
-		// instead of answering from a poisoned entry.
-		if _, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
-			s.tel.cacheHits.Inc()
-			j := s.registerLocked(newCachedJob(id, sp))
-			s.mu.Unlock()
-			s.respondJob(w, http.StatusOK, j)
-			return
-		}
-	}
-	s.tel.cacheMisses.Inc()
-	if s.draining {
-		s.mu.Unlock()
-		draining(w, errors.New("serve: draining, not accepting new runs"))
-		return
-	}
-	j := newJob(id, sp)
-	j.noteSingleton()
-	j.flow = flowKey{tenant: tenantOf(r)}
-	j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
-	j.flight = telemetry.NewFlight(id)
-	j.flight.Instant("job", "submit", map[string]string{
-		"workload": sp.Workload, "scheduler": sp.Scheduler,
-	})
-	j.enqueuedAt = time.Now()
-	j.queueEnd = j.flight.Start("job", "queue")
-	if err := s.fq.Push(j, 1); err != nil {
-		s.mu.Unlock()
+		s.tel.cacheMisses.Inc()
 		if errors.Is(err, errQueueClosed) {
 			draining(w, errors.New("serve: draining, not accepting new runs"))
 			return
@@ -489,60 +456,149 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: launch queue full (%d queued), retry later", s.tel.queueDepth.Value()))
 		return
 	}
+	// The job now carries a direct claim: a sweep that also owns it may no
+	// longer release it on cancellation.
+	j.noteSingleton()
+	status := http.StatusOK
+	switch how {
+	case resolvedAttach:
+		s.tel.coalesced.Inc()
+		j.noteCoalesced()
+	case resolvedCached:
+		s.tel.cacheHits.Inc()
+	case resolvedScheduled:
+		s.tel.cacheMisses.Inc()
+		status = http.StatusAccepted
+	}
+	s.mu.Unlock()
+	s.respondJob(w, status, j, result)
+}
+
+// resolution is the case resolveLocked applied to a run id.
+type resolution int
+
+const (
+	resolvedAttach    resolution = iota // a live queued or running job
+	resolvedCached                      // the run is done: its result verifies on disk
+	resolvedScheduled                   // a fresh execution was queued
+)
+
+// resolveLocked is the one place a run id becomes a job, for direct
+// submissions and sweep cells alike. Called with s.mu held, so no two
+// requests can resolve the same id concurrently. In order, it
+//
+//   - attaches to a live queued or running job;
+//   - answers from the cache when the run is done (see doneLocked),
+//     reusing the done record or registering a cached one;
+//   - otherwise queues a fresh execution on flow with the given fair-share
+//     weight, superseding any failed or unverifiable record.
+//
+// It returns the job, the case, and for resolvedCached the verified
+// result.json. When the fair queue rejects the job (draining or full) the
+// error is returned with the unregistered job.
+func (s *Server) resolveLocked(id string, sp spec.RunSpec, flow flowKey, weight int) (*Job, resolution, []byte, error) {
+	if j := s.jobs[id]; j != nil {
+		if st := j.State(); st == StateQueued || st == StateRunning {
+			return j, resolvedAttach, nil, nil
+		}
+	}
+	j, result, err := doneLocked(s.cache, s.jobs, id, func() (*Job, error) {
+		return s.registerLocked(newCachedJob(id, sp)), nil
+	})
+	if err == nil {
+		return j, resolvedCached, result, nil
+	}
+	j = newJob(id, sp)
+	j.flow = flow
+	j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
+	j.flight = telemetry.NewFlight(id)
+	attrs := map[string]string{"workload": sp.Workload, "scheduler": sp.Scheduler}
+	if flow.sweep != "" {
+		attrs["sweep"] = flow.sweep
+	}
+	j.flight.Instant("job", "submit", attrs)
+	j.enqueuedAt = time.Now()
+	j.queueEnd = j.flight.Start("job", "queue")
+	if err := s.fq.Push(j, weight); err != nil {
+		return j, resolvedScheduled, nil, err
+	}
 	s.registerLocked(j)
 	s.tel.queueDepth.Inc()
 	s.logTransition(j, "queued")
-	s.mu.Unlock()
-	s.respondJob(w, http.StatusAccepted, j)
+	return j, resolvedScheduled, nil, nil
 }
 
-// registerLocked adds a job to the registry under s.mu, assigning its
-// listing sequence number. Returns the registered job: the existing one if
-// the id is already present and live, the new one when the slot was empty
-// or held a failed record (failure is terminal — its hooks have fired and
-// resubmission is expected to supersede it).
-func (s *Server) registerLocked(j *Job) *Job {
-	if existing := s.jobs[j.ID]; existing != nil && existing.State() != StateFailed {
-		return existing
+// doneLocked applies the rule that a run or sweep is done only if its
+// result.json verifies on disk. It returns the verified bytes with id's
+// done record in reg, or, when reg holds none, the cached record register
+// builds and registers. A done record whose entry is absent or corrupt
+// (verification discards corrupt entries) is dropped from reg. A transient
+// (injected) read failure is no evidence against a done record: it is
+// returned, unverified, with the error. Called with s.mu held.
+func doneLocked[T interface{ State() State }](c *Cache, reg map[string]T, id string, register func() (T, error)) (T, []byte, error) {
+	var none T
+	rec, ok := reg[id]
+	done := ok && rec.State() == StateDone
+	result, err := c.ReadArtifact(id, ResultArtifact)
+	switch {
+	case err != nil && done && faults.IsInjected(err):
+		return rec, nil, err
+	case err != nil:
+		if done {
+			delete(reg, id)
+		}
+		return none, nil, err
+	case done:
+		return rec, result, nil
 	}
+	if rec, err = register(); err != nil {
+		return none, nil, err
+	}
+	return rec, result, nil
+}
+
+// registerLocked adds j to the registry under s.mu, assigning its listing
+// sequence number and superseding whatever record held the id.
+func (s *Server) registerLocked(j *Job) *Job {
 	s.jobSeq++
 	j.seq = s.jobSeq
 	s.jobs[j.ID] = j
 	return j
 }
 
-// lookupJob resolves id to a job, materializing one for disk-only cache
-// entries left by a previous process.
-func (s *Server) lookupJob(id string) *Job {
+// lookupJob resolves id to a job for the read-only endpoints under the
+// same rule as resolveLocked: a live or failed record stands as is, a done
+// one only while its result verifies, and a disk-only entry left by a
+// previous process is materialized only when its result and spec both
+// verify. It returns the verified result for done jobs; a nil job comes
+// with the read error that explains the miss.
+func (s *Server) lookupJob(id string) (*Job, []byte, error) {
 	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j != nil {
-		return j
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil && j.State() != StateDone {
+		return j, nil, nil
 	}
-	if _, ok := s.cache.Lookup(id); !ok {
-		return nil
-	}
-	sp := spec.RunSpec{}
-	if raw, err := s.cache.ReadArtifact(id, SpecArtifact); err == nil {
-		if parsed, err := spec.Parse(raw); err == nil {
-			sp = parsed.Normalized()
+	return doneLocked(s.cache, s.jobs, id, func() (*Job, error) {
+		raw, err := s.cache.ReadArtifact(id, SpecArtifact)
+		if err != nil {
+			return nil, err
 		}
-	}
-	j = newCachedJob(id, sp)
-	s.mu.Lock()
-	j = s.registerLocked(j)
-	s.mu.Unlock()
-	return j
+		sp, err := spec.Parse(raw)
+		if err != nil {
+			return nil, err
+		}
+		return s.registerLocked(newCachedJob(id, sp.Normalized())), nil
+	})
 }
 
-// respondJob writes a job view, embedding the cached result and artifact
-// list for completed jobs.
-func (s *Server) respondJob(w http.ResponseWriter, status int, j *Job) {
-	view := j.view(nil)
+// respondJob writes a job view, embedding the verified result and the
+// artifact list for completed jobs. A done job without a result is one
+// that finished after it was resolved; its result is read now.
+func (s *Server) respondJob(w http.ResponseWriter, status int, j *Job, result []byte) {
+	view := j.view(result)
 	if view.State == StateDone {
-		if raw, err := s.cache.ReadArtifact(j.ID, ResultArtifact); err == nil {
-			view.Result = raw
+		if view.Result == nil {
+			view.Result, _ = s.cache.ReadArtifact(j.ID, ResultArtifact)
 		}
 		view.Artifacts = ArtifactNames
 	}
@@ -551,43 +607,31 @@ func (s *Server) respondJob(w http.ResponseWriter, status int, j *Job) {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j := s.lookupJob(id)
+	j, result, err := s.lookupJob(id)
 	if j == nil {
-		notFound(w, fmt.Errorf("serve: no run %q", id))
+		missing(w, err, fmt.Errorf("serve: no run %q", id))
 		return
 	}
-	s.respondJob(w, http.StatusOK, j)
+	s.respondJob(w, http.StatusOK, j, result)
 }
 
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	id, name := r.PathValue("id"), r.PathValue("name")
-	known := false
-	for _, n := range ArtifactNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		notFound(w,
-			fmt.Errorf("serve: unknown artifact %q (valid: %v)", name, ArtifactNames))
-		return
-	}
-	data, err := s.cache.ReadArtifact(id, name)
-	if err != nil {
-		// A transient (injected) read failure is retryable; everything
-		// else — no entry, or a corrupt entry that verification just
-		// discarded — is an honest miss the caller resolves by
-		// resubmitting the run.
-		if faults.IsInjected(err) {
-			transientErr(w, err)
+// handleArtifact serves one artifact of a completed run or sweep, accepting
+// only the given names.
+func (s *Server) handleArtifact(names []string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id, name := r.PathValue("id"), r.PathValue("name")
+		if !slices.Contains(names, name) {
+			notFound(w, fmt.Errorf("serve: unknown artifact %q (valid: %v)", name, names))
 			return
 		}
-		notFound(w, fmt.Errorf("serve: no artifact %s for run %q", name, id))
-		return
+		data, err := s.cache.ReadArtifact(id, name)
+		if err != nil {
+			missing(w, err, fmt.Errorf("serve: no artifact %s for %q", name, id))
+			return
+		}
+		w.Header().Set("Content-Type", artifactContentType(name))
+		w.Write(data)
 	}
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Write(data)
 }
 
 // handleEvents streams a job's lifecycle over Server-Sent Events: a "state"
@@ -598,9 +642,9 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // missed from the job's ring before rejoining the live stream.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j := s.lookupJob(id)
+	j, _, err := s.lookupJob(id)
 	if j == nil {
-		notFound(w, fmt.Errorf("serve: no run %q", id))
+		missing(w, err, fmt.Errorf("serve: no run %q", id))
 		return
 	}
 	s.streamSSE(w, r, j.subscribeSince)
@@ -694,94 +738,6 @@ func writeSSE(w io.Writer, ev Event) {
 		payload = []byte(`{"error":"marshal failed"}`)
 	}
 	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, payload)
-}
-
-// metricsView is the /metrics payload.
-type metricsView struct {
-	UptimeSec float64 `json:"uptime_sec"`
-	Draining  bool    `json:"draining"`
-	Workers   int     `json:"workers"`
-
-	QueueDepth int64 `json:"queue_depth"`
-	Running    int64 `json:"running"`
-	JobsDone   int64 `json:"jobs_done"`
-	JobsFailed int64 `json:"jobs_failed"`
-	Retries    int64 `json:"retries"`
-	Shed       int64 `json:"shed"`
-
-	Submissions   int64   `json:"submissions"`
-	Coalesced     int64   `json:"coalesced"`
-	CacheHits     int64   `json:"cache_hits"`
-	CacheMisses   int64   `json:"cache_misses"`
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-
-	Cache CacheStats `json:"cache"`
-
-	Sweeps sweepMetricsView `json:"sweeps"`
-
-	SimCycles       uint64  `json:"sim_cycles"`
-	SimCyclesPerSec float64 `json:"sim_cycles_per_sec"`
-}
-
-// sweepMetricsView is the sweep-service slice of /metrics.json.
-type sweepMetricsView struct {
-	Submitted      int64 `json:"submitted"`
-	Coalesced      int64 `json:"coalesced"`
-	Throttled      int64 `json:"throttled"`
-	Active         int64 `json:"active"`
-	Done           int64 `json:"done"`
-	Failed         int64 `json:"failed"`
-	Canceled       int64 `json:"canceled"`
-	CellsExpanded  int64 `json:"cells_expanded"`
-	CellsDeduped   int64 `json:"cells_deduped"`
-	CellsCached    int64 `json:"cells_served_from_cache"`
-	CellsScheduled int64 `json:"cells_scheduled"`
-}
-
-// handleMetricsJSON renders the JSON metrics view — the same registry the
-// Prometheus exposition reads, reshaped into the original /metrics payload
-// (field-compatible with pre-telemetry clients).
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	m := metricsView{
-		UptimeSec:   time.Since(s.started).Seconds(),
-		Draining:    draining,
-		Workers:     s.workers,
-		QueueDepth:  s.tel.queueDepth.Value(),
-		Running:     s.tel.running.Value(),
-		JobsDone:    int64(s.tel.jobsDone.Value()),
-		JobsFailed:  int64(s.tel.jobsFailed.Value()),
-		Retries:     int64(s.tel.retries.Value()),
-		Shed:        int64(s.tel.shed.Value()),
-		Submissions: int64(s.tel.submissions.Value()),
-		Coalesced:   int64(s.tel.coalesced.Value()),
-		CacheHits:   int64(s.tel.cacheHits.Value()),
-		CacheMisses: int64(s.tel.cacheMisses.Value()),
-		Cache:       s.cache.Stats(),
-		Sweeps: sweepMetricsView{
-			Submitted:      int64(s.tel.sweepSubmissions.Value()),
-			Coalesced:      int64(s.tel.sweepsCoalesced.Value()),
-			Throttled:      int64(s.tel.sweepsThrottled.Value()),
-			Active:         s.tel.sweepsActive.Value(),
-			Done:           int64(s.tel.sweepsDone.Value()),
-			Failed:         int64(s.tel.sweepsFailed.Value()),
-			Canceled:       int64(s.tel.sweepsCanceled.Value()),
-			CellsExpanded:  int64(s.tel.sweepCellsExpanded.Value()),
-			CellsDeduped:   int64(s.tel.sweepCellsDeduped.Value()),
-			CellsCached:    int64(s.tel.sweepCellsCached.Value()),
-			CellsScheduled: int64(s.tel.sweepCellsScheduled.Value()),
-		},
-		SimCycles: s.meter.Cycles(),
-	}
-	if looked := m.CacheHits + m.CacheMisses; looked > 0 {
-		m.CacheHitRatio = float64(m.CacheHits) / float64(looked)
-	}
-	if up := m.UptimeSec; up > 0 {
-		m.SimCyclesPerSec = float64(m.SimCycles) / up
-	}
-	writeJSON(w, http.StatusOK, m)
 }
 
 // dispatch is the dispatcher goroutine: it batches queued jobs up to the

@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -96,17 +99,42 @@ func getArtifact(t *testing.T, ts *httptest.Server, id, name string) []byte {
 	return buf.Bytes()
 }
 
-func getMetrics(t *testing.T, ts *httptest.Server) metricsView {
+// metricsSnapshot is the slice of the /metrics exposition the tests assert
+// on.
+type metricsSnapshot struct {
+	QueueDepth, Running, JobsDone, JobsFailed, Retries int64
+	Submissions, Coalesced, CacheHits, CacheMisses     int64
+	CacheHitRatio                                      float64
+	SimCycles                                          int64
+	Sweeps                                             struct {
+		Coalesced, Canceled, CellsExpanded, CellsDeduped, CellsScheduled int64
+	}
+}
+
+// getMetrics scrapes /metrics into a metricsSnapshot.
+func getMetrics(t *testing.T, ts *httptest.Server) metricsSnapshot {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	body := scrapeProm(t, ts)
+	n := func(name string) int64 {
+		v, err := strconv.ParseFloat(promValue(t, body, name), 64)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return int64(v)
 	}
-	defer resp.Body.Close()
-	var m metricsView
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	var m metricsSnapshot
+	m.QueueDepth, m.Running = n(MetricQueueDepth), n(MetricRunning)
+	m.JobsDone, m.JobsFailed, m.Retries = n(MetricJobsDone), n(MetricJobsFailed), n(MetricRetries)
+	m.Submissions, m.Coalesced = n(MetricSubmissions), n(MetricCoalesced)
+	m.CacheHits, m.CacheMisses = n(MetricCacheHits), n(MetricCacheMisses)
+	if looked := m.CacheHits + m.CacheMisses; looked > 0 {
+		m.CacheHitRatio = float64(m.CacheHits) / float64(looked)
 	}
+	m.SimCycles = n(MetricSimCycles)
+	m.Sweeps.Coalesced, m.Sweeps.Canceled = n(MetricSweepsCoalesced), n(MetricSweepsCanceled)
+	m.Sweeps.CellsExpanded = n(MetricSweepCellsExpanded)
+	m.Sweeps.CellsDeduped = n(MetricSweepCellsDeduped)
+	m.Sweeps.CellsScheduled = n(MetricSweepCellsScheduled)
 	return m
 }
 
@@ -531,6 +559,83 @@ func TestCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterEviction: a run is done only while its result verifies
+// on disk. Once its cache entry is LRU-evicted, the identical resubmission
+// executes again and answers with a result, instead of trusting the stale
+// in-process done record.
+func TestResubmitAfterEviction(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheMaxBytes: 1})
+	s.Start()
+
+	_, a := submit(t, ts, tinySpec)
+	if v := waitTerminal(t, ts, a.ID); v.State != StateDone {
+		t.Fatalf("run A failed: %s", v.Error)
+	}
+	_, b := submit(t, ts, `{"workload":"bht","scale":"tiny"}`)
+	if v := waitTerminal(t, ts, b.ID); v.State != StateDone {
+		t.Fatalf("run B failed: %s", v.Error)
+	}
+	if _, ok := s.Cache().Lookup(a.ID); ok {
+		t.Fatal("run A's entry survived a 1-byte budget")
+	}
+
+	code, again := submit(t, ts, tinySpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit after eviction: status %d state %s, want 202 (re-execute)", code, again.State)
+	}
+	final := waitTerminal(t, ts, a.ID)
+	if final.State != StateDone || len(final.Result) == 0 {
+		t.Fatalf("re-executed run = %s with %d result bytes, want done with a result",
+			final.State, len(final.Result))
+	}
+	getArtifact(t, ts, a.ID, ResultArtifact)
+	if m := getMetrics(t, ts); m.JobsDone != 3 {
+		t.Fatalf("jobs done = %d, want 3 (A, B, A again)", m.JobsDone)
+	}
+}
+
+// TestCorruptDiskEntryRecomputes: after a restart, looking up a disk-only
+// entry whose result.json is corrupt must not register a done record; the
+// resubmission then executes and serves a fresh result.
+func TestCorruptDiskEntryRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s1.Start()
+	_, view := submit(t, ts1, tinySpec)
+	if v := waitTerminal(t, ts1, view.ID); v.State != StateDone {
+		t.Fatalf("run failed: %s", v.Error)
+	}
+	ts1.Close()
+	s1.Close()
+	if err := os.WriteFile(filepath.Join(dir, view.ID, ResultArtifact), []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	s2.Start()
+	resp, err := http.Get(ts2.URL + "/v1/runs/" + view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status of a corrupt disk-only entry: %d, want 404", resp.StatusCode)
+	}
+
+	code, again := submit(t, ts2, tinySpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("resubmit of a corrupt entry: status %d state %s, want 202 (re-execute)", code, again.State)
+	}
+	final := waitTerminal(t, ts2, view.ID)
+	if final.State != StateDone || len(final.Result) == 0 {
+		t.Fatalf("re-executed run = %s with %d result bytes, want done with a result",
+			final.State, len(final.Result))
+	}
+	if m := getMetrics(t, ts2); m.JobsDone != 1 || m.CacheHits != 0 {
+		t.Fatalf("metrics = done %d, hits %d; want one execution and no hit", m.JobsDone, m.CacheHits)
+	}
+}
+
 // TestArtifactEndpointRejections: unknown names and ids 404 without
 // touching the filesystem.
 func TestArtifactEndpointRejections(t *testing.T) {
@@ -592,6 +697,7 @@ func TestConcurrentIdenticalSubmits(t *testing.T) {
 		t.Fatalf("coalesced %d + hits %d != %d", m.Coalesced, m.CacheHits, n-1)
 	}
 }
+
 // TestHealthz keeps the liveness probe honest.
 func TestHealthz(t *testing.T) {
 	s, ts := newTestServer(t, Config{})

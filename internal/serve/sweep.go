@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"laperm/internal/exp"
-	"laperm/internal/faults"
 	"laperm/internal/gpu"
 	"laperm/internal/spec"
 	"laperm/internal/telemetry"
@@ -48,7 +47,7 @@ type sweepCell struct {
 	state  State
 	errKind,
 	errMsg string
-	job *Job // nil for cells answered straight from the disk cache
+	job *Job // the job the cell resolved to
 }
 
 // Sweep is one submitted parameter sweep, keyed by its SweepSpec hash. All
@@ -63,7 +62,6 @@ type Sweep struct {
 	// Axes caches the axis field names in order (the cells.csv header).
 	Axes []string
 
-	seq    uint64
 	flight *telemetry.Flight
 
 	hub
@@ -82,14 +80,20 @@ type Sweep struct {
 	doneAt    time.Time
 }
 
-func newSweep(id string, sp spec.SweepSpec, axes []string) *Sweep {
+func newSweep(id string, sp spec.SweepSpec) *Sweep {
+	axes := make([]string, len(sp.Axes))
+	for i, ax := range sp.Axes {
+		axes[i] = ax.Field
+	}
 	return &Sweep{ID: id, Spec: sp, Axes: axes, state: StateRunning, hub: newHub()}
 }
 
 // newCachedSweep materializes a sweep for a disk-cache hit: born terminal,
 // no cell table (the cell detail lives in the cached cells.csv).
-func newCachedSweep(id string, sp spec.SweepSpec, axes []string) *Sweep {
-	return &Sweep{ID: id, Spec: sp, Axes: axes, state: StateDone, cached: true, hub: newHub()}
+func newCachedSweep(id string, sp spec.SweepSpec) *Sweep {
+	sw := newSweep(id, sp)
+	sw.state, sw.cached = StateDone, true
+	return sw
 }
 
 // State returns the current state.
@@ -231,35 +235,22 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	axes := make([]string, len(sp.Axes))
-	for i, ax := range sp.Axes {
-		axes[i] = ax.Field
-	}
 	s.tel.sweepSubmissions.Inc()
 
 	s.mu.Lock()
-	if sw, ok := s.sweeps[id]; ok && sw.State() != StateFailed {
-		// In-flight or finished in this process: coalesce, exactly like
-		// runs. Coalesced resubmissions bypass the rate limiter — they
-		// schedule nothing.
-		sw.noteCoalesced()
-		s.tel.sweepsCoalesced.Inc()
-		s.mu.Unlock()
-		s.respondSweep(w, http.StatusOK, sw, false)
-		return
-	}
-	if _, ok := s.cache.Lookup(id); ok {
-		if _, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
-			sw := newCachedSweep(id, sp, axes)
-			if existing := s.sweeps[id]; existing != nil {
-				sw = existing
-			} else {
-				s.sweeps[id] = sw
-			}
-			s.mu.Unlock()
-			s.respondSweep(w, http.StatusOK, sw, false)
-			return
+	prev := s.sweeps[id]
+	sw, err := s.sweepLocked(id, func() (spec.SweepSpec, error) { return sp, nil })
+	if err == nil && sw.State() != StateFailed {
+		// Running, or done and verified on disk. Resubmitting a sweep this
+		// process holds coalesces, exactly like runs. These answers bypass
+		// the rate limiter — they schedule nothing.
+		if sw == prev {
+			sw.noteCoalesced()
+			s.tel.sweepsCoalesced.Inc()
 		}
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, sw.view(false))
+		return
 	}
 	if s.draining {
 		s.mu.Unlock()
@@ -277,7 +268,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sw := newSweep(id, sp, axes)
+	sw = newSweep(id, sp)
 	sw.sseEvents, sw.sseDropped = s.tel.sseEvents, s.tel.sseDropped
 	sw.flight = telemetry.NewFlight(id)
 	sw.flight.Instant("sweep", "submit", map[string]string{
@@ -289,84 +280,55 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, c := range cells {
 		sw.cells[i] = &sweepCell{index: c.Index, runID: c.Hash, values: c.Values, state: StateQueued}
 	}
-	s.jobSeq++
-	sw.seq = s.jobSeq
 	s.sweeps[id] = sw
 	s.tel.sweepsActive.Inc()
 	s.tel.sweepCellsExpanded.Add(uint64(len(cells)))
 	s.log.Info("sweep submitted", "sweep", id, "tenant", sp.Tenant, "cells", len(cells))
 
-	// Resolve every cell under s.mu: nothing can race a concurrent sweep's
-	// resolution of the same run IDs, and closeQueue (which also takes
-	// s.mu) cannot interleave, so fq.Push cannot fail here.
+	// Resolve every cell under s.mu, each on this sweep's fair-share flow:
+	// nothing can race a concurrent sweep's resolution of the same run IDs.
+	flow := flowKey{tenant: sp.Tenant, sweep: id}
 	for i, c := range cells {
 		cell := sw.cells[i]
-		if j, ok := s.jobs[c.Hash]; ok && j.State() != StateFailed {
-			// Tier 1: in-process job — running, queued, or already done.
-			shared := j.addOwner(id)
-			if j.State() == StateDone {
-				cell.source = CellSourceCache
-				sw.fromCache++
-				s.tel.sweepCellsCached.Inc()
-				s.cellDone(sw, cell, j)
-			} else {
-				cell.source = CellSourceDedupe
-				cell.job = j
-				sw.deduped++
-				if shared {
-					s.tel.sweepCellsDeduped.Inc()
-				}
-				j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j) })
-			}
-			continue
-		}
-		// Tier 2: the disk cache, verified before trusting.
-		if _, ok := s.cache.Lookup(c.Hash); ok {
-			if _, err := s.cache.ReadArtifact(c.Hash, ResultArtifact); err == nil {
-				cell.source = CellSourceCache
-				sw.fromCache++
-				s.tel.sweepCellsCached.Inc()
-				j := s.registerLocked(newCachedJob(c.Hash, c.Spec))
-				j.addOwner(id)
-				s.cellDone(sw, cell, j)
-				continue
-			}
-		}
-		// Tier 3: fresh execution on this sweep's fair-share flow.
-		j := newJob(c.Hash, c.Spec)
-		j.flow = flowKey{tenant: sp.Tenant, sweep: id}
-		j.addOwner(id)
-		j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
-		j.flight = telemetry.NewFlight(c.Hash)
-		j.flight.Instant("job", "submit", map[string]string{
-			"workload": c.Spec.Workload, "scheduler": c.Spec.Scheduler, "sweep": id,
-		})
-		j.enqueuedAt = time.Now()
-		j.queueEnd = j.flight.Start("job", "queue")
-		cell.source = CellSourceRun
-		cell.job = j
-		sw.scheduled++
-		s.tel.sweepCellsScheduled.Inc()
-		if err := s.fq.Push(j, sp.Priority); err != nil {
-			// Unreachable by construction (drain is excluded by s.mu and
+		j, how, result, err := s.resolveLocked(c.Hash, c.Spec, flow, sp.Priority)
+		if err != nil {
+			// Unreachable by construction (closeQueue also takes s.mu and
 			// sweep flows have no depth bound), but never let a cell
 			// silently wedge the sweep if the invariant ever breaks.
 			s.failJob(j, KindError, err)
 		}
-		s.registerLocked(j)
-		s.tel.queueDepth.Inc()
-		j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j) })
+		cell.job = j
+		shared := j.addOwner(id)
+		switch how {
+		case resolvedCached:
+			cell.source = CellSourceCache
+			sw.fromCache++
+			s.tel.sweepCellsCached.Inc()
+			s.cellDone(sw, cell, j, result)
+			continue
+		case resolvedAttach:
+			cell.source = CellSourceDedupe
+			sw.deduped++
+			if shared {
+				s.tel.sweepCellsDeduped.Inc()
+			}
+		case resolvedScheduled:
+			cell.source = CellSourceRun
+			sw.scheduled++
+			s.tel.sweepCellsScheduled.Inc()
+		}
+		j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j, nil) })
 	}
 	scheduleEnd()
 	s.mu.Unlock()
-	s.respondSweep(w, http.StatusAccepted, sw, false)
+	writeJSON(w, http.StatusAccepted, sw.view(false))
 }
 
 // cellDone records one cell's terminal outcome on its sweep, publishes the
 // "cell" SSE event, and finalizes the sweep when the last cell lands. Runs
-// either inline during resolution (cached cells) or as a job terminal hook
-// on the dispatcher's goroutine.
-func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job) {
+// either inline during resolution (cached cells, with their verified
+// result) or as a job terminal hook on the dispatcher's goroutine.
+func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job, result []byte) {
 	state, errMsg, errKind, _, _ := j.snapshot()
 	data := map[string]any{
 		"index":  cell.index,
@@ -379,15 +341,16 @@ func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job) {
 		// Best-effort partial result: headline numbers straight from the
 		// cached result so sweep watchers can plot without fetching every
 		// cell artifact.
-		if raw, err := s.cache.ReadArtifact(cell.runID, ResultArtifact); err == nil {
-			var head struct {
-				Cycles uint64
-				IPC    float64
-			}
-			if json.Unmarshal(raw, &head) == nil {
-				data["cycles"] = head.Cycles
-				data["ipc"] = head.IPC
-			}
+		if result == nil {
+			result, _ = s.cache.ReadArtifact(cell.runID, ResultArtifact)
+		}
+		var head struct {
+			Cycles uint64
+			IPC    float64
+		}
+		if json.Unmarshal(result, &head) == nil {
+			data["cycles"] = head.Cycles
+			data["ipc"] = head.IPC
 		}
 	} else {
 		data["error"] = errMsg
@@ -507,58 +470,53 @@ func (s *Server) writeSweepArtifacts(sw *Sweep, cells []*sweepCell) error {
 	})
 }
 
-// lookupSweep resolves id to a sweep, materializing one for disk-only cache
-// entries left by a previous process.
-func (s *Server) lookupSweep(id string) *Sweep {
-	s.mu.Lock()
-	sw := s.sweeps[id]
-	s.mu.Unlock()
-	if sw != nil {
-		return sw
+// sweepLocked resolves id to its standing sweep under the run rule
+// (doneLocked): a running or failed record stands as is, a done one only
+// while its result.json verifies on disk, and with no record a verified
+// entry materializes a cached sweep whose spec load supplies. A nil sweep
+// comes with the read error that explains the miss. Called with s.mu held.
+func (s *Server) sweepLocked(id string, load func() (spec.SweepSpec, error)) (*Sweep, error) {
+	if sw := s.sweeps[id]; sw != nil && sw.State() != StateDone {
+		return sw, nil
 	}
-	if _, ok := s.cache.Lookup(id); !ok {
-		return nil
-	}
-	raw, err := s.cache.ReadArtifact(id, SweepSpecArtifact)
-	if err != nil {
-		return nil
-	}
-	sp, err := spec.ParseSweep(raw)
-	if err != nil {
-		return nil
-	}
-	sp = sp.Normalized()
-	axes := make([]string, len(sp.Axes))
-	for i, ax := range sp.Axes {
-		axes[i] = ax.Field
-	}
-	sw = newCachedSweep(id, sp, axes)
-	s.mu.Lock()
-	if existing := s.sweeps[id]; existing != nil {
-		sw = existing
-	} else {
+	sw, _, err := doneLocked(s.cache, s.sweeps, id, func() (*Sweep, error) {
+		sp, err := load()
+		if err != nil {
+			return nil, err
+		}
+		sw := newCachedSweep(id, sp)
 		s.sweeps[id] = sw
-	}
-	s.mu.Unlock()
-	return sw
+		return sw, nil
+	})
+	return sw, err
 }
 
-// respondSweep writes a sweep view; completed sweeps embed their artifact
-// list (and, with cells, the full cell table).
-func (s *Server) respondSweep(w http.ResponseWriter, status int, sw *Sweep, withCells bool) {
-	writeJSON(w, status, sw.view(withCells))
+// lookupSweep resolves id to a sweep for the read-only endpoints,
+// materializing disk-only entries left by a previous process from their
+// verified sweep.json.
+func (s *Server) lookupSweep(id string) (*Sweep, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sweepLocked(id, func() (spec.SweepSpec, error) {
+		raw, err := s.cache.ReadArtifact(id, SweepSpecArtifact)
+		if err != nil {
+			return spec.SweepSpec{}, err
+		}
+		sp, err := spec.ParseSweep(raw)
+		return sp.Normalized(), err
+	})
 }
 
 // handleSweepStatus serves GET /v1/sweeps/{id}: full status with the cell
 // table and dedupe/cache-hit counts.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sw := s.lookupSweep(id)
+	sw, err := s.lookupSweep(id)
 	if sw == nil {
-		notFound(w, fmt.Errorf("serve: no sweep %q", id))
+		missing(w, err, fmt.Errorf("serve: no sweep %q", id))
 		return
 	}
-	s.respondSweep(w, http.StatusOK, sw, true)
+	writeJSON(w, http.StatusOK, sw.view(true))
 }
 
 // handleSweepEvents streams a sweep's lifecycle over SSE: a "state"
@@ -567,39 +525,12 @@ func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
 // run streams.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sw := s.lookupSweep(id)
+	sw, err := s.lookupSweep(id)
 	if sw == nil {
-		notFound(w, fmt.Errorf("serve: no sweep %q", id))
+		missing(w, err, fmt.Errorf("serve: no sweep %q", id))
 		return
 	}
 	s.streamSSE(w, r, sw.subscribeSince)
-}
-
-// handleSweepArtifact serves one sweep-level artifact.
-func (s *Server) handleSweepArtifact(w http.ResponseWriter, r *http.Request) {
-	id, name := r.PathValue("id"), r.PathValue("name")
-	known := false
-	for _, n := range SweepArtifactNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		notFound(w, fmt.Errorf("serve: unknown sweep artifact %q (valid: %v)", name, SweepArtifactNames))
-		return
-	}
-	data, err := s.cache.ReadArtifact(id, name)
-	if err != nil {
-		if faults.IsInjected(err) {
-			transientErr(w, err)
-			return
-		}
-		notFound(w, fmt.Errorf("serve: no artifact %s for sweep %q", name, id))
-		return
-	}
-	w.Header().Set("Content-Type", artifactContentType(name))
-	w.Write(data)
 }
 
 // handleSweepCancel implements POST /v1/sweeps/{id}/cancel: queued cells
@@ -618,7 +549,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if sw.State() == StateDone || sw.State() == StateFailed {
 		s.mu.Unlock()
-		s.respondSweep(w, http.StatusOK, sw, false)
+		writeJSON(w, http.StatusOK, sw.view(false))
 		return
 	}
 
@@ -671,5 +602,5 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	s.flights.Add(sw.flight)
 	s.log.Info("sweep canceled", "sweep", id, "released", len(release))
 	s.mu.Unlock()
-	s.respondSweep(w, http.StatusOK, sw, false)
+	writeJSON(w, http.StatusOK, sw.view(false))
 }

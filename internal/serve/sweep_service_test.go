@@ -337,6 +337,39 @@ func TestSweepCoalesceAndCache(t *testing.T) {
 	}
 }
 
+// TestSweepRecomputesEvictedCell: a sweep cell whose run finished in this
+// process but whose cache entry was since evicted is not done — the sweep
+// schedules it afresh (source "run") and still completes.
+func TestSweepRecomputesEvictedCell(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheMaxBytes: 1})
+	s.Start()
+
+	_, a := submit(t, ts, `{"workload":"amr","scale":"tiny","sample_every":256}`)
+	if v := waitTerminal(t, ts, a.ID); v.State != StateDone {
+		t.Fatalf("run A failed: %s", v.Error)
+	}
+	_, b := submit(t, ts, `{"workload":"bht","scale":"tiny"}`)
+	if v := waitTerminal(t, ts, b.ID); v.State != StateDone {
+		t.Fatalf("run B failed: %s", v.Error)
+	}
+
+	// One cell, identical to run A, whose entry B's write evicted.
+	_, sv := submitSweep(t, ts, `{
+		"base": {"scale": "tiny", "sample_every": 256},
+		"axes": [{"field": "workload", "values": ["amr"]}]
+	}`)
+	final := waitSweepTerminal(t, ts, sv.ID)
+	if final.State != StateDone {
+		t.Fatalf("sweep = %s (%s), want done", final.State, final.Error)
+	}
+	if len(final.CellTable) != 1 {
+		t.Fatalf("cell table has %d rows, want 1", len(final.CellTable))
+	}
+	if c := final.CellTable[0]; c.RunID != a.ID || c.Source != CellSourceRun || c.State != StateDone {
+		t.Fatalf("cell = %+v, want run A recomputed (source run, done)", c)
+	}
+}
+
 // TestSweepFairShareNoStarvation: with one worker, a large sweep queued
 // first must not starve a small sweep from another tenant — strict tenant
 // round-robin interleaves them, so the small sweep finishes while the large

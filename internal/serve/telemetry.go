@@ -253,9 +253,11 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var f *telemetry.Flight
-	if j := s.lookupJob(id); j != nil {
+	s.mu.Lock()
+	if j := s.jobs[id]; j != nil {
 		f = j.flight
 	}
+	s.mu.Unlock()
 	if f == nil {
 		f = s.flights.Get(id)
 	}

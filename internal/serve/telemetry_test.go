@@ -145,10 +145,10 @@ func TestPrometheusExposition(t *testing.T) {
 		t.Errorf("%s = 0 after a completed run", MetricCacheWrittenB)
 	}
 
-	// The JSON view renders the same registry with the original fields.
+	// The test snapshot parses the same exposition.
 	m := getMetrics(t, ts)
 	if m.JobsDone != 1 || m.Submissions != 2 || m.CacheHits != 1 {
-		t.Fatalf("JSON view mismatch: %+v", m)
+		t.Fatalf("metrics snapshot mismatch: %+v", m)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 // TestFaultAndRetryCountersExposed pins the satellite requirement: counters
 // that previously never reached an exposition — per-site fault hits, retry
-// totals — are visible in both /metrics and /metrics.json.
+// totals — are visible in /metrics.
 func TestFaultAndRetryCountersExposed(t *testing.T) {
 	reg, err := faults.Parse("serve.cache.write=error:n=1", 7)
 	if err != nil {
@@ -245,7 +245,7 @@ func TestFaultAndRetryCountersExposed(t *testing.T) {
 	}
 	m := getMetrics(t, ts)
 	if m.Retries != 1 {
-		t.Errorf("JSON retries = %d, want 1", m.Retries)
+		t.Errorf("snapshot retries = %d, want 1", m.Retries)
 	}
 }
 
