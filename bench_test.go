@@ -229,15 +229,8 @@ func BenchmarkFigC_PriorityLevels(b *testing.B) {
 	runAt := func(levels int) uint64 {
 		cfg := benchConfig()
 		cfg.MaxPriorityLevels = levels
-		sched, err := exp.NewScheduler("tb-pri", cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim := gpu.MustNew(gpu.Options{Config: cfg, Scheduler: sched, Model: gpu.DTBL})
-		if err := sim.LaunchHost(exp.NestedWorkload().Build(kernels.ScaleTiny)); err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
+		opt := exp.Options{Scale: kernels.ScaleTiny, Config: cfg}
+		res, err := exp.RunOne(exp.NestedWorkload(), gpu.DTBL, "tb-pri", opt)
 		if err != nil {
 			b.Fatal(err)
 		}

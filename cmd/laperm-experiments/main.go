@@ -7,6 +7,13 @@
 //	laperm-experiments -exp fig9b          # one experiment
 //	laperm-experiments -exp fig7 -scale medium -workloads bfs-citation,amr
 //
+// With -matrix-csv or -footprint-csv, machine-readable CSVs for plotting are
+// written instead of the reports: the workload x model x scheduler matrix and
+// the Figure 2 footprint analysis ("-" streams to stdout):
+//
+//	laperm-experiments -matrix-csv results.csv -footprint-csv footprint.csv
+//	laperm-experiments -scale tiny -workloads bfs-citation,amr -matrix-csv -
+//
 // With -server, the (workload × scheduler) matrix is submitted to a running
 // lapermd as one /v1/sweeps request instead of simulating in-process: the
 // server expands the axes, dedupes cells other requests already computed,
@@ -23,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -47,6 +55,8 @@ func main() {
 	tenant := flag.String("tenant", "", "fair-share tenant for -server sweeps (default \"default\")")
 	priority := flag.Int("priority", 0, "fair-share priority for -server sweeps, 1..16 (default 1)")
 	sweepCSV := flag.String("sweep-csv", "", "write the -server sweep's aggregated cells.csv here (default stdout)")
+	matrixCSV := flag.String("matrix-csv", "", "write the workload x model x scheduler matrix CSV here instead of the reports ('-' for stdout)")
+	footprintCSV := flag.String("footprint-csv", "", "write the Figure 2 footprint CSV here instead of the reports ('-' for stdout)")
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -91,6 +101,14 @@ func main() {
 		opts.Workloads = strings.Split(*workloads, ",")
 	}
 
+	if *matrixCSV != "" || *footprintCSV != "" {
+		if err := writeCSVs(opts, *matrixCSV, *footprintCSV); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
+
 	if *expID == "all" {
 		start := time.Now()
 		if err := exp.RunAll(opts, os.Stdout); err != nil {
@@ -119,6 +137,39 @@ func main() {
 		}
 		fmt.Printf("(%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 	}
+}
+
+// writeCSVs writes the footprint CSV, then the matrix CSV, to the paths that
+// are set.
+func writeCSVs(opts exp.Options, matrixPath, footprintPath string) error {
+	if footprintPath != "" {
+		if err := emit(footprintPath, func(w io.Writer) error { return exp.WriteFootprintCSV(opts, w) }); err != nil {
+			return err
+		}
+	}
+	if matrixPath == "" {
+		return nil
+	}
+	m, err := exp.RunMatrix(opts)
+	if err != nil {
+		return err
+	}
+	return emit(matrixPath, func(w io.Writer) error { return exp.WriteMatrixCSV(m, w) })
+}
+
+// emit writes fn's output to path. "-" streams to stdout (which is never
+// closed); real files are written via a same-directory temp file renamed
+// into place, so an interrupted or failed export never leaves a partial
+// CSV behind.
+func emit(path string, fn func(io.Writer) error) error {
+	if path == "-" {
+		return fn(os.Stdout)
+	}
+	if err := exp.WriteFileAtomic(path, fn); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 // axisValues quotes a string list into sweep axis values.

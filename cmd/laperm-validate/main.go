@@ -4,7 +4,8 @@
 //
 //  1. every scheduler and model executes the identical total work;
 //  2. runs are deterministic (two executions, identical statistics);
-//  3. SMX-Bind never places a child off its bound SMX cluster.
+//  3. a strictly binding policy (SMX-Bind) never places a child off its
+//     bound SMX cluster.
 //
 // Workloads validate independently, so -workers fans them over a bounded
 // worker pool; the report is printed in workload order regardless.
@@ -112,33 +113,28 @@ func validateWorkload(w kernels.Workload, sc kernels.Scale, traceDir string) (st
 		}
 	}
 
-	// Binding invariant under SMX-Bind.
-	violations := 0
-	sim, err := gpu.New(gpu.Options{
-		Config:    &cfg,
-		Scheduler: core.NewSMXBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels),
-		Model:     gpu.DTBL,
-		TraceDispatch: func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
-			if ki.Parent != nil && cfg.ClusterOf(smxID) != cfg.ClusterOf(ki.BoundSMX) {
-				violations++
-			}
-		},
-	})
-	if err != nil {
-		fmt.Fprintf(&buf, "FAIL %-14s smx-bind setup: %v\n", w.Name, err)
-		return buf.String(), false
-	}
-	if err := sim.LaunchHost(w.Build(sc)); err != nil {
-		fmt.Fprintf(&buf, "FAIL %-14s smx-bind launch: %v\n", w.Name, err)
-		return buf.String(), false
-	}
-	if _, err := sim.Run(); err != nil {
-		fmt.Fprintf(&buf, "FAIL %-14s smx-bind trace run: %v\n", w.Name, err)
-		ok = false
-	}
-	if violations > 0 {
-		fmt.Fprintf(&buf, "FAIL %-14s smx-bind: %d TBs off their bound cluster\n", w.Name, violations)
-		ok = false
+	// Binding invariant under every strictly binding policy (SMX-Bind).
+	for _, info := range core.Schedulers() {
+		if !info.StrictBinding {
+			continue
+		}
+		violations := 0
+		_, _, err := exp.RunCell(w, gpu.DTBL, info.Name, exp.Options{Scale: sc, Config: &cfg},
+			func(g *gpu.Options) {
+				g.TraceDispatch = func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
+					if ki.Parent != nil && cfg.ClusterOf(smxID) != cfg.ClusterOf(ki.BoundSMX) {
+						violations++
+					}
+				}
+			})
+		if err != nil {
+			fmt.Fprintf(&buf, "FAIL %-14s %s trace run: %v\n", w.Name, info.Name, err)
+			ok = false
+		}
+		if violations > 0 {
+			fmt.Fprintf(&buf, "FAIL %-14s %s: %d TBs off their bound cluster\n", w.Name, info.Name, violations)
+			ok = false
+		}
 	}
 	return buf.String(), ok
 }

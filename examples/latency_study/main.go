@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"laperm/internal/config"
+	"laperm/internal/core"
 	"laperm/internal/exp"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
@@ -23,7 +24,7 @@ func main() {
 	}
 	for _, schedName := range exp.SchedulerNames {
 		cfg := config.KeplerK20c()
-		sched, err := exp.NewScheduler(schedName, &cfg)
+		sched, err := core.NewSchedulerFor(schedName, &cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 	"log"
 
 	"laperm/internal/config"
-	"laperm/internal/exp"
+	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/graph"
 	"laperm/internal/isa"
@@ -135,7 +135,7 @@ func main() {
 
 	for _, schedName := range []string{"rr", "adaptive-bind"} {
 		cfg := config.KeplerK20c()
-		sched, err := exp.NewScheduler(schedName, &cfg)
+		sched, err := core.NewSchedulerFor(schedName, &cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,20 +1,27 @@
 // Package core implements the paper's primary contribution: the thread-block
-// scheduling policies evaluated in LaPerm (Section IV).
+// scheduling policies evaluated in LaPerm (Section IV). The paper builds each
+// policy on the one before it, and the package follows that structure with
+// one type per placement strategy; the registered policies are presets of
+// them.
 //
-//   - RoundRobin is the baseline SMX scheduler of today's GPUs
-//     (Section II-B): strictly FCFS over kernels, TBs fanned out to the
-//     next SMX with available resources.
-//   - TBPri (Section IV-A) prioritises dynamic TBs so children dispatch
+//   - TBPri holds global priority queues with round-robin SMX placement. With
+//     L+1 levels it serves "tb-pri" (Section IV-A): dynamic TBs dispatch
 //     before the remaining parent TBs, exploiting temporal parent-child
-//     locality in the shared L2.
-//   - SMXBind (Section IV-B) additionally binds child TBs to the SMX that
-//     executed their direct parent, exposing parent-child and child-sibling
-//     locality to that SMX's private L1.
-//   - AdaptiveBind (Section IV-C) relaxes the binding with the three-stage
-//     dispatch flow of Figure 6 (own queues, then parent TBs, then a sticky
-//     backup SMX's queues) to recover SMX load balance.
+//     locality in the shared L2. With one level it serves "rr", the FCFS
+//     baseline of today's GPUs (Section II-B).
+//   - AdaptiveBind holds bound queue banks (Figure 5(c)): child TBs queue on
+//     the SMX cluster that executed their direct parent, exposing
+//     parent-child and child-sibling locality to that cluster's L1. Its
+//     stage-3 Backup setting picks the preset: none serves "smx-bind"
+//     (Section IV-B); sticky serves "adaptive-bind" (Section IV-C), whose
+//     three-stage flow of Figure 6 recovers SMX load balance; free is the
+//     backup ablation.
+//   - WorkSteal serves "work-steal": per-SMX deques popped at both ends with
+//     cluster-distance victim order, sharing no queue logic with the banks.
 //
-// All four implement gpu.TBScheduler and are interchangeable in the engine.
+// Throttled wraps any of them with a residency cap. Every type implements
+// gpu.TBScheduler and gpu.IdleAware; the registry (registry.go) builds them
+// by name.
 package core
 
 import (
@@ -109,57 +116,29 @@ func scanSMX(d gpu.Dispatcher, cursor int, tb *isa.TB) (int, bool) {
 	return 0, false
 }
 
-// RoundRobin is the baseline TB scheduler: kernels in KDU order (FCFS), one
-// TB per dispatch slot in increasing TB-ID order, placed on the next SMX
-// with enough available resources.
-type RoundRobin struct {
-	q      fifo
-	cursor int
-}
-
-// NewRoundRobin returns the baseline scheduler.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{cursor: -1} }
-
-// Name implements gpu.TBScheduler.
-func (r *RoundRobin) Name() string { return "rr" }
-
-// Enqueue implements gpu.TBScheduler.
-func (r *RoundRobin) Enqueue(k *gpu.KernelInstance) { r.q.push(k) }
-
-// Select implements gpu.TBScheduler: the first FCFS kernel whose next TB
-// fits anywhere wins (later kernels fill leftover resources, which is the
-// concurrent-kernel-execution behaviour of Section II-B).
-func (r *RoundRobin) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
-	var pick *gpu.KernelInstance
-	var pickSMX int
-	r.q.scan(func(k *gpu.KernelInstance) bool {
-		if s, ok := scanSMX(d, r.cursor, k.PeekTB()); ok {
-			pick, pickSMX = k, s
-			return true
-		}
-		return false
-	})
-	if pick != nil {
-		r.cursor = pickSMX
-	}
-	return pick, pickSMX
-}
-
-// TBPri is the TB Prioritizing scheduler: L+1 global priority queues
-// (Figure 5(b)); dynamic TBs carry priority parent+1 (clamped to L) and
-// dispatch before lower-priority TBs. SMX placement remains round-robin.
+// TBPri is the global-priority-queue scheduler: priority levels of FCFS
+// kernel queues (Figure 5(b)) with round-robin SMX placement. Dynamic TBs
+// carry priority parent+1 (clamped to the top level) and dispatch before
+// lower-priority TBs. With L+1 levels it is TB-Pri; with a single level every
+// kernel shares one FCFS queue and it is the RR baseline.
 type TBPri struct {
+	name   string
 	levels []fifo // index = priority
 	cursor int
 }
 
 // NewTBPri returns a TB-Pri scheduler with priorities 0..maxLevels.
 func NewTBPri(maxLevels int) *TBPri {
-	return &TBPri{levels: make([]fifo, maxLevels+1), cursor: -1}
+	return &TBPri{name: "tb-pri", levels: make([]fifo, maxLevels+1), cursor: -1}
 }
 
+// NewRoundRobin returns the baseline scheduler of today's GPUs: one level,
+// so kernels dispatch in KDU order (FCFS), one TB per slot in increasing
+// TB-ID order, each on the next SMX with enough available resources.
+func NewRoundRobin() *TBPri { return &TBPri{name: "rr", levels: make([]fifo, 1), cursor: -1} }
+
 // Name implements gpu.TBScheduler.
-func (t *TBPri) Name() string { return "tb-pri" }
+func (t *TBPri) Name() string { return t.name }
 
 // Enqueue implements gpu.TBScheduler.
 func (t *TBPri) Enqueue(k *gpu.KernelInstance) {
@@ -168,9 +147,11 @@ func (t *TBPri) Enqueue(k *gpu.KernelInstance) {
 }
 
 // Select implements gpu.TBScheduler: highest priority level first, FCFS
-// within a level, round-robin SMX placement. A level whose TBs fit nowhere
-// falls through to the next level so free resources are never idled by a
-// too-large high-priority TB.
+// within a level, round-robin SMX placement. Within a level the first kernel
+// whose next TB fits anywhere wins, so later kernels fill leftover resources
+// (the concurrent-kernel execution of Section II-B), and a level whose TBs
+// fit nowhere falls through to the next so free resources are never idled by
+// a too-large high-priority TB.
 func (t *TBPri) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
 	for p := len(t.levels) - 1; p >= 0; p-- {
 		var pick *gpu.KernelInstance
@@ -200,13 +181,12 @@ func clampPriority(p, max int) int {
 	return p
 }
 
-// bindQueues is the SMX-bound priority-queue bank of Figure 5(c), shared by
-// SMXBind and AdaptiveBind: priority queue 0 is global and reserved for
-// top-level (host-launched) kernels; queues 1..L are replicated per SMX
-// cluster and hold the dynamic TBs bound to that cluster. With one SMX per
-// cluster (the K20c arrangement) the banks are per-SMX; on architectures
-// whose L1 is shared by an SMX cluster, Section IV-B binds new TBs to the
-// whole cluster.
+// bindQueues is the SMX-bound priority-queue bank of Figure 5(c): priority
+// queue 0 is global and reserved for top-level (host-launched) kernels;
+// queues 1..L are replicated per SMX cluster and hold the dynamic TBs bound
+// to that cluster. With one SMX per cluster (the K20c arrangement) the banks
+// are per-SMX; on architectures whose L1 is shared by an SMX cluster,
+// Section IV-B binds new TBs to the whole cluster.
 type bindQueues struct {
 	global      fifo
 	perBank     [][]fifo // [cluster][priority-1]
@@ -243,12 +223,6 @@ func (b *bindQueues) enqueue(k *gpu.KernelInstance) {
 	b.perBank[bank][p-1].push(k)
 }
 
-// highest returns the highest-priority live instance in the bank serving
-// the SMX.
-func (b *bindQueues) highest(smx int) *gpu.KernelInstance {
-	return b.highestBank(b.bankOf(smx))
-}
-
 // highestBank returns the highest-priority live instance in a bank.
 func (b *bindQueues) highestBank(bank int) *gpu.KernelInstance {
 	qs := b.perBank[bank]
@@ -263,107 +237,87 @@ func (b *bindQueues) highestBank(bank int) *gpu.KernelInstance {
 // bankEmpty reports whether a bank has no live instances.
 func (b *bindQueues) bankEmpty(bank int) bool { return b.highestBank(bank) == nil }
 
-// numBanks returns the bank count.
-func (b *bindQueues) numBanks() int { return len(b.perBank) }
+// Backup is a bound-bank scheduler's stage-3 setting (Figure 6): what an SMX
+// does when its own queues and the global parent queue are both empty. It is
+// fixed at construction.
+type Backup int
 
-// SMXBind is the Prioritized SMX Binding scheduler: child TBs dispatch only
-// to the SMX that executed their direct parent, reusing its L1; host-kernel
-// TBs fall back to round-robin when an SMX has no bound work.
-type SMXBind struct {
-	q      *bindQueues
-	cursor int
-}
+const (
+	// BackupNone never dispatches a bound TB outside its cluster: SMX-Bind.
+	BackupNone Backup = iota
+	// BackupSticky records one backup bank per SMX and drains it until it
+	// empties: Adaptive-Bind.
+	BackupSticky
+	// BackupFree re-scans for any non-empty bank every slot instead of
+	// draining a recorded one. The paper argues stickiness both preserves
+	// stolen-sibling locality and avoids reconfiguration overhead; this
+	// setting exists for the ablation that checks the claim.
+	BackupFree
+)
 
-// NewSMXBind returns an SMX-Bind scheduler for numSMX SMXs with private L1s
-// and priorities 1..maxLevels.
-func NewSMXBind(numSMX, maxLevels int) *SMXBind {
-	return NewSMXBindClusters(numSMX, 1, maxLevels)
-}
-
-// NewSMXBindClusters returns an SMX-Bind scheduler for an architecture
-// whose L1 is shared by clusters of smxsPerCluster SMXs: child TBs bind to
-// their direct parent's cluster and may run on any of its SMXs.
-func NewSMXBindClusters(numSMX, smxsPerCluster, maxLevels int) *SMXBind {
-	return &SMXBind{q: newBindQueues(numSMX, smxsPerCluster, maxLevels)}
-}
-
-// Name implements gpu.TBScheduler.
-func (s *SMXBind) Name() string { return "smx-bind" }
-
-// Enqueue implements gpu.TBScheduler.
-func (s *SMXBind) Enqueue(k *gpu.KernelInstance) { s.q.enqueue(k) }
-
-// Select implements gpu.TBScheduler. One SMX is considered per dispatch
-// slot (round-robin): its own bound TBs first (highest priority), then a
-// host-kernel TB. A bound TB that does not currently fit waits for its SMX;
-// it is never redirected.
-func (s *SMXBind) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
-	cur := s.cursor
-	s.cursor = (s.cursor + 1) % d.NumSMX()
-	if k := s.q.highest(cur); k != nil {
-		if d.CanFit(cur, k.PeekTB()) {
-			return k, cur
-		}
-		return nil, 0
-	}
-	if k := s.q.global.head(); k != nil && d.CanFit(cur, k.PeekTB()) {
-		return k, cur
-	}
-	return nil, 0
-}
-
-// AdaptiveBind is the Adaptive Prioritized SMX Binding scheduler: SMX-Bind
-// plus the stage-3 backup mechanism of Figure 6. When an SMX's own queues
-// and the global parent queue are both empty, the SMX adopts another SMX's
-// queue bank as its backup and drains it (stealing the child TBs that were
-// bound elsewhere) until the backup is empty, keeping all SMXs busy at the
-// cost of some L1 reuse.
+// AdaptiveBind is the bound-queue-bank scheduler: child TBs queue on the SMX
+// cluster that executed their direct parent, reusing its L1, and host-kernel
+// TBs fill SMXs with no bound work. Its stage-3 setting selects the preset:
+// without a backup it is Prioritized SMX Binding (Section IV-B); with the
+// sticky backup it is Adaptive Prioritized SMX Binding (Section IV-C), where
+// an SMX whose own and global queues are empty adopts another bank as its
+// backup and drains it (stealing child TBs bound elsewhere), keeping all SMXs
+// busy at the cost of some L1 reuse.
 type AdaptiveBind struct {
 	q      *bindQueues
+	stage3 Backup
 	cursor int
 	// backup[smx] is the recorded backup bank whose queues smx is
 	// draining, or -1.
 	backup []int
-	// FreeBackup disables the sticky backup recording of Figure 6: each
-	// stage-3 slot re-scans for any non-empty bank instead of draining
-	// the recorded one. The paper argues stickiness both preserves
-	// stolen-sibling locality and avoids reconfiguration overhead; this
-	// switch exists for the ablation that checks the claim.
-	FreeBackup bool
 	// Steals counts stage-3 dispatches, for the load-balance analysis.
 	Steals int64
+}
+
+// NewSMXBind returns an SMX-Bind scheduler for numSMX SMXs with private L1s
+// and priorities 1..maxLevels.
+func NewSMXBind(numSMX, maxLevels int) *AdaptiveBind {
+	return NewBindClusters(numSMX, 1, maxLevels, BackupNone)
 }
 
 // NewAdaptiveBind returns an Adaptive-Bind scheduler for numSMX SMXs with
 // private L1s and priorities 1..maxLevels.
 func NewAdaptiveBind(numSMX, maxLevels int) *AdaptiveBind {
-	return NewAdaptiveBindClusters(numSMX, 1, maxLevels)
+	return NewBindClusters(numSMX, 1, maxLevels, BackupSticky)
 }
 
-// NewAdaptiveBindClusters is the cluster-aware variant of NewAdaptiveBind
-// (see NewSMXBindClusters).
-func NewAdaptiveBindClusters(numSMX, smxsPerCluster, maxLevels int) *AdaptiveBind {
+// NewBindClusters returns a bound-bank scheduler with the given stage-3
+// setting for an architecture whose L1 is shared by clusters of
+// smxsPerCluster SMXs: child TBs bind to their direct parent's cluster and
+// may run on any of its SMXs.
+func NewBindClusters(numSMX, smxsPerCluster, maxLevels int, stage3 Backup) *AdaptiveBind {
 	backup := make([]int, numSMX)
 	for i := range backup {
 		backup[i] = -1
 	}
-	return &AdaptiveBind{q: newBindQueues(numSMX, smxsPerCluster, maxLevels), backup: backup}
+	return &AdaptiveBind{q: newBindQueues(numSMX, smxsPerCluster, maxLevels), stage3: stage3, backup: backup}
 }
 
 // Name implements gpu.TBScheduler.
-func (a *AdaptiveBind) Name() string { return "adaptive-bind" }
+func (a *AdaptiveBind) Name() string {
+	if a.stage3 == BackupNone {
+		return "smx-bind"
+	}
+	return "adaptive-bind"
+}
 
 // Enqueue implements gpu.TBScheduler.
 func (a *AdaptiveBind) Enqueue(k *gpu.KernelInstance) { a.q.enqueue(k) }
 
 // Select implements gpu.TBScheduler, following Figure 6 stage by stage for
-// the SMX under consideration this slot.
+// the one SMX considered this slot (round-robin). A TB found in stage 1 or 2
+// that does not currently fit waits for that SMX; it is never redirected.
 func (a *AdaptiveBind) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
 	cur := a.cursor
 	a.cursor = (a.cursor + 1) % d.NumSMX()
 
 	// Stage 1: highest-priority TB in the current SMX's own queues.
-	if k := a.q.highest(cur); k != nil {
+	if k := a.q.highestBank(a.q.bankOf(cur)); k != nil {
 		if d.CanFit(cur, k.PeekTB()) {
 			return k, cur
 		}
@@ -378,14 +332,17 @@ func (a *AdaptiveBind) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
 	}
 	// Stage 3: drain the recorded backup bank's queues; when exhausted,
 	// record the next non-empty bank as the new backup.
-	if !a.FreeBackup {
+	switch a.stage3 {
+	case BackupNone:
+		return nil, 0
+	case BackupSticky:
 		if b := a.backup[cur]; b >= 0 && !a.q.bankEmpty(b) {
 			return a.steal(d, cur, b)
 		}
 	}
 	a.backup[cur] = -1
 	myBank := a.q.bankOf(cur)
-	nb := a.q.numBanks()
+	nb := len(a.q.perBank)
 	for i := 1; i < nb; i++ {
 		b := (myBank + i) % nb
 		if !a.q.bankEmpty(b) {
@@ -412,32 +369,20 @@ func (a *AdaptiveBind) steal(d gpu.Dispatcher, cur, b int) (*gpu.KernelInstance,
 // scheduler here declares how many consecutive nil Selects prove quiescence
 // and how to replay the elided calls' state effect in O(1).
 //
-// RoundRobin and TBPri consult every SMX from a single global view and move
-// their placement cursor only on success, so one nil Select with unchanged
-// dispatch state implies all later ones: period 1, replay a no-op. (The lazy
-// fifo trimming a nil Select performs is idempotent, so eliding repeats of
-// it changes nothing observable.)
+// TBPri consults every SMX from a single global view and moves its placement
+// cursor only on success, so one nil Select with unchanged dispatch state
+// implies all later ones: period 1, replay a no-op. (The lazy fifo trimming a
+// nil Select performs is idempotent, so eliding repeats of it changes nothing
+// observable.)
 //
-// SMXBind and AdaptiveBind consider one SMX per Select and advance their
-// round-robin cursor even on a nil slot, so only a full fruitless round over
-// all SMXs proves quiescence: period = SMX count, and the elided calls'
-// only surviving effect is that cursor advance, replayed modulo the SMX
-// count. AdaptiveBind's stage-3 backup recording reaches a per-SMX fixed
-// point within that same first nil round (with frozen queues, each slot's
-// scan re-records the same backup bank and fails the same CanFit check), so
-// no replay is needed for it.
-
-// IdleSelectPeriod implements gpu.IdleAware.
-func (r *RoundRobin) IdleSelectPeriod() int { return 1 }
-
-// SkipIdleSelects implements gpu.IdleAware: nil Selects leave RoundRobin's
-// cursor untouched, so there is nothing to replay.
-func (r *RoundRobin) SkipIdleSelects(uint64) {}
-
-// SkipEmptySelects implements gpu.IdleAware: a Select with nothing enqueued
-// only performs the idempotent lazy fifo trim, deferred safely to the next
-// real call.
-func (r *RoundRobin) SkipEmptySelects(uint64) {}
+// AdaptiveBind considers one SMX per Select and advances its round-robin
+// cursor even on a nil slot, so only a full fruitless round over all SMXs
+// proves quiescence: period = SMX count, and the elided calls' only
+// surviving effect is that cursor advance, replayed modulo the SMX count.
+// The stage-3 backup recording reaches a per-SMX fixed point within that
+// same first nil round (with frozen queues, each slot's scan re-records the
+// same backup bank and fails the same CanFit check), so no replay is needed
+// for it; without a backup the recordings are never written.
 
 // IdleSelectPeriod implements gpu.IdleAware.
 func (t *TBPri) IdleSelectPeriod() int { return 1 }
@@ -445,30 +390,15 @@ func (t *TBPri) IdleSelectPeriod() int { return 1 }
 // SkipIdleSelects implements gpu.IdleAware (no cursor motion on nil).
 func (t *TBPri) SkipIdleSelects(uint64) {}
 
-// SkipEmptySelects implements gpu.IdleAware (same deferred-trim argument as
-// RoundRobin).
+// SkipEmptySelects implements gpu.IdleAware: a Select with nothing enqueued
+// only performs the idempotent lazy fifo trim, deferred safely to the next
+// real call.
 func (t *TBPri) SkipEmptySelects(uint64) {}
-
-// numSMXs returns the machine's SMX count (banks x cluster size).
-func (b *bindQueues) numSMXs() int { return len(b.perBank) * b.clusterSize }
 
 // advanceCursor replays n cursor increments modulo the SMX count.
 func advanceCursor(cursor int, n uint64, numSMX int) int {
 	return int((uint64(cursor) + n) % uint64(numSMX))
 }
-
-// IdleSelectPeriod implements gpu.IdleAware: one full round over the SMXs.
-func (s *SMXBind) IdleSelectPeriod() int { return s.q.numSMXs() }
-
-// SkipIdleSelects implements gpu.IdleAware: each elided nil Select would
-// have advanced the round-robin cursor by one.
-func (s *SMXBind) SkipIdleSelects(n uint64) {
-	s.cursor = advanceCursor(s.cursor, n, s.q.numSMXs())
-}
-
-// SkipEmptySelects implements gpu.IdleAware: an empty-scheduler Select has
-// the same cursor-advance-only effect as a nil one.
-func (s *SMXBind) SkipEmptySelects(n uint64) { s.SkipIdleSelects(n) }
 
 // IdleSelectPeriod implements gpu.IdleAware: one full round over the SMXs.
 func (a *AdaptiveBind) IdleSelectPeriod() int { return len(a.backup) }
@@ -483,7 +413,8 @@ func (a *AdaptiveBind) SkipIdleSelects(n uint64) {
 // SkipEmptySelects implements gpu.IdleAware. With nothing enqueued, every
 // bank is empty, so each elided call would have cleared the considered
 // SMX's backup recording (stage 3 finds no non-empty bank) and advanced the
-// cursor; n >= one full round clears every recording.
+// cursor; n >= one full round clears every recording. Without a backup the
+// recordings stay -1 and clearing them is a no-op.
 func (a *AdaptiveBind) SkipEmptySelects(n uint64) {
 	nb := uint64(len(a.backup))
 	r := n
@@ -498,12 +429,8 @@ func (a *AdaptiveBind) SkipEmptySelects(n uint64) {
 
 // Compile-time interface checks.
 var (
-	_ gpu.TBScheduler = (*RoundRobin)(nil)
 	_ gpu.TBScheduler = (*TBPri)(nil)
-	_ gpu.TBScheduler = (*SMXBind)(nil)
 	_ gpu.TBScheduler = (*AdaptiveBind)(nil)
-	_ gpu.IdleAware   = (*RoundRobin)(nil)
 	_ gpu.IdleAware   = (*TBPri)(nil)
-	_ gpu.IdleAware   = (*SMXBind)(nil)
 	_ gpu.IdleAware   = (*AdaptiveBind)(nil)
 )

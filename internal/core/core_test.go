@@ -376,7 +376,7 @@ func TestFifoDropsExhausted(t *testing.T) {
 func TestSMXBindClustersDispatchAnywhereInCluster(t *testing.T) {
 	// 4 SMXs in 2 clusters of 2. Child bound to SMX 1 may run on SMX 0
 	// (same cluster) but never on SMXs 2-3.
-	sb := NewSMXBindClusters(4, 2, 4)
+	sb := NewBindClusters(4, 2, 4, BackupNone)
 	child := ki(0, 1, 1, ki(9, 0, -1, nil, 1), 4)
 	sb.Enqueue(child)
 	d := &fakeDispatcher{numSMX: 4}
@@ -407,7 +407,7 @@ func TestSMXBindClustersDispatchAnywhereInCluster(t *testing.T) {
 }
 
 func TestAdaptiveBindClustersStealAcrossClusters(t *testing.T) {
-	ab := NewAdaptiveBindClusters(4, 2, 4)
+	ab := NewBindClusters(4, 2, 4, BackupSticky)
 	child := ki(0, 1, 0, ki(9, 0, -1, nil, 1), 6) // bound to cluster 0
 	ab.Enqueue(child)
 	d := &fakeDispatcher{numSMX: 4}
@@ -435,5 +435,5 @@ func TestNewBindQueuesPanicsOnBadCluster(t *testing.T) {
 			t.Fatal("no panic for non-dividing cluster size")
 		}
 	}()
-	NewSMXBindClusters(4, 3, 2)
+	NewBindClusters(4, 3, 2, BackupNone)
 }

@@ -20,7 +20,9 @@ import (
 const idleNumSMX = 4
 
 // idleSchedulers returns a constructor per registered policy whose metadata
-// declares gpu.IdleAware — every one of them must pass the twin tests below.
+// declares gpu.IdleAware, plus the two ablation variants the experiments
+// build outside the registry (the free-backup bank and a throttled
+// Adaptive-Bind) — every one of them must pass the twin tests below.
 func idleSchedulers() map[string]func() gpu.TBScheduler {
 	cfg := conformanceConfig()
 	cfg.NumSMX = idleNumSMX
@@ -32,6 +34,12 @@ func idleSchedulers() map[string]func() gpu.TBScheduler {
 		}
 		info := info
 		mks[info.Name] = func() gpu.TBScheduler { return info.New(&cfg) }
+	}
+	mks["adaptive-bind/free-backup"] = func() gpu.TBScheduler {
+		return NewBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels, BackupFree)
+	}
+	mks["adaptive-bind+throttle"] = func() gpu.TBScheduler {
+		return NewThrottled(NewBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels, BackupSticky), 1)
 	}
 	return mks
 }
@@ -52,8 +60,8 @@ func loadMixed(s gpu.TBScheduler, idBase int) {
 // can be compared beyond black-box behaviour.
 func rawState(s gpu.TBScheduler) string {
 	switch v := s.(type) {
-	case *SMXBind:
-		return fmt.Sprintf("cursor=%d", v.cursor)
+	case *Throttled:
+		return rawState(v.Inner)
 	case *AdaptiveBind:
 		return fmt.Sprintf("cursor=%d backup=%v", v.cursor, v.backup)
 	case *WorkSteal:

@@ -66,7 +66,7 @@ var schedulerRegistry = []SchedulerInfo{
 		Name:        "rr",
 		Description: "baseline round-robin: FCFS over kernels, TBs fanned to the next SMX with room",
 		IdleAware:   true,
-		New:         func(cfg *config.GPU) gpu.TBScheduler { return NewRoundRobin() },
+		New:         func(*config.GPU) gpu.TBScheduler { return NewRoundRobin() },
 	},
 	{
 		Name:        "tb-pri",
@@ -83,7 +83,7 @@ var schedulerRegistry = []SchedulerInfo{
 		StrictBinding: true,
 		ChildFirst:    true,
 		New: func(cfg *config.GPU) gpu.TBScheduler {
-			return NewSMXBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels)
+			return NewBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels, BackupNone)
 		},
 	},
 	{
@@ -93,7 +93,7 @@ var schedulerRegistry = []SchedulerInfo{
 		Binding:     true,
 		ChildFirst:  true,
 		New: func(cfg *config.GPU) gpu.TBScheduler {
-			return NewAdaptiveBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels)
+			return NewBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels, BackupSticky)
 		},
 	},
 	{

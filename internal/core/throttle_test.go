@@ -88,8 +88,7 @@ func TestThrottledWrapsAnyScheduler(t *testing.T) {
 }
 
 func TestAdaptiveBindFreeBackupStillCompletes(t *testing.T) {
-	ab := NewAdaptiveBind(2, 4)
-	ab.FreeBackup = true
+	ab := NewBindClusters(2, 1, 4, BackupFree)
 	child := ki(0, 1, 0, ki(9, 0, -1, nil, 1), 4)
 	ab.Enqueue(child)
 	d := &fakeDispatcher{numSMX: 2}

@@ -114,3 +114,26 @@ func TestClockEquivalenceCells(t *testing.T) {
 		}
 	}
 }
+
+// TestClockEquivalenceExperiments: every experiment report is byte-equal
+// under the dense clock and the event-horizon fast-forward. It is the only
+// oracle that runs the ablation schedulers the registry does not build —
+// Throttled and the free-backup bank — through the engine's idle-replay path.
+func TestClockEquivalenceExperiments(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			o := fastOptions("bfs-citation", "amr")
+			var ff, dense bytes.Buffer
+			if err := e.Run(o, &ff); err != nil {
+				t.Fatalf("fast-forward: %v", err)
+			}
+			o.DenseClock = true
+			if err := e.Run(o, &dense); err != nil {
+				t.Fatalf("dense: %v", err)
+			}
+			if !bytes.Equal(ff.Bytes(), dense.Bytes()) {
+				t.Errorf("reports diverge:\nfast-forward:\n%s\ndense:\n%s", ff.String(), dense.String())
+			}
+		})
+	}
+}

@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"laperm/internal/config"
+	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/isa"
 	"laperm/internal/kernels"
+	"laperm/internal/smx"
 )
 
 // fastOptions runs experiments on a reduced machine with tiny workloads so
@@ -44,7 +46,7 @@ func TestRegistry(t *testing.T) {
 func TestNewSchedulerNames(t *testing.T) {
 	cfg := config.SmallTest()
 	for _, name := range SchedulerNames {
-		s, err := NewScheduler(name, &cfg)
+		s, err := core.NewSchedulerFor(name, &cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -52,7 +54,7 @@ func TestNewSchedulerNames(t *testing.T) {
 			t.Errorf("scheduler %q reports name %q", name, s.Name())
 		}
 	}
-	if _, err := NewScheduler("bogus", &cfg); err == nil {
+	if _, err := core.NewSchedulerFor("bogus", &cfg); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 }
@@ -189,6 +191,46 @@ func TestExperimentsKeepCallerOptions(t *testing.T) {
 		if o.Meter.Cycles() == 0 {
 			t.Errorf("%s: Meter saw no simulated cycles; the caller's Options were dropped", e.ID)
 		}
+	}
+}
+
+// TestThrottleAndBackupKeepCallerOptions: the throttle and backup studies
+// build their cells like every other study, so the caller's warp policy
+// reaches them. Under LRR, the uncapped throttle row must report plain
+// Adaptive-Bind's L1 hit rate and backup's sticky/rr column must divide two
+// LRR runs.
+func TestThrottleAndBackupKeepCallerOptions(t *testing.T) {
+	o := fastOptions("bfs-citation")
+	o.WarpPolicy = smx.LRR
+	w, _ := kernels.ByName("bfs-citation")
+	ab, err := RunOne(w, gpu.DTBL, "adaptive-bind", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := RunOne(w, gpu.DTBL, "rr", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// row returns the fields of the first report row for bfs-citation.
+	row := func(run func(Options, io.Writer) error) []string {
+		var buf bytes.Buffer
+		if err := run(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == "bfs-citation" {
+				return f
+			}
+		}
+		t.Fatalf("no bfs-citation row in:\n%s", buf.String())
+		return nil
+	}
+	// Caps at or above fastOptions' 4 TBs per SMX leave dispatch unchanged.
+	if got, want := row(runThrottle)[3], pct(ab.L1.HitRate()); got != want {
+		t.Errorf("throttle cap-16 l1 hit = %s, want Adaptive-Bind's %s under LRR", got, want)
+	}
+	if got, want := row(runBackup)[1], norm(ab.IPC/rr.IPC); got != want {
+		t.Errorf("backup ipc sticky/rr = %s, want %s under LRR", got, want)
 	}
 }
 

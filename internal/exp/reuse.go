@@ -24,30 +24,11 @@ type ReuseMatrix struct {
 // reuse attribution enabled, fanning cells over the Options' pool.
 func RunReuse(o Options, model gpu.Model) (*ReuseMatrix, error) {
 	o.Attribution = true
-	ws, err := o.workloads()
+	ws, results, err := runCells(o, []gpu.Model{model})
 	if err != nil {
 		return nil, err
 	}
-	var cells []Cell
-	byName := make(map[string]kernels.Workload, len(ws))
-	for _, w := range ws {
-		byName[w.Name] = w
-		for _, sched := range SchedulerNames {
-			cells = append(cells, Cell{w.Name, model, sched})
-		}
-	}
-	results, err := sweep(o, len(cells), func(i int) (*gpu.Result, error) {
-		c := cells[i]
-		return RunOne(byName[c.Workload], c.Model, c.Sched, o)
-	})
-	if err != nil {
-		return nil, err
-	}
-	m := &ReuseMatrix{Model: model, Workloads: ws, Results: make(map[Cell]*gpu.Result, len(cells))}
-	for i, c := range cells {
-		m.Results[c] = results[i]
-	}
-	return m, nil
+	return &ReuseMatrix{Model: model, Workloads: ws, Results: results}, nil
 }
 
 // lookup returns one cell's result, erroring on a missing cell.

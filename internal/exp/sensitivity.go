@@ -229,21 +229,9 @@ func runThrottle(o Options, w io.Writer) error {
 	}
 	caps := []int{16, 12, 8, 4}
 	results, err := sweep(o, len(wks)*len(caps), func(i int) (*gpu.Result, error) {
-		cfg := o.config()
-		inner, err := NewScheduler("adaptive-bind", cfg)
-		if err != nil {
-			return nil, err
-		}
-		sched := core.NewThrottled(inner, caps[i%len(caps)])
-		sim, err := gpu.New(gpu.Options{Config: cfg, Scheduler: sched, Model: gpu.DTBL, DenseClock: o.DenseClock})
-		if err != nil {
-			return nil, err
-		}
-		if err := sim.LaunchHost(wks[i/len(caps)].Build(o.Scale)); err != nil {
-			return nil, err
-		}
-		res, err := sim.Run()
-		o.meterResult(res)
+		res, _, err := RunCell(wks[i/len(caps)], gpu.DTBL, "adaptive-bind", o, func(g *gpu.Options) {
+			g.Scheduler = core.NewThrottled(g.Scheduler, caps[i%len(caps)])
+		})
 		return res, err
 	})
 	if err != nil {
@@ -284,19 +272,18 @@ func runBackup(o Options, w io.Writer) error {
 			res, err := RunOne(wk, gpu.DTBL, "rr", o)
 			return variantResult{res: res}, err
 		}
-		cfg := o.config()
-		ab := core.NewAdaptiveBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels)
-		ab.FreeBackup = variant == 2
-		sim, err := gpu.New(gpu.Options{Config: cfg, Scheduler: ab, Model: gpu.DTBL, DenseClock: o.DenseClock})
+		var ab *core.AdaptiveBind
+		res, _, err := RunCell(wk, gpu.DTBL, "adaptive-bind", o, func(g *gpu.Options) {
+			if variant == 2 {
+				c := g.Config
+				g.Scheduler = core.NewBindClusters(c.NumSMX, c.SMXsPerCluster, c.MaxPriorityLevels, core.BackupFree)
+			}
+			ab = g.Scheduler.(*core.AdaptiveBind)
+		})
 		if err != nil {
 			return variantResult{}, err
 		}
-		if err := sim.LaunchHost(wk.Build(o.Scale)); err != nil {
-			return variantResult{}, err
-		}
-		res, err := sim.Run()
-		o.meterResult(res)
-		return variantResult{res: res, steals: ab.Steals}, err
+		return variantResult{res: res, steals: ab.Steals}, nil
 	})
 	if err != nil {
 		return err

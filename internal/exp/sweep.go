@@ -3,18 +3,10 @@ package exp
 import (
 	"fmt"
 
-	"laperm/internal/config"
+	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
-	"laperm/internal/spec"
 )
-
-// NewScheduler builds the named TB scheduler for the given configuration. It
-// delegates to spec.NewScheduler, the single scheduler factory the CLIs, the
-// experiment runners, and the lapermd service all share.
-func NewScheduler(name string, cfg *config.GPU) (gpu.TBScheduler, error) {
-	return spec.NewScheduler(name, cfg)
-}
 
 // RunOne simulates one workload under one (model, scheduler) pair.
 func RunOne(w kernels.Workload, model gpu.Model, sched string, o Options) (*gpu.Result, error) {
@@ -31,7 +23,7 @@ func RunOne(w kernels.Workload, model gpu.Model, sched string, o Options) (*gpu.
 func RunCell(w kernels.Workload, model gpu.Model, sched string, o Options,
 	customize func(*gpu.Options)) (*gpu.Result, *gpu.Simulator, error) {
 	cfg := o.config()
-	s, err := NewScheduler(sched, cfg)
+	s, err := core.NewSchedulerFor(sched, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -92,15 +84,25 @@ type Matrix struct {
 // configuration copy, scheduler, and simulator, so the results — and any
 // error — are identical to a serial sweep regardless of worker count.
 func RunMatrix(o Options) (*Matrix, error) {
-	ws, err := o.workloads()
+	ws, results, err := runCells(o, Models)
 	if err != nil {
 		return nil, err
+	}
+	return &Matrix{Workloads: ws, Results: results}, nil
+}
+
+// runCells runs every workload x model x scheduler cell over the Options'
+// pool, workload-major, and returns the workloads with the results by cell.
+func runCells(o Options, models []gpu.Model) ([]kernels.Workload, map[Cell]*gpu.Result, error) {
+	ws, err := o.workloads()
+	if err != nil {
+		return nil, nil, err
 	}
 	var cells []Cell
 	byName := make(map[string]kernels.Workload, len(ws))
 	for _, w := range ws {
 		byName[w.Name] = w
-		for _, model := range Models {
+		for _, model := range models {
 			for _, sched := range SchedulerNames {
 				cells = append(cells, Cell{w.Name, model, sched})
 			}
@@ -111,13 +113,13 @@ func RunMatrix(o Options) (*Matrix, error) {
 		return RunOne(byName[c.Workload], c.Model, c.Sched, o)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	m := &Matrix{Workloads: ws, Results: make(map[Cell]*gpu.Result, len(cells))}
+	byCell := make(map[Cell]*gpu.Result, len(cells))
 	for i, c := range cells {
-		m.Results[c] = results[i]
+		byCell[c] = results[i]
 	}
-	return m, nil
+	return ws, byCell, nil
 }
 
 // Get returns the result for one cell, panicking on a missing cell (a

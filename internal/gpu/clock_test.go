@@ -244,7 +244,7 @@ func TestClockSampleCyclesPinned(t *testing.T) {
 	}
 }
 
-// opaqueScheduler hides RoundRobin's IdleAware extension, modelling a
+// opaqueScheduler hides the rr scheduler's IdleAware extension, modelling a
 // third-party policy that predates the fast-forward clock.
 type opaqueScheduler struct{ inner gpu.TBScheduler }
 

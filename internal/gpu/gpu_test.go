@@ -447,7 +447,7 @@ func TestClusteredMachineEndToEnd(t *testing.T) {
 	var violations int
 	sim := gpu.MustNew(gpu.Options{
 		Config:    cfg,
-		Scheduler: core.NewSMXBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels),
+		Scheduler: core.NewBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels, core.BackupNone),
 		Model:     gpu.DTBL,
 		TraceDispatch: func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
 			if ki.Parent == nil {

@@ -230,7 +230,7 @@ func (s RunSpec) Options() (gpu.Options, kernels.Workload, error) {
 			cfg.SMXsPerCluster = p.ClusterSize
 		}
 	}
-	sched, err := NewScheduler(n.Scheduler, &cfg)
+	sched, err := core.NewSchedulerFor(n.Scheduler, &cfg)
 	if err != nil {
 		return gpu.Options{}, kernels.Workload{}, err
 	}
@@ -288,17 +288,6 @@ func (s RunSpec) BuildWith(customize func(*gpu.Options)) (*gpu.Simulator, kernel
 
 // SchedulerNames lists the valid TB scheduler names in registry order.
 func SchedulerNames() []string { return core.SchedulerNames() }
-
-// NewScheduler builds the named TB scheduler for the given configuration —
-// a thin veneer over the core scheduler registry that keeps spec's error
-// vocabulary.
-func NewScheduler(name string, cfg *config.GPU) (gpu.TBScheduler, error) {
-	info, ok := core.SchedulerByName(name)
-	if !ok {
-		return nil, fmt.Errorf("spec: unknown scheduler %q (valid: %v)", name, SchedulerNames())
-	}
-	return info.New(cfg), nil
-}
 
 // ParseScale maps a scale name to its kernels.Scale.
 func ParseScale(name string) (kernels.Scale, error) {

@@ -242,7 +242,7 @@ func NewWorkSteal(numSMX int) Scheduler { return core.NewWorkSteal(numSMX) }
 // NewScheduler builds a scheduler by its registered name (see
 // SchedulerNames).
 func NewScheduler(name string, cfg *Config) (Scheduler, error) {
-	return exp.NewScheduler(name, cfg)
+	return core.NewSchedulerFor(name, cfg)
 }
 
 // Schedulers returns every registered TB scheduling policy's descriptor, in
