@@ -66,18 +66,17 @@ func WriteTimelineCSV(res *gpu.Result, w io.Writer) error {
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, s := range res.Timeline {
 			row := []string{
 				strconv.FormatUint(s.Cycle, 10),
-				f(s.IPC), f(s.L1), f(s.L2),
+				csvFloat(s.IPC), csvFloat(s.L1), csvFloat(s.L2),
 				strconv.Itoa(s.ResidentTBs), strconv.Itoa(s.LiveKernels),
 				strconv.Itoa(s.PendingArrivals), strconv.Itoa(s.KMUQueued),
 				strconv.Itoa(s.KDUUsed), strconv.Itoa(s.AggEntries),
 				strconv.FormatUint(s.TBsDispatched, 10),
 				strconv.FormatInt(s.MemStalls, 10),
 				strconv.FormatInt(s.LaunchStalls, 10),
-				f(s.L1ParentChild),
+				csvFloat(s.L1ParentChild),
 			}
 			for _, n := range s.SMXResident {
 				row = append(row, strconv.Itoa(n))
@@ -91,6 +90,30 @@ func WriteTimelineCSV(res *gpu.Result, w io.Writer) error {
 	})
 }
 
+// csvFloat formats a float statistic for the CSV emitters.
+func csvFloat(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
+
+// resultColumns heads the per-run statistics columns shared by the matrix
+// and sweep CSVs; resultRow formats one Result's values for them.
+var resultColumns = []string{
+	"cycles", "thread_insts", "ipc",
+	"l1_hit_rate", "l2_hit_rate", "dram_transactions",
+	"kernels", "dynamic_kernels", "blocks",
+	"avg_child_wait_cycles", "smx_load_imbalance",
+}
+
+func resultRow(r *gpu.Result) []string {
+	return []string{
+		strconv.FormatUint(r.Cycles, 10),
+		strconv.FormatInt(r.ThreadInsts, 10),
+		csvFloat(r.IPC),
+		csvFloat(r.L1.HitRate()), csvFloat(r.L2.HitRate()),
+		strconv.FormatInt(r.DRAMTransactions, 10),
+		strconv.Itoa(r.KernelCount), strconv.Itoa(r.DynamicKernelCount), strconv.Itoa(r.BlockCount),
+		csvFloat(r.AvgChildWait), csvFloat(r.LoadImbalance),
+	}
+}
+
 // WriteMatrixCSV emits the full evaluation matrix as machine-readable CSV:
 // one row per (workload, model, scheduler) cell with every statistic the
 // figures read, for downstream plotting. Output is buffered and written only
@@ -98,17 +121,10 @@ func WriteTimelineCSV(res *gpu.Result, w io.Writer) error {
 func WriteMatrixCSV(m *Matrix, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
-		header := []string{
-			"workload", "app", "input", "model", "scheduler",
-			"cycles", "thread_insts", "ipc",
-			"l1_hit_rate", "l2_hit_rate", "dram_transactions",
-			"kernels", "dynamic_kernels", "blocks",
-			"avg_child_wait_cycles", "smx_load_imbalance",
-		}
+		header := append([]string{"workload", "app", "input", "model", "scheduler"}, resultColumns...)
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, wk := range m.Workloads {
 			for _, model := range Models {
 				for _, sched := range SchedulerNames {
@@ -116,16 +132,7 @@ func WriteMatrixCSV(m *Matrix, w io.Writer) error {
 					if err != nil {
 						return err
 					}
-					row := []string{
-						wk.Name, wk.App, wk.Input, model.String(), sched,
-						strconv.FormatUint(r.Cycles, 10),
-						strconv.FormatInt(r.ThreadInsts, 10),
-						f(r.IPC),
-						f(r.L1.HitRate()), f(r.L2.HitRate()),
-						strconv.FormatInt(r.DRAMTransactions, 10),
-						strconv.Itoa(r.KernelCount), strconv.Itoa(r.DynamicKernelCount), strconv.Itoa(r.BlockCount),
-						f(r.AvgChildWait), f(r.LoadImbalance),
-					}
+					row := append([]string{wk.Name, wk.App, wk.Input, model.String(), sched}, resultRow(r)...)
 					if err := cw.Write(row); err != nil {
 						return err
 					}
@@ -157,16 +164,10 @@ func WriteCellsCSV(axes []string, rows []CellRow, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
 		header := append([]string{"run_id"}, axes...)
-		header = append(header,
-			"cycles", "thread_insts", "ipc",
-			"l1_hit_rate", "l2_hit_rate", "dram_transactions",
-			"kernels", "dynamic_kernels", "blocks",
-			"avg_child_wait_cycles", "smx_load_imbalance",
-		)
+		header = append(header, resultColumns...)
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, row := range rows {
 			if len(row.Values) != len(axes) {
 				return fmt.Errorf("exp: cell %s has %d axis values, want %d", row.ID, len(row.Values), len(axes))
@@ -174,18 +175,8 @@ func WriteCellsCSV(axes []string, rows []CellRow, w io.Writer) error {
 			if row.Result == nil {
 				return fmt.Errorf("exp: cell %s has no result", row.ID)
 			}
-			r := row.Result
 			out := append([]string{row.ID}, row.Values...)
-			out = append(out,
-				strconv.FormatUint(r.Cycles, 10),
-				strconv.FormatInt(r.ThreadInsts, 10),
-				f(r.IPC),
-				f(r.L1.HitRate()), f(r.L2.HitRate()),
-				strconv.FormatInt(r.DRAMTransactions, 10),
-				strconv.Itoa(r.KernelCount), strconv.Itoa(r.DynamicKernelCount), strconv.Itoa(r.BlockCount),
-				f(r.AvgChildWait), f(r.LoadImbalance),
-			)
-			if err := cw.Write(out); err != nil {
+			if err := cw.Write(append(out, resultRow(row.Result)...)); err != nil {
 				return err
 			}
 		}

@@ -27,7 +27,8 @@ var Models = gpu.Models()
 type Options struct {
 	// Scale selects workload size (default ScaleSmall).
 	Scale kernels.Scale
-	// Workloads restricts the workload set (default: all of Table II).
+	// Workloads restricts the workload set (default: all of Table II for
+	// the figures, a per-study set for the sensitivity studies).
 	Workloads []string
 	// Config overrides the GPU configuration (default: Table I K20c).
 	Config *config.GPU
@@ -59,6 +60,11 @@ type Options struct {
 	// host-timing fields (WallTime, SimCyclesPerSec) from each Result —
 	// metered or not — keeping sweep Results bit-deterministic.
 	Meter *Meter
+
+	// memo, when non-nil, holds the outcome of every point simulated so
+	// far, so a run of several experiments (RunAll) simulates each
+	// distinct point once.
+	memo map[point]outcome
 }
 
 // config returns a private copy of the effective GPU configuration. Every
@@ -74,12 +80,18 @@ func (o Options) config() *config.GPU {
 	return &g
 }
 
-func (o Options) workloads() ([]kernels.Workload, error) {
-	if len(o.Workloads) == 0 {
+// workloads resolves o.Workloads; when it is empty, the named defaults;
+// when there are none, all of Table II.
+func (o Options) workloads(defaults ...string) ([]kernels.Workload, error) {
+	names := o.Workloads
+	if len(names) == 0 {
+		names = defaults
+	}
+	if len(names) == 0 {
 		return kernels.All(), nil
 	}
 	var ws []kernels.Workload
-	for _, name := range o.Workloads {
+	for _, name := range names {
 		w, err := kernels.Lookup(name)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %w", err)

@@ -81,14 +81,10 @@ func TestRunMatrixAndFigures(t *testing.T) {
 		t.Fatalf("matrix cells = %d, want %d", len(m.Results), want)
 	}
 	var buf bytes.Buffer
-	if err := Fig7From(m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := Fig8From(m, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := Fig9From(m, gpu.DTBL, &buf); err != nil {
-		t.Fatal(err)
+	for _, run := range []func(Options, io.Writer) error{runFig7, runFig8, runFig9b} {
+		if err := run(o, &buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := buf.String()
 	for _, want := range []string{"bfs-citation", "join-uniform", "average", "cdp/rr", "dtbl/adaptive-bind"} {
@@ -121,6 +117,14 @@ func TestTables12Render(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("table1 missing %q", want)
 		}
+	}
+	// The warp row names the caller's policy.
+	buf.Reset()
+	if err := runTable1(Options{WarpPolicy: smx.LRR}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Loose Round-Robin") {
+		t.Errorf("table1 under LRR names the wrong warp scheduler:\n%s", buf.String())
 	}
 	buf.Reset()
 	if err := runTable2(Options{}, &buf); err != nil {
@@ -360,6 +364,93 @@ func TestRunAllSmoke(t *testing.T) {
 	for _, e := range All() {
 		if !strings.Contains(out, "=== "+e.ID+":") {
 			t.Errorf("RunAll output missing section %q", e.ID)
+		}
+	}
+}
+
+// TestRunAllSimulatesEachPointOnce: RunAll simulates the union of the
+// experiments' points, each exactly once. Every pool cell reports one
+// Progress observation — one per simulated point, plus fig2's per-workload
+// footprint analyses — and the Meter sums each distinct point's cycles once.
+func TestRunAllSimulatesEachPointOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RunAll executes every experiment")
+	}
+	o := fastOptions("amr", "join-uniform", "bfs-citation")
+	union := make(map[point]outcome)
+	for _, e := range All() {
+		solo := o
+		solo.memo = make(map[point]outcome)
+		if err := e.Run(solo, io.Discard); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for p, out := range solo.memo {
+			union[p] = out
+		}
+	}
+	var cycles uint64
+	for _, out := range union {
+		cycles += out.res.Cycles
+	}
+	cells := 0
+	o.Progress = func(Progress) { cells++ }
+	o.Meter = NewMeter()
+	if err := RunAll(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(union) + len(o.Workloads); cells != want {
+		t.Errorf("RunAll ran %d pool cells, want %d distinct points + %d footprint analyses",
+			cells, len(union), len(o.Workloads))
+	}
+	if got := o.Meter.Cycles(); got != cycles {
+		t.Errorf("RunAll simulated %d cycles, want %d (each distinct point once)", got, cycles)
+	}
+}
+
+// TestRunAllSectionsMatchStandalone: each RunAll section is byte-equal to
+// its experiment's standalone report, so sharing points changes no output.
+func TestRunAllSectionsMatchStandalone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RunAll executes every experiment")
+	}
+	o := fastOptions("amr", "join-uniform")
+	var all bytes.Buffer
+	if err := RunAll(o, &all); err != nil {
+		t.Fatal(err)
+	}
+	rest := all.String()
+	for _, e := range All() {
+		var solo bytes.Buffer
+		if err := e.Run(o, &solo); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		header, body, _ := strings.Cut(rest, "\n")
+		if !strings.HasPrefix(header, "=== "+e.ID+": ") {
+			t.Fatalf("section header %q, want %s", header, e.ID)
+		}
+		want := solo.String() + "\n"
+		if !strings.HasPrefix(body, want) {
+			t.Fatalf("%s: RunAll section differs from the standalone report:\n%s\nwant:\n%s", e.ID, body, want)
+		}
+		rest = body[len(want):]
+	}
+	if rest != "" {
+		t.Errorf("RunAll has trailing output %q", rest)
+	}
+}
+
+// TestStudiesRejectUnknownWorkload: every experiment that takes a workload
+// set reports an unknown name as a *kernels.UnknownWorkloadError, which
+// lists the valid names.
+func TestStudiesRejectUnknownWorkload(t *testing.T) {
+	noWorkloads := map[string]bool{"table1": true, "table2": true, "levels": true}
+	for _, e := range All() {
+		if noWorkloads[e.ID] {
+			continue
+		}
+		var uw *kernels.UnknownWorkloadError
+		if err := e.Run(fastOptions("nope"), io.Discard); !errors.As(err, &uw) {
+			t.Errorf("%s: err = %v, want *kernels.UnknownWorkloadError", e.ID, err)
 		}
 	}
 }

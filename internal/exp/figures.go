@@ -7,6 +7,7 @@ import (
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
 	"laperm/internal/metrics"
+	"laperm/internal/smx"
 )
 
 // runTable1 prints the architectural configuration (Table I).
@@ -24,8 +25,21 @@ func runTable1(o Options, w io.Writer) error {
 	t.row("L2 cache", fmt.Sprintf("%d KB", cfg.L2Bytes/1024))
 	t.row("Cache line size", "128 bytes")
 	t.row("Max concurrent kernels", fmt.Sprintf("%d", cfg.MaxConcurrentKernels))
-	t.row("Warp scheduler", "Greedy-Then-Oldest")
+	t.row("Warp scheduler", warpName(o.WarpPolicy))
 	return t.write(w)
+}
+
+// warpName spells out a warp scheduling policy for Table I.
+func warpName(p smx.Policy) string {
+	switch p {
+	case smx.GTO:
+		return "Greedy-Then-Oldest"
+	case smx.LRR:
+		return "Loose Round-Robin"
+	case smx.TwoLevel:
+		return "Two-Level"
+	}
+	return p.String()
 }
 
 // runTable2 prints the benchmark inventory (Table II).
@@ -83,9 +97,13 @@ func analyzeFootprints(o Options, ws []kernels.Workload) ([]metrics.FootprintSta
 	})
 }
 
-// hitRateTable renders a Figure 7/8-style table: one row per workload, one
-// column per (model, scheduler) pair.
-func hitRateTable(m *Matrix, level string, pick func(*gpu.Result) float64, w io.Writer) error {
+// hitRateTable renders a Figure 7/8-style table from o's matrix: one row
+// per workload, one column per (model, scheduler) pair.
+func hitRateTable(o Options, level string, pick func(*gpu.Result) float64, w io.Writer) error {
+	m, err := RunMatrix(o)
+	if err != nil {
+		return err
+	}
 	header := []string{"workload"}
 	for _, model := range Models {
 		for _, sched := range SchedulerNames {
@@ -118,53 +136,27 @@ func hitRateTable(m *Matrix, level string, pick func(*gpu.Result) float64, w io.
 
 // runFig7 prints the L2 hit-rate matrix (Figure 7).
 func runFig7(o Options, w io.Writer) error {
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	return Fig7From(m, w)
-}
-
-// Fig7From renders Figure 7 from an existing matrix.
-func Fig7From(m *Matrix, w io.Writer) error {
-	return hitRateTable(m, "L2", func(r *gpu.Result) float64 { return r.L2.HitRate() }, w)
+	return hitRateTable(o, "L2", func(r *gpu.Result) float64 { return r.L2.HitRate() }, w)
 }
 
 // runFig8 prints the L1 hit-rate matrix (Figure 8).
 func runFig8(o Options, w io.Writer) error {
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	return Fig8From(m, w)
-}
-
-// Fig8From renders Figure 8 from an existing matrix.
-func Fig8From(m *Matrix, w io.Writer) error {
-	return hitRateTable(m, "L1", func(r *gpu.Result) float64 { return r.L1.HitRate() }, w)
+	return hitRateTable(o, "L1", func(r *gpu.Result) float64 { return r.L1.HitRate() }, w)
 }
 
 // runFig9a prints IPC normalised to CDP+RR (Figure 9(a)).
-func runFig9a(o Options, w io.Writer) error {
-	m, err := RunMatrix(o)
-	if err != nil {
-		return err
-	}
-	return Fig9From(m, gpu.CDP, w)
-}
+func runFig9a(o Options, w io.Writer) error { return fig9(o, gpu.CDP, w) }
 
 // runFig9b prints IPC normalised to DTBL+RR (Figure 9(b)).
-func runFig9b(o Options, w io.Writer) error {
+func runFig9b(o Options, w io.Writer) error { return fig9(o, gpu.DTBL, w) }
+
+// fig9 renders a Figure 9 panel from o's matrix: IPC under one model
+// normalised to that model's RR baseline.
+func fig9(o Options, model gpu.Model, w io.Writer) error {
 	m, err := RunMatrix(o)
 	if err != nil {
 		return err
 	}
-	return Fig9From(m, gpu.DTBL, w)
-}
-
-// Fig9From renders a Figure 9 panel (normalised IPC under one model) from
-// an existing matrix.
-func Fig9From(m *Matrix, model gpu.Model, w io.Writer) error {
 	header := []string{"workload"}
 	header = append(header, SchedulerNames...)
 	t := newTable(header...)

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"laperm/internal/gpu"
-	"laperm/internal/kernels"
 	"laperm/internal/mem"
 )
 
@@ -15,29 +14,48 @@ import (
 // every scheduler for one launch model: the repo-native Figure 3 evidence
 // that LaPerm's schedulers raise the parent-child share of L1 hits.
 type ReuseMatrix struct {
-	Model     gpu.Model
-	Workloads []kernels.Workload
-	Results   map[Cell]*gpu.Result
+	Model gpu.Model
+	*Matrix
 }
 
 // RunReuse sweeps every workload x scheduler cell for the given model with
 // reuse attribution enabled, fanning cells over the Options' pool.
 func RunReuse(o Options, model gpu.Model) (*ReuseMatrix, error) {
 	o.Attribution = true
-	ws, results, err := runCells(o, []gpu.Model{model})
+	m, err := runMatrix(o, []gpu.Model{model})
 	if err != nil {
 		return nil, err
 	}
-	return &ReuseMatrix{Model: model, Workloads: ws, Results: results}, nil
+	return &ReuseMatrix{Model: model, Matrix: m}, nil
 }
 
-// lookup returns one cell's result, erroring on a missing cell.
-func (m *ReuseMatrix) lookup(workload, sched string) (*gpu.Result, error) {
-	r, ok := m.Results[Cell{workload, m.Model, sched}]
-	if !ok {
-		return nil, fmt.Errorf("exp: reuse matrix missing cell %s/%v/%s", workload, m.Model, sched)
+// reuseColumns heads the per-cache-level reuse columns of the reuse CSVs;
+// reuseRows formats one run's two rows (l1, l2) of them.
+var reuseColumns = []string{
+	"level", "self", "parent_child", "sibling", "cross", "classified_hits",
+	"self_share", "parent_child_share", "sibling_share", "cross_share",
+}
+
+func reuseRows(r *gpu.Result) [][]string {
+	var rows [][]string
+	for _, lvl := range []struct {
+		name string
+		rs   mem.ReuseStats
+	}{{"l1", r.L1Reuse}, {"l2", r.L2Reuse}} {
+		rows = append(rows, []string{
+			lvl.name,
+			strconv.FormatInt(lvl.rs.Self, 10),
+			strconv.FormatInt(lvl.rs.ParentChild, 10),
+			strconv.FormatInt(lvl.rs.Sibling, 10),
+			strconv.FormatInt(lvl.rs.Cross, 10),
+			strconv.FormatInt(lvl.rs.Total(), 10),
+			csvFloat(lvl.rs.Share(mem.ReuseSelf)),
+			csvFloat(lvl.rs.Share(mem.ReuseParentChild)),
+			csvFloat(lvl.rs.Share(mem.ReuseSibling)),
+			csvFloat(lvl.rs.Share(mem.ReuseCross)),
+		})
 	}
-	return r, nil
+	return rows
 }
 
 // WriteReuseCSV emits the reuse breakdown as CSV: one row per (workload,
@@ -46,37 +64,18 @@ func (m *ReuseMatrix) lookup(workload, sched string) (*gpu.Result, error) {
 func WriteReuseCSV(m *ReuseMatrix, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
-		header := []string{
-			"workload", "app", "input", "model", "scheduler", "level",
-			"self", "parent_child", "sibling", "cross", "classified_hits",
-			"self_share", "parent_child_share", "sibling_share", "cross_share",
-		}
+		header := append([]string{"workload", "app", "input", "model", "scheduler"}, reuseColumns...)
 		if err := cw.Write(header); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
 		for _, wk := range m.Workloads {
 			for _, sched := range SchedulerNames {
-				r, err := m.lookup(wk.Name, sched)
+				r, err := m.lookup(wk.Name, m.Model, sched)
 				if err != nil {
 					return err
 				}
-				for _, lvl := range []struct {
-					name string
-					rs   mem.ReuseStats
-				}{{"l1", r.L1Reuse}, {"l2", r.L2Reuse}} {
-					row := []string{
-						wk.Name, wk.App, wk.Input, m.Model.String(), sched, lvl.name,
-						strconv.FormatInt(lvl.rs.Self, 10),
-						strconv.FormatInt(lvl.rs.ParentChild, 10),
-						strconv.FormatInt(lvl.rs.Sibling, 10),
-						strconv.FormatInt(lvl.rs.Cross, 10),
-						strconv.FormatInt(lvl.rs.Total(), 10),
-						f(lvl.rs.Share(mem.ReuseSelf)),
-						f(lvl.rs.Share(mem.ReuseParentChild)),
-						f(lvl.rs.Share(mem.ReuseSibling)),
-						f(lvl.rs.Share(mem.ReuseCross)),
-					}
+				for _, lvl := range reuseRows(r) {
+					row := append([]string{wk.Name, wk.App, wk.Input, m.Model.String(), sched}, lvl...)
 					if err := cw.Write(row); err != nil {
 						return err
 					}
@@ -96,36 +95,10 @@ func WriteReuseCSV(m *ReuseMatrix, w io.Writer) error {
 func WriteRunReuseCSV(res *gpu.Result, w io.Writer) error {
 	return writeAtomic(w, func(w io.Writer) error {
 		cw := csv.NewWriter(w)
-		header := []string{
-			"level", "self", "parent_child", "sibling", "cross", "classified_hits",
-			"self_share", "parent_child_share", "sibling_share", "cross_share",
-		}
-		if err := cw.Write(header); err != nil {
+		if err := cw.Write(reuseColumns); err != nil {
 			return err
 		}
-		f := func(x float64) string { return strconv.FormatFloat(x, 'f', 6, 64) }
-		for _, lvl := range []struct {
-			name string
-			rs   mem.ReuseStats
-		}{{"l1", res.L1Reuse}, {"l2", res.L2Reuse}} {
-			row := []string{
-				lvl.name,
-				strconv.FormatInt(lvl.rs.Self, 10),
-				strconv.FormatInt(lvl.rs.ParentChild, 10),
-				strconv.FormatInt(lvl.rs.Sibling, 10),
-				strconv.FormatInt(lvl.rs.Cross, 10),
-				strconv.FormatInt(lvl.rs.Total(), 10),
-				f(lvl.rs.Share(mem.ReuseSelf)),
-				f(lvl.rs.Share(mem.ReuseParentChild)),
-				f(lvl.rs.Share(mem.ReuseSibling)),
-				f(lvl.rs.Share(mem.ReuseCross)),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
-		}
-		cw.Flush()
-		return cw.Error()
+		return cw.WriteAll(reuseRows(res))
 	})
 }
 
@@ -142,14 +115,14 @@ func WriteReuseReport(m *ReuseMatrix, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 		for _, wk := range m.Workloads {
-			base, err := m.lookup(wk.Name, "rr")
+			base, err := m.lookup(wk.Name, m.Model, "rr")
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "%-18s", wk.Name)
 			allBeat := true
 			for _, sched := range SchedulerNames {
-				r, err := m.lookup(wk.Name, sched)
+				r, err := m.lookup(wk.Name, m.Model, sched)
 				if err != nil {
 					return err
 				}

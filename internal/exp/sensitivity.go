@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"laperm/internal/core"
 	"laperm/internal/gpu"
-	"laperm/internal/kernels"
 	"laperm/internal/smx"
 )
 
@@ -14,66 +12,43 @@ import (
 // launch-latency sensitivity study of Section IV-D.
 var LatencySweepPoints = []int{10, 100, 500, 1000, 2500, 5000, 10000, 20000}
 
-// resolveWorkloads maps names to workloads, erroring on the first unknown
-// name (in input order, matching the serial runners).
-func resolveWorkloads(names []string) ([]kernels.Workload, error) {
-	wks := make([]kernels.Workload, len(names))
-	for i, name := range names {
-		wk, ok := kernels.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown workload %q", name)
-		}
-		wks[i] = wk
+// speedups renders, for each (RR, scheduler) pair of a row built with
+// under("rr", ...), the scheduler's IPC normalised to RR.
+func speedups(row []outcome) []string {
+	var cells []string
+	for i := 1; i < len(row); i += 2 {
+		cells = append(cells, norm(row[i].res.IPC/row[i-1].res.IPC))
 	}
-	return wks, nil
+	return cells
 }
 
 // runLatency reproduces the Section IV-D analysis: LaPerm's benefit over RR
 // as a function of child launch latency. The longer the launch path, the
 // wider the parent-child time gap and the less temporal locality survives.
-// Each (latency, workload) cell runs independently on the pool.
 func runLatency(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "sssp-cage15", "join-uniform"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloads("bfs-citation", "sssp-cage15", "join-uniform")
 	if err != nil {
 		return err
 	}
-	type cell struct{ li, wi int }
-	var cells []cell
-	for li := range LatencySweepPoints {
-		for wi := range wks {
-			cells = append(cells, cell{li, wi})
+	p := o.basePoint(gpu.DTBL)
+	rows := make([][]point, len(LatencySweepPoints))
+	for i, lat := range LatencySweepPoints {
+		p.cfg.DTBLLaunchLatency = lat
+		for _, wk := range wks {
+			p.workload = wk.Name
+			rows[i] = append(rows[i], p.under("rr", "adaptive-bind")...)
 		}
 	}
-	ratios, err := sweep(o, len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		cfg := o.config()
-		cfg.DTBLLaunchLatency = LatencySweepPoints[c.li]
-		opt := o
-		opt.Config = cfg
-		base, err := RunOne(wks[c.wi], gpu.DTBL, "rr", opt)
-		if err != nil {
-			return 0, err
-		}
-		lap, err := RunOne(wks[c.wi], gpu.DTBL, "adaptive-bind", opt)
-		if err != nil {
-			return 0, err
-		}
-		return lap.IPC / base.IPC, nil
-	})
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
-	t := newTable(append([]string{"latency (cycles)"}, names...)...)
-	for li, lat := range LatencySweepPoints {
-		row := []string{fmt.Sprintf("%d", lat)}
-		for wi := range wks {
-			row = append(row, norm(ratios[li*len(wks)+wi]))
-		}
-		t.row(row...)
+	t := newTable("latency (cycles)")
+	for _, wk := range wks {
+		t.header = append(t.header, wk.Name)
+	}
+	for i, lat := range LatencySweepPoints {
+		t.row(append([]string{fmt.Sprintf("%d", lat)}, speedups(out[i])...)...)
 	}
 	fmt.Fprintln(w, "Adaptive-Bind IPC normalized to RR (DTBL) vs child launch latency")
 	return t.write(w)
@@ -83,25 +58,24 @@ func runLatency(o Options, w io.Writer) error {
 // imbalanced launch patterns, reporting SMX busy-cycle imbalance, stage-3
 // steal share, and the resulting speedups (the Section IV-C trade-off).
 func runBalance(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"amr", "join-gaussian", "regx-darpa", "bfs-graph5"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloads("amr", "join-gaussian", "regx-darpa", "bfs-graph5")
 	if err != nil {
 		return err
 	}
-	scheds := []string{"rr", "smx-bind", "adaptive-bind"}
-	results, err := sweep(o, len(wks)*len(scheds), func(i int) (*gpu.Result, error) {
-		return RunOne(wks[i/len(scheds)], gpu.DTBL, scheds[i%len(scheds)], o)
-	})
+	p := o.basePoint(gpu.DTBL)
+	rows := make([][]point, len(wks))
+	for i, wk := range wks {
+		p.workload = wk.Name
+		rows[i] = p.under("rr", "smx-bind", "adaptive-bind")
+	}
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "imbalance rr", "imbalance smx-bind", "imbalance adaptive", "ipc smx-bind/rr", "ipc adaptive/rr")
-	for wi, name := range names {
-		rr, sb, ab := results[wi*3], results[wi*3+1], results[wi*3+2]
-		t.row(name,
+	for i, wk := range wks {
+		rr, sb, ab := out[i][0].res, out[i][1].res, out[i][2].res
+		t.row(wk.Name,
 			norm(rr.LoadImbalance), norm(sb.LoadImbalance), norm(ab.LoadImbalance),
 			norm(sb.IPC/rr.IPC), norm(ab.IPC/rr.IPC))
 	}
@@ -114,20 +88,20 @@ func runBalance(o Options, w io.Writer) error {
 // lets deeper descendants pre-empt earlier generations.
 func runLevels(o Options, w io.Writer) error {
 	levels := []int{1, 2, 4, 8}
-	scheds := []string{"rr", "tb-pri", "adaptive-bind"}
-	results, err := sweep(o, len(levels)*len(scheds), func(i int) (*gpu.Result, error) {
-		cfg := o.config()
-		cfg.MaxPriorityLevels = levels[i/len(scheds)]
-		opt := o
-		opt.Config = cfg
-		return RunOne(NestedWorkload(), gpu.DTBL, scheds[i%len(scheds)], opt)
-	})
+	p := o.basePoint(gpu.DTBL)
+	p.workload = NestedWorkload().Name
+	rows := make([][]point, len(levels))
+	for i, l := range levels {
+		p.cfg.MaxPriorityLevels = l
+		rows[i] = p.under("rr", "tb-pri", "adaptive-bind")
+	}
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
 	t := newTable("max level L", "ipc tb-pri/rr", "ipc adaptive/rr", "avg child wait (adaptive)")
-	for li, l := range levels {
-		rr, tp, ab := results[li*3], results[li*3+1], results[li*3+2]
+	for i, l := range levels {
+		rr, tp, ab := out[i][0].res, out[i][1].res, out[i][2].res
 		t.row(fmt.Sprintf("%d", l), norm(tp.IPC/rr.IPC), norm(ab.IPC/rr.IPC),
 			fmt.Sprintf("%.0f", ab.AvgChildWait))
 	}
@@ -140,35 +114,30 @@ func runLevels(o Options, w io.Writer) error {
 // shared by pairs, or shared by quads of SMXs, comparing Adaptive-Bind's
 // gain over RR and the L1 hit rates.
 func runClusters(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "bht", "amr"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloads("bfs-citation", "bht", "amr")
 	if err != nil {
 		return err
 	}
 	sizes := []int{1, 2, 4}
-	scheds := []string{"rr", "adaptive-bind"}
-	results, err := sweep(o, len(wks)*len(sizes)*len(scheds), func(i int) (*gpu.Result, error) {
-		cfg := o.config()
-		cfg.NumSMX = 12 // divisible by every swept cluster size
-		cfg.SMXsPerCluster = sizes[(i/len(scheds))%len(sizes)]
-		opt := o
-		opt.Config = cfg
-		return RunOne(wks[i/(len(sizes)*len(scheds))], gpu.DTBL, scheds[i%len(scheds)], opt)
-	})
+	p := o.basePoint(gpu.DTBL)
+	p.cfg.NumSMX = 12 // divisible by every swept cluster size
+	var rows [][]point
+	for _, wk := range wks {
+		p.workload = wk.Name
+		for _, size := range sizes {
+			p.cfg.SMXsPerCluster = size
+			rows = append(rows, p.under("rr", "adaptive-bind"))
+		}
+	}
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "cluster size", "ipc adaptive/rr", "l1 rr", "l1 adaptive")
-	for wi, name := range names {
-		for si, size := range sizes {
-			rr := results[(wi*len(sizes)+si)*2]
-			ab := results[(wi*len(sizes)+si)*2+1]
-			t.row(name, fmt.Sprintf("%d", size), norm(ab.IPC/rr.IPC),
-				pct(rr.L1.HitRate()), pct(ab.L1.HitRate()))
-		}
+	for i, r := range out {
+		rr, ab := r[0].res, r[1].res
+		t.row(wks[i/len(sizes)].Name, fmt.Sprintf("%d", sizes[i%len(sizes)]), norm(ab.IPC/rr.IPC),
+			pct(rr.L1.HitRate()), pct(ab.L1.HitRate()))
 	}
 	fmt.Fprintln(w, "Adaptive-Bind with cluster-shared L1s (12 SMXs, DTBL)")
 	return t.write(w)
@@ -178,38 +147,26 @@ func runClusters(o Options, w io.Writer) error {
 // warp scheduling discipline: Adaptive-Bind's gain over RR under
 // Greedy-Then-Oldest and under loose round-robin warp scheduling.
 func runWarp(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "join-gaussian", "bht"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloads("bfs-citation", "join-gaussian", "bht")
 	if err != nil {
 		return err
 	}
-	policies := []smx.Policy{smx.GTO, smx.LRR, smx.TwoLevel}
-	ratios, err := sweep(o, len(wks)*len(policies), func(i int) (float64, error) {
-		opt := o
-		opt.WarpPolicy = policies[i%len(policies)]
-		rr, err := RunOne(wks[i/len(policies)], gpu.DTBL, "rr", opt)
-		if err != nil {
-			return 0, err
+	p := o.basePoint(gpu.DTBL)
+	rows := make([][]point, len(wks))
+	for i, wk := range wks {
+		p.workload = wk.Name
+		for _, policy := range []smx.Policy{smx.GTO, smx.LRR, smx.TwoLevel} {
+			p.warp = policy
+			rows[i] = append(rows[i], p.under("rr", "adaptive-bind")...)
 		}
-		ab, err := RunOne(wks[i/len(policies)], gpu.DTBL, "adaptive-bind", opt)
-		if err != nil {
-			return 0, err
-		}
-		return ab.IPC / rr.IPC, nil
-	})
+	}
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "ipc adaptive/rr (gto)", "ipc adaptive/rr (lrr)", "ipc adaptive/rr (two-level)")
-	for wi, name := range names {
-		row := []string{name}
-		for pi := range policies {
-			row = append(row, norm(ratios[wi*len(policies)+pi]))
-		}
-		t.row(row...)
+	for i, wk := range wks {
+		t.row(append([]string{wk.Name}, speedups(out[i])...)...)
 	}
 	fmt.Fprintln(w, "LaPerm speedup under different warp schedulers (DTBL)")
 	return t.write(w)
@@ -219,31 +176,30 @@ func runWarp(o Options, w io.Writer) error {
 // Adaptive-Bind: fewer resident TBs per SMX leave more L1 per block (better
 // parent-child reuse) at a parallelism cost.
 func runThrottle(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "bht"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloads("bfs-citation", "bht")
 	if err != nil {
 		return err
 	}
 	caps := []int{16, 12, 8, 4}
-	results, err := sweep(o, len(wks)*len(caps), func(i int) (*gpu.Result, error) {
-		res, _, err := RunCell(wks[i/len(caps)], gpu.DTBL, "adaptive-bind", o, func(g *gpu.Options) {
-			g.Scheduler = core.NewThrottled(g.Scheduler, caps[i%len(caps)])
-		})
-		return res, err
-	})
+	p := o.basePoint(gpu.DTBL)
+	p.sched = "adaptive-bind"
+	var rows [][]point
+	for _, wk := range wks {
+		p.workload = wk.Name
+		for _, c := range caps {
+			base, capped := p, p
+			base.cap, capped.cap = caps[0], c // cap 16 is the uncapped baseline
+			rows = append(rows, []point{base, capped})
+		}
+	}
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "cap", "ipc vs uncapped", "l1 hit")
-	for wi, name := range names {
-		base := results[wi*len(caps)].IPC // cap 16 is the uncapped baseline
-		for ci, c := range caps {
-			res := results[wi*len(caps)+ci]
-			t.row(name, fmt.Sprintf("%d", c), norm(res.IPC/base), pct(res.L1.HitRate()))
-		}
+	for i, r := range out {
+		base, res := r[0].res, r[1].res
+		t.row(wks[i/len(caps)].Name, fmt.Sprintf("%d", caps[i%len(caps)]), norm(res.IPC/base.IPC), pct(res.L1.HitRate()))
 	}
 	fmt.Fprintln(w, "Adaptive-Bind with contention-aware TB residency caps (DTBL)")
 	return t.write(w)
@@ -253,45 +209,26 @@ func runThrottle(o Options, w io.Writer) error {
 // per SMX and drains it; the ablation re-scans every slot. The paper argues
 // stickiness preserves stolen-sibling locality.
 func runBackup(o Options, w io.Writer) error {
-	names := o.Workloads
-	if len(names) == 0 {
-		names = []string{"bfs-citation", "join-gaussian", "amr"}
-	}
-	wks, err := resolveWorkloads(names)
+	wks, err := o.workloads("bfs-citation", "join-gaussian", "amr")
 	if err != nil {
 		return err
 	}
-	// Variants per workload: the RR baseline, sticky backup, free backup.
-	type variantResult struct {
-		res    *gpu.Result
-		steals int64
+	p := o.basePoint(gpu.DTBL)
+	rows := make([][]point, len(wks))
+	for i, wk := range wks {
+		p.workload = wk.Name
+		// The RR baseline, sticky backup, free backup.
+		rows[i] = p.under("rr", "adaptive-bind", "adaptive-bind")
+		rows[i][2].freeBackup = true
 	}
-	results, err := sweep(o, len(wks)*3, func(i int) (variantResult, error) {
-		wk, variant := wks[i/3], i%3
-		if variant == 0 {
-			res, err := RunOne(wk, gpu.DTBL, "rr", o)
-			return variantResult{res: res}, err
-		}
-		var ab *core.AdaptiveBind
-		res, _, err := RunCell(wk, gpu.DTBL, "adaptive-bind", o, func(g *gpu.Options) {
-			if variant == 2 {
-				c := g.Config
-				g.Scheduler = core.NewBindClusters(c.NumSMX, c.SMXsPerCluster, c.MaxPriorityLevels, core.BackupFree)
-			}
-			ab = g.Scheduler.(*core.AdaptiveBind)
-		})
-		if err != nil {
-			return variantResult{}, err
-		}
-		return variantResult{res: res, steals: ab.Steals}, nil
-	})
+	out, err := o.simulate(rows)
 	if err != nil {
 		return err
 	}
 	t := newTable("workload", "ipc sticky/rr", "ipc free/rr", "steals sticky", "steals free")
-	for wi, name := range names {
-		rr, sticky, free := results[wi*3], results[wi*3+1], results[wi*3+2]
-		t.row(name, norm(sticky.res.IPC/rr.res.IPC), norm(free.res.IPC/rr.res.IPC),
+	for i, wk := range wks {
+		rr, sticky, free := out[i][0], out[i][1], out[i][2]
+		t.row(wk.Name, norm(sticky.res.IPC/rr.res.IPC), norm(free.res.IPC/rr.res.IPC),
 			fmt.Sprintf("%d", sticky.steals), fmt.Sprintf("%d", free.steals))
 	}
 	fmt.Fprintln(w, "Adaptive-Bind stage-3 backup policy ablation (DTBL)")

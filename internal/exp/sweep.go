@@ -3,9 +3,11 @@ package exp
 import (
 	"fmt"
 
+	"laperm/internal/config"
 	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
+	"laperm/internal/smx"
 )
 
 // RunOne simulates one workload under one (model, scheduler) pair.
@@ -50,6 +52,115 @@ func RunCell(w kernels.Workload, model gpu.Model, sched string, o Options,
 	return res, sim, nil
 }
 
+// point is one simulation of the evaluation: a workload (Table II or
+// NestedWorkload) under a launch model and a registered TB scheduler, on a
+// GPU configuration and warp policy, optionally with a TB residency cap
+// (cap > 0 wraps the scheduler in core.NewThrottled) or the free stage-3
+// backup ablation of Adaptive-Bind. The Options every point of a run shares
+// (scale, clock, attribution, sampling) are not part of it, so within one
+// run equal points are the same simulation.
+type point struct {
+	workload   string
+	model      gpu.Model
+	sched      string
+	cfg        config.GPU
+	warp       smx.Policy
+	cap        int
+	freeBackup bool
+}
+
+// basePoint returns o's point for model with no workload or scheduler chosen.
+// Studies resolve it once and vary copies, so the configuration is built
+// once per study rather than once per point.
+func (o Options) basePoint(model gpu.Model) point {
+	return point{model: model, cfg: *o.config(), warp: o.WarpPolicy}
+}
+
+// under lists p once under each of the named schedulers.
+func (p point) under(scheds ...string) []point {
+	pts := make([]point, len(scheds))
+	for i, sched := range scheds {
+		pts[i] = p
+		pts[i].sched = sched
+	}
+	return pts
+}
+
+// outcome is one simulated point: its result and, for the bound-bank
+// schedulers, the stage-3 steal count (core.AdaptiveBind.Steals). The
+// scheduler itself is not kept: its queues reference the finished run's
+// kernels, and holding them would keep every simulated point's memory
+// alive until the experiment renders.
+type outcome struct {
+	res    *gpu.Result
+	steals int64
+}
+
+// simulate is the experiment executor. It runs every distinct point of
+// rows that o's memo does not already hold exactly once, on o's pool, and
+// returns the outcomes laid out like rows. Points are claimed in the order
+// they are first listed, so an error is the one a serial loop would return.
+func (o Options) simulate(rows [][]point) ([][]outcome, error) {
+	done := o.memo
+	if done == nil {
+		done = make(map[point]outcome)
+	}
+	var todo []point
+	queued := make(map[point]bool)
+	for _, row := range rows {
+		for _, p := range row {
+			if _, ok := done[p]; !ok && !queued[p] {
+				queued[p] = true
+				todo = append(todo, p)
+			}
+		}
+	}
+	results, err := sweep(o, len(todo), func(i int) (outcome, error) { return o.run(todo[i]) })
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range todo {
+		done[p] = results[i]
+	}
+	out := make([][]outcome, len(rows))
+	for i, row := range rows {
+		out[i] = make([]outcome, len(row))
+		for j, p := range row {
+			out[i][j] = done[p]
+		}
+	}
+	return out, nil
+}
+
+// run simulates one point through RunCell, applying its backup ablation
+// and residency cap to the scheduler the registry built.
+func (o Options) run(p point) (outcome, error) {
+	w := NestedWorkload()
+	if p.workload != w.Name {
+		var err error
+		if w, err = kernels.Lookup(p.workload); err != nil {
+			return outcome{}, err
+		}
+	}
+	o.Config, o.WarpPolicy = &p.cfg, p.warp
+	var bind *core.AdaptiveBind
+	res, _, err := RunCell(w, p.model, p.sched, o, func(g *gpu.Options) {
+		if p.freeBackup {
+			c := g.Config
+			g.Scheduler = core.NewBindClusters(c.NumSMX, c.SMXsPerCluster, c.MaxPriorityLevels, core.BackupFree)
+		}
+		bind, _ = g.Scheduler.(*core.AdaptiveBind)
+		if p.cap > 0 {
+			g.Scheduler = core.NewThrottled(g.Scheduler, p.cap)
+		}
+	})
+	out := outcome{res: res}
+	if bind != nil {
+		out.steals = bind.Steals
+	}
+	return out, err
+}
+
 // meterResult folds a finished cell's simulated cycles into the Options'
 // throughput meter (when one is set) and strips the Result's host-timing
 // fields, which vary run to run and would otherwise break the sweep
@@ -83,43 +194,32 @@ type Matrix struct {
 // (o.Workers goroutines). Each cell builds its own workload program,
 // configuration copy, scheduler, and simulator, so the results — and any
 // error — are identical to a serial sweep regardless of worker count.
-func RunMatrix(o Options) (*Matrix, error) {
-	ws, results, err := runCells(o, Models)
+func RunMatrix(o Options) (*Matrix, error) { return runMatrix(o, Models) }
+
+// runMatrix runs every workload x model x scheduler cell, workload-major.
+func runMatrix(o Options, models []gpu.Model) (*Matrix, error) {
+	ws, err := o.workloads()
 	if err != nil {
 		return nil, err
 	}
-	return &Matrix{Workloads: ws, Results: results}, nil
-}
-
-// runCells runs every workload x model x scheduler cell over the Options'
-// pool, workload-major, and returns the workloads with the results by cell.
-func runCells(o Options, models []gpu.Model) ([]kernels.Workload, map[Cell]*gpu.Result, error) {
-	ws, err := o.workloads()
-	if err != nil {
-		return nil, nil, err
-	}
-	var cells []Cell
-	byName := make(map[string]kernels.Workload, len(ws))
+	p := o.basePoint(0) // the model is set per cell below
+	pts := make([]point, 0, len(ws)*len(models)*len(SchedulerNames))
 	for _, w := range ws {
-		byName[w.Name] = w
+		p.workload = w.Name
 		for _, model := range models {
-			for _, sched := range SchedulerNames {
-				cells = append(cells, Cell{w.Name, model, sched})
-			}
+			p.model = model
+			pts = append(pts, p.under(SchedulerNames...)...)
 		}
 	}
-	results, err := sweep(o, len(cells), func(i int) (*gpu.Result, error) {
-		c := cells[i]
-		return RunOne(byName[c.Workload], c.Model, c.Sched, o)
-	})
+	out, err := o.simulate([][]point{pts})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	byCell := make(map[Cell]*gpu.Result, len(cells))
-	for i, c := range cells {
-		byCell[c] = results[i]
+	m := &Matrix{Workloads: ws, Results: make(map[Cell]*gpu.Result, len(pts))}
+	for i, p := range pts {
+		m.Results[Cell{p.workload, p.model, p.sched}] = out[0][i].res
 	}
-	return ws, byCell, nil
+	return m, nil
 }
 
 // Get returns the result for one cell, panicking on a missing cell (a

@@ -219,17 +219,18 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	sp = sp.Normalized()
+	// The server's cell bound, then the spec's inside Expand, are checked
+	// from the value counts alone, before any per-value work.
+	if max := s.cfg.MaxSweepCells; max > 0 && sp.CellCount() > max {
+		badRequest(w, fmt.Errorf("serve: sweep expands to more than %d cells, the most this server accepts", max))
+		return
+	}
 	cells, err := sp.Expand()
 	if err != nil {
 		badRequest(w, err)
 		return
 	}
-	if max := s.cfg.MaxSweepCells; max > 0 && len(cells) > max {
-		badRequest(w, fmt.Errorf("serve: sweep expands to %d cells, this server accepts at most %d",
-			len(cells), max))
-		return
-	}
+	sp = sp.Normalized()
 	id, err := sp.Hash()
 	if err != nil {
 		badRequest(w, err)

@@ -541,6 +541,27 @@ func TestSweepValidationErrors(t *testing.T) {
 	}
 }
 
+// TestSweepServerCellBoundFirst: the server's cell bound is checked before
+// the sweep is expanded, so an oversized sweep is rejected with the
+// server-bound message even when one of its cells is invalid.
+func TestSweepServerCellBoundFirst(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MaxSweepCells: 2})
+	s.Start()
+	body := `{"base": {"scale":"tiny"}, "axes": [{"field":"workload","values":["amr","bht","nope"]}]}`
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope apiError
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(envelope.Message, "this server accepts") {
+		t.Errorf("status %d, message %q; want 400 with the server cell bound", resp.StatusCode, envelope.Message)
+	}
+}
+
 // TestSweepEvents: a live SSE subscriber sees every per-cell completion and
 // the terminal state with monotonic ids, and a reconnect with Last-Event-ID
 // replays exactly the missed suffix.

@@ -248,9 +248,14 @@ func validAxisField(field string) bool {
 }
 
 // validateAxes checks the sweep's structure without expanding it: a
-// supported version, known axis fields, no field swept twice, scalar
-// values, no duplicate values, a sane priority, and a bounded cell count.
+// bounded cell count, a supported version, known axis fields, no field
+// swept twice, scalar values, no duplicate values, and a sane priority. The
+// cell count is checked first, before any per-value work, so an oversized
+// axis is rejected in time independent of its length.
 func (s SweepSpec) validateAxes() error {
+	if s.CellCount() > MaxSweepCells {
+		return fmt.Errorf("spec: sweep expands to more than %d cells", MaxSweepCells)
+	}
 	n := s.Normalized()
 	if n.SpecVersion < 1 || n.SpecVersion > SweepVersion {
 		return fmt.Errorf("spec: unsupported sweep spec_version %d (this build supports 1..%d)",
@@ -263,7 +268,6 @@ func (s SweepSpec) validateAxes() error {
 		return fmt.Errorf("spec: sweep has no axes (valid fields: %s)", strings.Join(AxisFields(), ", "))
 	}
 	seen := make(map[string]bool, len(n.Axes))
-	cells := 1
 	for i, ax := range n.Axes {
 		if !validAxisField(ax.Field) {
 			return &AxisError{Field: ax.Field, Index: i, Reason: "unknown field", Valid: AxisFields()}
@@ -286,10 +290,6 @@ func (s SweepSpec) validateAxes() error {
 			}
 			dup[string(raw)] = true
 		}
-		if cells > MaxSweepCells/len(ax.Values) {
-			return fmt.Errorf("spec: sweep expands to more than %d cells", MaxSweepCells)
-		}
-		cells *= len(ax.Values)
 	}
 	return nil
 }
@@ -303,10 +303,14 @@ func (s SweepSpec) Validate() error {
 }
 
 // CellCount returns how many cells the sweep expands to (the product of
-// the axis value counts), without expanding.
+// the axis value counts), without expanding or reading any value. A count
+// above MaxSweepCells is reported as MaxSweepCells+1, so it cannot overflow.
 func (s SweepSpec) CellCount() int {
 	n := 1
 	for _, ax := range s.Axes {
+		if len(ax.Values) > 0 && n > MaxSweepCells/len(ax.Values) {
+			return MaxSweepCells + 1
+		}
 		n *= len(ax.Values)
 	}
 	return n

@@ -226,6 +226,16 @@ func TestSweepCellLimit(t *testing.T) {
 	if err := s.validateAxes(); err != nil {
 		t.Fatalf("4096-cell sweep rejected: %v", err)
 	}
+	// The bound is checked before any value is read: an oversized axis
+	// whose last value is not a scalar fails on the cell count, not with a
+	// per-value AxisError found after canonicalizing the rest.
+	big := vals(5000, 1)
+	big[len(big)-1] = json.RawMessage(`{}`)
+	s.Axes = []SweepAxis{{Field: "max_cycles", Values: big}}
+	var axErr *AxisError
+	if err := s.Validate(); errors.As(err, &axErr) || err == nil || !strings.Contains(err.Error(), "cells") {
+		t.Fatalf("5000-value sweep: %v, want the cell-limit error", err)
+	}
 }
 
 func itoa(n int) string {
