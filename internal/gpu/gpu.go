@@ -105,8 +105,9 @@ type Dispatcher interface {
 
 // TBScheduler is the SMX scheduler of Figure 1: the policy that decides,
 // each dispatch slot, which kernel's next thread block runs on which SMX.
-// Implementations live in internal/core (RR, TB-Pri, SMX-Bind,
-// Adaptive-Bind).
+// Implementations live in internal/core: TBPri (rr is its one-level
+// preset), AdaptiveBind (smx-bind is its no-backup preset), WorkSteal, and
+// the Throttled wrapper around any of them.
 //
 // Contract: Enqueue is called once per kernel instance when it becomes
 // dispatchable. Select returns an instance with Exhausted() == false and an

@@ -1,10 +1,12 @@
 package mem
 
 // Allocation pin for the MSHR table: insert to capacity, reject at the full
-// table, query the stall-wake horizon, and lazily expire the whole table —
-// the complete per-cycle MSHR protocol — with zero allocations. The entry
-// slice is preallocated to the table's capacity in NewSystem, so this pin
-// holds from the first access, not just after warm-up.
+// table, short-cut the stalled retry with StillRejected, query the
+// stall-wake horizon, and lazily expire the whole table — the complete
+// per-cycle MSHR protocol — with zero allocations. The entry slice is
+// preallocated to the table's capacity in NewSystem and the add ring is an
+// array inside the table, so this pin holds from the first access, not just
+// after warm-up.
 
 import (
 	"testing"
@@ -19,6 +21,7 @@ func TestMSHRInsertExpireZeroAlloc(t *testing.T) {
 		now      uint64
 		line     uint64
 		rejected bool
+		elided   int
 		rounds   int
 	)
 	protocol := func() {
@@ -31,6 +34,11 @@ func TestMSHRInsertExpireZeroAlloc(t *testing.T) {
 			line++
 			if !ok {
 				rejected = true
+				// The stalled warp's next-cycle retry provably fails.
+				gen := s.MSHRGen(0)
+				if s.StillRejected(0, (line-1)*config.LineSize, &gen, now+1) {
+					elided++
+				}
 				break
 			}
 			if filled++; filled > cfg.L1MSHRs {
@@ -45,6 +53,9 @@ func TestMSHRInsertExpireZeroAlloc(t *testing.T) {
 	protocol() // verify the shape once before measuring
 	if !rejected {
 		t.Fatalf("table never filled: %d inserts accepted without rejection (cap %d)", cfg.L1MSHRs, cfg.L1MSHRs)
+	}
+	if elided == 0 {
+		t.Fatal("StillRejected never short-cut the retry of a rejected load")
 	}
 	if allocs := testing.AllocsPerRun(500, protocol); allocs != 0 {
 		t.Errorf("MSHR insert/reject/expire protocol: %.2f allocs per round, want 0", allocs)

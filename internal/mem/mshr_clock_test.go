@@ -94,7 +94,7 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 		t.Fatal("fifth miss accepted by a full 4-entry MSHR table")
 	}
 
-	m := s.mshr[cfg.ClusterOf(0)]
+	m := s.port[0].mshr
 	oracle := func(next uint64) uint64 {
 		slotFree := next
 		for {

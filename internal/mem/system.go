@@ -15,6 +15,11 @@ type mshrEntry struct {
 // noExpiry is the nextExpire sentinel of an empty MSHR table.
 const noExpiry = ^uint64(0)
 
+// addRing is how many of the most recent adds an MSHR table remembers for
+// StillRejected; a stalled warp that has missed more adds than this falls
+// back to a real retry.
+const addRing = 64
+
 // mshrTable bounds and merges outstanding misses for one SMX's L1. An entry
 // is live at cycle t exactly while t < complete; liveness is a pure function
 // of the query cycle, so expiry is evaluated lazily — the table never needs
@@ -27,13 +32,21 @@ type mshrTable struct {
 	// nextExpire caches the minimum completion cycle over entries (noExpiry
 	// when empty): prune is O(1) until that cycle arrives, and it is the
 	// exact cycle a full table frees a slot — the release horizon the
-	// fast-forward clock uses to wake MSHR-stalled warps.
+	// fast-forward clock uses to wake MSHR-stalled warps. Because it is
+	// the exact minimum, the table has a free slot at cycle t exactly when
+	// len(entries) < cap or nextExpire <= t, whether or not t was pruned.
 	nextExpire uint64
 	// lastAdd is the cycle of the most recent add (noExpiry before the
 	// first). A new entry can turn a stalled warp's blocked line into an
 	// MSHR merge (and, once the fill lands, an L1 hit) on the very next
 	// cycle, so lastAdd+1 is a wake horizon alongside nextExpire.
 	lastAdd uint64
+	// gen counts adds; recent[g%addRing] is the line of add number g.
+	// add is the only way a line enters the table or its L1, so a load
+	// rejected at generation g stays rejected while the table is full and
+	// none of the adds since g was its line (stillRejected).
+	gen    uint64
+	recent [addRing]uint64
 }
 
 // lookup returns the completion cycle of an outstanding miss to lineID, if
@@ -73,12 +86,43 @@ func (m *mshrTable) full(now uint64) bool {
 	return len(m.entries) >= m.cap
 }
 
+// fullAt is full without pruning: the nextExpire invariant answers it in
+// O(1) for any cycle at or after the last prune, which every caller's cycle
+// is (the clock never moves backwards).
+func (m *mshrTable) fullAt(now uint64) bool {
+	return len(m.entries) >= m.cap && m.nextExpire > now
+}
+
 func (m *mshrTable) add(lineID, complete, now uint64) {
 	m.entries = append(m.entries, mshrEntry{lineID: lineID, complete: complete})
 	if complete < m.nextExpire {
 		m.nextExpire = complete
 	}
 	m.lastAdd = now
+	m.recent[m.gen%addRing] = lineID
+	m.gen++
+}
+
+// stillRejected reports whether a load of lineID, rejected when the table's
+// add generation was *gen, is provably rejected again at cycle now, and if
+// so advances *gen to the current generation.
+func (m *mshrTable) stillRejected(lineID uint64, gen *uint64, now uint64) bool {
+	if !m.fullAt(now) || m.gen-*gen > addRing {
+		return false
+	}
+	for g := *gen; g < m.gen; g++ {
+		if m.recent[g%addRing] == lineID {
+			return false
+		}
+	}
+	*gen = m.gen
+	return true
+}
+
+// l1Port is the L1 and MSHR table serving one SMX (its cluster's).
+type l1Port struct {
+	l1   *Cache
+	mshr *mshrTable
 }
 
 // System is the complete memory hierarchy: one L1 (with MSHRs) per SMX,
@@ -86,9 +130,11 @@ func (m *mshrTable) add(lineID, complete, now uint64) {
 type System struct {
 	cfg *config.GPU
 
-	l1   []*Cache
-	mshr []*mshrTable
-	l2   []*Cache
+	l1 []*Cache
+	l2 []*Cache
+	// port resolves each SMX to its cluster's L1 and MSHR table once, so
+	// the per-access paths skip the cluster division.
+	port []l1Port
 
 	// l2Next is the next free service slot of each L2 bank (one access
 	// per bank per cycle).
@@ -111,21 +157,26 @@ func NewSystem(cfg *config.GPU) *System {
 	s := &System{
 		cfg:    cfg,
 		l1:     make([]*Cache, cfg.NumClusters()),
-		mshr:   make([]*mshrTable, cfg.NumClusters()),
 		l2:     make([]*Cache, cfg.L2Banks),
 		l2Next: make([]uint64, cfg.L2Banks),
+		port:   make([]l1Port, cfg.NumSMX),
 	}
-	for i := range s.l1 {
-		s.l1[i] = NewCache(cfg.L1Sets(), cfg.L1Assoc)
+	for i := range s.port {
+		if i%cfg.SMXsPerCluster != 0 {
+			s.port[i] = s.port[i-1] // the cluster's shared L1 and MSHR table
+			continue
+		}
+		l1 := NewCache(cfg.L1Sets(), cfg.L1Assoc)
+		s.l1[cfg.ClusterOf(i)] = l1
 		// The entry slice is preallocated to the table's capacity: add
 		// never runs past it (full gates admission), and prune reuses
 		// the backing array, so the MSHR path never allocates again.
-		s.mshr[i] = &mshrTable{
+		s.port[i] = l1Port{l1: l1, mshr: &mshrTable{
 			entries:    make([]mshrEntry, 0, cfg.L1MSHRs),
 			cap:        cfg.L1MSHRs,
 			nextExpire: noExpiry,
 			lastAdd:    noExpiry,
-		}
+		}}
 	}
 	for i := range s.l2 {
 		s.l2[i] = NewCache(cfg.L2SetsPerBank(), cfg.L2Assoc)
@@ -195,16 +246,10 @@ func (s *System) dramAccess(ready uint64) uint64 {
 // another warp's access to the same line can turn the retry into an MSHR
 // merge (and, once the fill lands, an L1 hit) — new entries appear only
 // through add, so lastAdd+1 bounds that case; a lastAdd+1 below next has
-// already been observed by a retry and never rearms.
+// already been observed by a retry and never rearms. Every case is O(1).
 func (s *System) NextStallWake(smx int, next uint64) uint64 {
-	m := s.mshr[s.cfg.ClusterOf(smx)]
-	live := 0
-	for _, e := range m.entries {
-		if e.complete > next {
-			live++
-		}
-	}
-	if live < m.cap {
+	m := s.port[smx].mshr
+	if !m.fullAt(next) {
 		return next
 	}
 	// A full table implies no entry expires by next, so nextExpire > next.
@@ -215,6 +260,26 @@ func (s *System) NextStallWake(smx int, next uint64) uint64 {
 		}
 	}
 	return wake
+}
+
+// MSHRGen returns the add generation of the MSHR table serving the given
+// SMX: the number of misses it has accepted. A caller whose load was just
+// rejected records it for StillRejected.
+func (s *System) MSHRGen(smx int) uint64 { return s.port[smx].mshr.gen }
+
+// StillRejected reports whether a load of lineAddr by the given SMX, last
+// rejected (LoadAs returned ok=false) when MSHRGen was *gen, would be
+// rejected again at cycle now; on true it advances *gen, so the caller can
+// keep asking on later cycles. A true answer is exact: LoadAs would change
+// no state and return ok=false, so the caller may skip it. A line enters
+// the MSHR table and the L1 only through a miss's add (stores only touch
+// the L1, hits never allocate), so the line is still neither mergeable nor
+// cached while none of the adds since *gen was its own, and the table is
+// still full while len(entries) == cap and nextExpire > now. False means
+// the retry may succeed — or that more adds than the table remembers have
+// happened since *gen — and the caller must call LoadAs.
+func (s *System) StillRejected(smx int, lineAddr uint64, gen *uint64, now uint64) bool {
+	return s.port[smx].mshr.stillRejected(lineAddr/config.LineSize, gen, now)
 }
 
 // Load performs one coalesced 128-byte load transaction for the given SMX at
@@ -231,8 +296,7 @@ func (s *System) Load(smx int, lineAddr, now uint64) (complete uint64, ok bool) 
 // classified: the data was not in the cache, so no reuse occurred.
 func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete uint64, ok bool) {
 	lineID := lineAddr / config.LineSize
-	l1 := s.l1[s.cfg.ClusterOf(smx)]
-	tbl := s.mshr[s.cfg.ClusterOf(smx)]
+	l1, tbl := s.port[smx].l1, s.port[smx].mshr
 
 	// A hit under an outstanding miss to the same line merges with the
 	// MSHR entry: it completes with the fill, counts as an L1 miss (the
@@ -270,7 +334,7 @@ func (s *System) Store(smx int, lineAddr, now uint64) uint64 {
 // allocated line and classifies an L2 hit like a load would.
 func (s *System) StoreAs(smx int, lineAddr, now uint64, acc Accessor) uint64 {
 	lineID := lineAddr / config.LineSize
-	s.l1[s.cfg.ClusterOf(smx)].Touch(lineID)
+	s.port[smx].l1.Touch(lineID)
 	s.storeAccesses++
 	return s.l2Access(lineID, now, acc)
 }
@@ -308,7 +372,7 @@ func (s *System) L2Reuse() ReuseStats {
 
 // L1Stats returns the load statistics of the L1 serving the given SMX (its
 // cluster's cache).
-func (s *System) L1Stats(smx int) Stats { return s.l1[s.cfg.ClusterOf(smx)].Stats() }
+func (s *System) L1Stats(smx int) Stats { return s.port[smx].l1.Stats() }
 
 // L1Total returns load statistics aggregated over all L1s.
 func (s *System) L1Total() Stats {

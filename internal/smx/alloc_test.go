@@ -46,3 +46,32 @@ func TestBlockLifecycleZeroAlloc(t *testing.T) {
 		t.Errorf("dispatch/execute/retire lifecycle: %.2f allocs per block, want 0", allocs)
 	}
 }
+
+// TestStalledRetryZeroAlloc pins the MSHR-stall path: with a one-entry MSHR
+// table every warp's 32-line load stalls, and each stalled retry is either
+// short-cut by mem.StillRejected or re-issued — neither may allocate.
+func TestStalledRetryZeroAlloc(t *testing.T) {
+	cfg := config.SmallTest()
+	cfg.L1MSHRs = 1
+	var seq uint64
+	s := New(0, &cfg, mem.NewSystem(&cfg), nopEvents{}, GTO, &seq)
+	tb := isa.NewTB(64).
+		Load(func(tid int) uint64 { return uint64(tid) * config.LineSize }).
+		Compute(2).
+		Build()
+	var now uint64
+	lifecycle := func() {
+		s.AddBlock(tb, nil, now)
+		for !s.Idle() {
+			s.Tick(now)
+			now++
+		}
+	}
+	lifecycle()
+	if s.Stats().MemStallEvents == 0 {
+		t.Fatal("no MSHR stalls: the stalled-retry path did not run")
+	}
+	if allocs := testing.AllocsPerRun(50, lifecycle); allocs != 0 {
+		t.Errorf("stalled-retry lifecycle: %.2f allocs per block, want 0", allocs)
+	}
+}

@@ -105,8 +105,12 @@ type warp struct {
 	// pendingMax is the latest completion cycle among the transactions
 	// already issued for the current memory instruction.
 	pendingMax uint64
-	atBarrier  bool
-	done       bool
+	// rejectGen is the MSHR add generation (mem.MSHRGen) at which
+	// pending[0] was last rejected; a resumed retry first asks
+	// mem.StillRejected whether the load provably fails again.
+	rejectGen uint64
+	atBarrier bool
+	done      bool
 	// launchStalled marks a warp blocked at a launch instruction by a
 	// full launch queue; it retries the launch every cycle.
 	launchStalled bool
@@ -509,6 +513,13 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 		w.pending = isa.CoalesceInto(w.lineBuf[:0], in.Addrs)
 		w.pendingMax = 0
 	} else {
+		// A retry the memory system proves would be rejected again is
+		// exactly a failed retry without the load.
+		if s.mem.StillRejected(s.ID, w.pending[0], &w.rejectGen, now) {
+			w.readyAt = now + 1
+			s.stats.MemStallEvents++
+			return false
+		}
 		in = &w.stream()[w.pc]
 	}
 	isStore := in.Kind == isa.OpStore
@@ -529,6 +540,7 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 				if !wasStalled {
 					s.memStalledWarps++
 				}
+				w.rejectGen = s.mem.MSHRGen(s.ID)
 				w.readyAt = now + 1
 				s.stats.MemStallEvents++
 				return false
