@@ -147,13 +147,13 @@ func (p tbPhase) Skip(cycles uint64) {
 
 // smxPhase ticks every SMX pipeline. Its horizon is the minimum of the
 // per-SMX NextEvent bounds: the earliest issuable warp or pending
-// retirement, lowered to the MSHR-release cycle when warps are stalled on a
-// full MSHR table. Skipped spans bulk-apply the per-cycle effects a dense
-// tick would have had — resident-cycle counting and the once-per-cycle
-// failing retry of every stalled warp, whose launch-path share feeds the
-// engine's backpressure counter exactly as the elided Launch callbacks
-// would have (trace events are per-episode, not per-retry, so none are
-// elided).
+// retirement, lowered to the MSHR stall wake when warps are stalled on a
+// full MSHR table. Skipped spans, and the single ticks TickFF elides on
+// processed cycles, bulk-apply the per-cycle effects a dense tick would have
+// had — resident-cycle counting and the once-per-cycle failing retry of
+// every stalled warp, whose launch-path share feeds the engine's
+// backpressure counter exactly as the elided Launch callbacks would have
+// (trace events are per-episode, not per-retry, so none are elided).
 type smxPhase struct{ s *Simulator }
 
 func (p smxPhase) Tick(now uint64) error {
@@ -162,7 +162,7 @@ func (p smxPhase) Tick(now uint64) error {
 		// prove, per SMX, that nothing can happen on this processed cycle;
 		// TickFF elides those SMXs' ticks entirely (see smx.TickFF).
 		for _, x := range p.s.smxs {
-			x.TickFF(now)
+			p.s.launchStallCycles += x.TickFF(now)
 		}
 		return nil
 	}

@@ -271,6 +271,10 @@ type Simulator struct {
 	aggUsed     int
 	peakKMU     int
 	peakAgg     int
+	// launchFrees counts decrements of kmuInFlight and aggUsed, the only
+	// events that can turn a refused launch into an accepted one
+	// (smx.Events.LaunchFrees).
+	launchFrees uint64
 	// Backpressure counters surfaced in Result.
 	launchStallCycles   uint64
 	launchStallEpisodes int64
@@ -508,6 +512,12 @@ func (s *Simulator) Launch(smxID int, b *smx.Block, child *isa.Kernel, now uint6
 	return true
 }
 
+// LaunchFrees implements smx.Events: launch-pool entries released so far.
+// Both release points (kmuDispatch and tbDispatch) run before the SMX phase
+// of a cycle, so an SMX reading an unchanged count knows its stalled
+// launches are still refused.
+func (s *Simulator) LaunchFrees() uint64 { return s.launchFrees }
+
 // noteStall accounts one stalled launch cycle, emitting a trace event at
 // the start of each episode.
 func (s *Simulator) noteStall(smxID int, parent *KernelInstance, child *isa.Kernel, retry bool, queue string) {
@@ -662,6 +672,7 @@ func (s *Simulator) kmuDispatch() error {
 		if ki.poolKMU {
 			ki.poolKMU = false
 			s.kmuInFlight--
+			s.launchFrees++
 		}
 		ki.usesKDU = true
 		s.kduUsed++
@@ -731,6 +742,7 @@ func (s *Simulator) tbDispatch() error {
 			if ki.poolAgg {
 				ki.poolAgg = false
 				s.aggUsed--
+				s.launchFrees++
 			}
 		}
 		if !ki.dispatchedAny {

@@ -75,15 +75,15 @@ func (b *TBBuilder) Store(addrFn func(tid int) uint64) *TBBuilder {
 }
 
 func (b *TBBuilder) mem(kind OpKind, addrFn func(tid int) uint64) *TBBuilder {
+	var addrs [config.WarpSize]uint64
 	for w := range b.tb.Warps {
 		lanes := b.lanesOf(w)
-		addrs := make([]uint64, lanes)
 		for l := 0; l < lanes; l++ {
 			addrs[l] = addrFn(w*config.WarpSize + l)
 		}
 		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
 			Kind:        kind,
-			Addrs:       addrs,
+			Lines:       Coalesce(addrs[:lanes]),
 			ActiveLanes: lanes,
 		})
 	}
@@ -139,22 +139,23 @@ func (b *TBBuilder) memMasked(kind OpKind, addrs []uint64, active []bool) *TBBui
 		panic(fmt.Sprintf("isa: masked op: %d addrs / %d mask entries for %d threads",
 			len(addrs), len(active), b.tb.Threads))
 	}
+	var lane [config.WarpSize]uint64
 	for w := range b.tb.Warps {
-		lanes := b.lanesOf(w)
-		var lane []uint64
-		for l := 0; l < lanes; l++ {
+		n := 0
+		for l := 0; l < b.lanesOf(w); l++ {
 			tid := w*config.WarpSize + l
 			if active[tid] {
-				lane = append(lane, addrs[tid])
+				lane[n] = addrs[tid]
+				n++
 			}
 		}
-		if len(lane) == 0 {
+		if n == 0 {
 			continue
 		}
 		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
 			Kind:        kind,
-			Addrs:       lane,
-			ActiveLanes: len(lane),
+			Lines:       Coalesce(lane[:n]),
+			ActiveLanes: n,
 		})
 	}
 	return b

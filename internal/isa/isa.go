@@ -3,15 +3,17 @@
 //
 // The LaPerm study is about thread-block scheduling and the memory-system
 // behaviour it induces, so programs are represented as per-warp instruction
-// streams with explicit per-lane memory addresses rather than as compiled
-// PTX: compute instructions occupy the pipeline for a latency, memory
-// instructions carry the byte addresses each active lane touches, and launch
-// instructions spawn child grids (device kernels under CDP, thread-block
-// groups under DTBL).
+// streams with explicit memory transactions rather than as compiled PTX:
+// compute instructions occupy the pipeline for a latency, memory
+// instructions carry the coalesced 128-byte lines their active lanes touch
+// (the builders coalesce each instruction's per-lane addresses once, at build
+// time), and launch instructions spawn child grids (device kernels under
+// CDP, thread-block groups under DTBL).
 package isa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"laperm/internal/config"
@@ -23,9 +25,9 @@ type OpKind uint8
 const (
 	// OpCompute occupies the warp for Latency cycles.
 	OpCompute OpKind = iota
-	// OpLoad reads the per-lane addresses through the cache hierarchy.
+	// OpLoad reads the instruction's lines through the cache hierarchy.
 	OpLoad
-	// OpStore writes the per-lane addresses (write-through past the L1,
+	// OpStore writes the instruction's lines (write-through past the L1,
 	// as on Kepler).
 	OpStore
 	// OpBarrier blocks the warp until every warp of its thread block has
@@ -61,13 +63,15 @@ type Inst struct {
 	// Latency is the pipeline occupancy in cycles for OpCompute.
 	Latency int
 
-	// Addrs holds the byte address accessed by each active lane for
-	// OpLoad/OpStore. Its length is the number of active lanes.
-	Addrs []uint64
+	// Lines holds the coalesced memory transactions of OpLoad/OpStore:
+	// the distinct line-aligned byte addresses its active lanes touch, in
+	// first-touch lane order (Coalesce of the per-lane addresses). The SMX
+	// issues them in this order and never writes to the slice.
+	Lines []uint64
 
 	// ActiveLanes is the number of threads executing the instruction;
 	// used for per-thread instruction counting (IPC). For memory ops it
-	// equals len(Addrs).
+	// is at least len(Lines).
 	ActiveLanes int
 
 	// Launch indexes the owning thread block's Launches slice for
@@ -121,8 +125,8 @@ func (tb *TB) Footprint() []uint64 {
 			if in.Kind != OpLoad && in.Kind != OpStore {
 				continue
 			}
-			for _, a := range in.Addrs {
-				seen[a/config.LineSize] = struct{}{}
+			for _, l := range in.Lines {
+				seen[l/config.LineSize] = struct{}{}
 			}
 		}
 	}
@@ -181,8 +185,9 @@ func (k *Kernel) walkChildren(visit func(parent, child *Kernel)) {
 }
 
 // Validate reports an error if any instruction is malformed: launches out of
-// range, memory ops without addresses, non-positive compute latency, or lane
-// counts exceeding the warp width.
+// range, memory ops whose lines are not a coalescer's output (none, more than
+// the active lanes, unaligned, or repeated), non-positive compute latency, or
+// lane counts exceeding the warp width.
 func (k *Kernel) Validate() error {
 	for ti, tb := range k.TBs {
 		if tb.Threads <= 0 {
@@ -207,13 +212,8 @@ func (k *Kernel) Validate() error {
 							k.Name, ti, wi, ii, in.Latency)
 					}
 				case OpLoad, OpStore:
-					if len(in.Addrs) == 0 {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d memory op without addresses",
-							k.Name, ti, wi, ii)
-					}
-					if len(in.Addrs) != in.ActiveLanes {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d has %d addrs for %d lanes",
-							k.Name, ti, wi, ii, len(in.Addrs), in.ActiveLanes)
+					if err := in.checkLines(); err != nil {
+						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d %w", k.Name, ti, wi, ii, err)
 					}
 				case OpLaunch:
 					if in.Launch < 0 || in.Launch >= len(tb.Launches) {
@@ -232,30 +232,39 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-// Coalesce maps per-lane byte addresses onto the minimal set of 128-byte
-// memory transactions, in first-touch order, exactly as the hardware
-// coalescer does for a warp memory instruction. A warp has at most 32
-// lanes, so the dedup is a linear scan rather than a map.
-func Coalesce(addrs []uint64) []uint64 {
-	return CoalesceInto(make([]uint64, 0, 4), addrs)
+// checkLines reports why a memory instruction's Lines could not have come
+// from Coalesce of its active lanes' addresses.
+func (in *Inst) checkLines() error {
+	if len(in.Lines) == 0 {
+		return fmt.Errorf("memory op without lines")
+	}
+	if len(in.Lines) > in.ActiveLanes {
+		return fmt.Errorf("has %d lines for %d lanes", len(in.Lines), in.ActiveLanes)
+	}
+	for i, l := range in.Lines {
+		if l%config.LineSize != 0 {
+			return fmt.Errorf("line %#x is not %d-byte aligned", l, config.LineSize)
+		}
+		if slices.Contains(in.Lines[:i], l) {
+			return fmt.Errorf("repeats line %#x", l)
+		}
+	}
+	return nil
 }
 
-// CoalesceInto is Coalesce appending into dst's backing array, for callers
-// on the per-cycle path that keep a reusable scratch buffer (the SMX warp
-// state does; see internal/smx). dst is truncated first. A warp instruction
-// touches at most config.WarpSize distinct lines (Validate bounds the lane
-// count), so a caller-owned buffer with capacity WarpSize never reallocates.
-func CoalesceInto(dst, addrs []uint64) []uint64 {
-	lines := dst[:0]
-next:
+// Coalesce maps per-lane byte addresses onto the minimal set of 128-byte
+// memory transactions, in first-touch order, exactly as the hardware
+// coalescer does for a warp memory instruction; the builders store its
+// result as Inst.Lines. A warp has at most 32 lanes, so the dedup is a
+// linear scan rather than a map, and the result is allocated at its exact
+// length because built programs keep it for their lifetime.
+func Coalesce(addrs []uint64) []uint64 {
+	var buf [config.WarpSize]uint64
+	lines := buf[:0]
 	for _, a := range addrs {
-		l := a / config.LineSize * config.LineSize
-		for _, seen := range lines {
-			if seen == l {
-				continue next
-			}
+		if l := a / config.LineSize * config.LineSize; !slices.Contains(lines, l) {
+			lines = append(lines, l)
 		}
-		lines = append(lines, l)
 	}
-	return lines
+	return append(make([]uint64, 0, len(lines)), lines...)
 }

@@ -68,11 +68,10 @@ func TestLoadAddressesPerThread(t *testing.T) {
 		if in.Kind != OpLoad {
 			t.Fatalf("warp %d inst kind = %v", w, in.Kind)
 		}
-		for l, a := range in.Addrs {
-			want := uint64(w*config.WarpSize+l) * 8
-			if a != want {
-				t.Errorf("warp %d lane %d addr = %d, want %d", w, l, a, want)
-			}
+		// Lanes read 8-byte words tid*8: each warp covers two lines.
+		base := uint64(w*config.WarpSize) * 8
+		if want := []uint64{base, base + config.LineSize}; in.ActiveLanes != config.WarpSize || !reflect.DeepEqual(in.Lines, want) {
+			t.Errorf("warp %d: %d lanes, lines %v, want %d lanes, lines %v", w, in.ActiveLanes, in.Lines, config.WarpSize, want)
 		}
 	}
 }
@@ -82,8 +81,8 @@ func TestLoadSeqIsCoalesced(t *testing.T) {
 	// Each warp instruction should coalesce to exactly one 128-byte line.
 	for w, warp := range tb.Warps {
 		for i, in := range warp {
-			if lines := Coalesce(in.Addrs); len(lines) != 1 {
-				t.Errorf("warp %d inst %d coalesces to %d lines, want 1", w, i, len(lines))
+			if len(in.Lines) != 1 {
+				t.Errorf("warp %d inst %d coalesces to %d lines, want 1", w, i, len(in.Lines))
 			}
 		}
 	}
@@ -152,8 +151,8 @@ func TestKernelValidate(t *testing.T) {
 		{Name: "warp-mismatch", TBs: []*TB{{Threads: 64, Warps: make([][]Inst, 1)}}},
 		{Name: "bad-lanes", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 1, ActiveLanes: 33}}}}}},
 		{Name: "bad-latency", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 0, ActiveLanes: 32}}}}}},
-		{Name: "no-addrs", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, ActiveLanes: 32}}}}}},
-		{Name: "addr-lane-mismatch", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, Addrs: make([]uint64, 4), ActiveLanes: 32}}}}}},
+		{Name: "no-lines", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, ActiveLanes: 32}}}}}},
+		{Name: "line-lane-mismatch", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, Lines: []uint64{0, 128, 256, 384}, ActiveLanes: 2}}}}}},
 		{Name: "bad-launch-index", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLaunch, ActiveLanes: 1, Launch: 0}}}}}},
 	}
 	for _, k := range broken {
@@ -329,10 +328,10 @@ func TestLoadMaskedLaneCompaction(t *testing.T) {
 	if n := len(tb.Warps[0]); n != 1 {
 		t.Fatalf("warp 0 insts = %d", n)
 	}
-	if got := tb.Warps[0][0]; got.ActiveLanes != 1 || got.Addrs[0] != 3*256 {
+	if got := tb.Warps[0][0]; got.ActiveLanes != 1 || !reflect.DeepEqual(got.Lines, []uint64{3 * 256}) {
 		t.Errorf("warp 0 inst = %+v", got)
 	}
-	if got := tb.Warps[1][0]; got.ActiveLanes != 2 || got.Addrs[0] != 40*256 || got.Addrs[1] != 41*256 {
+	if got := tb.Warps[1][0]; got.ActiveLanes != 2 || !reflect.DeepEqual(got.Lines, []uint64{40 * 256, 41 * 256}) {
 		t.Errorf("warp 1 inst = %+v", got)
 	}
 }
@@ -375,10 +374,86 @@ func TestStoreSeqAddressing(t *testing.T) {
 		t.Fatalf("insts = %d", len(tb.Warps[0]))
 	}
 	// Word 1 starts after 64 threads * 4 bytes.
-	if got := tb.Warps[0][1].Addrs[0]; got != 1024+256 {
+	if got := tb.Warps[0][1].Lines[0]; got != 1024+256 {
 		t.Errorf("second word base = %d, want %d", got, 1024+256)
 	}
 	if tb.Warps[0][0].Kind != OpStore {
 		t.Error("StoreSeq produced non-store")
+	}
+}
+
+// TestValidateRejectsMalformedLines: a memory op's Lines must be what
+// Coalesce could have produced for its lanes — at least one and at most
+// ActiveLanes distinct, line-aligned addresses.
+func TestValidateRejectsMalformedLines(t *testing.T) {
+	memOp := func(lanes int, lines ...uint64) *Kernel {
+		return &Kernel{Name: "k", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpStore, Lines: lines, ActiveLanes: lanes}}}}}}
+	}
+	if err := memOp(32, 0, 3*config.LineSize).Validate(); err != nil {
+		t.Errorf("two lines for 32 lanes rejected: %v", err)
+	}
+	for name, k := range map[string]*Kernel{
+		"no lines":              memOp(32),
+		"more lines than lanes": memOp(1, 0, config.LineSize),
+		"unaligned line":        memOp(32, 0, config.LineSize+4),
+		"duplicate line":        memOp(32, config.LineSize, 0, config.LineSize),
+	} {
+		if err := k.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted", name)
+		}
+	}
+}
+
+// TestBuildersStoreCoalescedLines: every addressed builder stores, per warp
+// instruction, exactly Coalesce of its active lanes' addresses and counts
+// those lanes as ActiveLanes.
+func TestBuildersStoreCoalescedLines(t *testing.T) {
+	const threads = 70 // two full warps and a partial one
+	rng := rand.New(rand.NewSource(7))
+	addrs := make([]uint64, threads)
+	active := make([]bool, threads)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(8 * config.LineSize))
+		active[i] = rng.Intn(3) > 0
+	}
+	active[64], active[65] = false, true // the partial warp keeps one lane
+	perThread := func(tid int) uint64 { return addrs[tid] }
+	// want returns warp w's expected (lines, lanes) given per-thread
+	// addresses and a lane filter.
+	want := func(w int, addr func(tid int) uint64, on func(tid int) bool) ([]uint64, int) {
+		var lanes []uint64
+		for tid := w * config.WarpSize; tid < min((w+1)*config.WarpSize, threads); tid++ {
+			if on(tid) {
+				lanes = append(lanes, addr(tid))
+			}
+		}
+		return Coalesce(lanes), len(lanes)
+	}
+	all := func(int) bool { return true }
+	seqAddr := func(word int) func(tid int) uint64 {
+		return func(tid int) uint64 { return 4096 + uint64(word*threads+tid)*4 }
+	}
+	cases := []struct {
+		name string
+		tb   *TB
+		inst int
+		addr func(tid int) uint64
+		on   func(tid int) bool
+	}{
+		{"Load", NewTB(threads).Load(perThread).Build(), 0, perThread, all},
+		{"LoadGather", NewTB(threads).LoadGather(addrs).Build(), 0, perThread, all},
+		{"LoadSeq/word0", NewTB(threads).LoadSeq(4096, 2).Build(), 0, seqAddr(0), all},
+		{"LoadSeq/word1", NewTB(threads).LoadSeq(4096, 2).Build(), 1, seqAddr(1), all},
+		{"LoadMasked", NewTB(threads).LoadMasked(addrs, active).Build(), 0, perThread, func(tid int) bool { return active[tid] }},
+	}
+	for _, c := range cases {
+		for w, warp := range c.tb.Warps {
+			lines, lanes := want(w, c.addr, c.on)
+			in := warp[c.inst]
+			if in.Kind != OpLoad || in.ActiveLanes != lanes || !reflect.DeepEqual(in.Lines, lines) {
+				t.Errorf("%s warp %d: %v, %d lanes, lines %v; want load, %d lanes, lines %v",
+					c.name, w, in.Kind, in.ActiveLanes, in.Lines, lanes, lines)
+			}
+		}
 	}
 }

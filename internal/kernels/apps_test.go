@@ -54,9 +54,9 @@ func TestAMRChildrenWritePrivateFineGrids(t *testing.T) {
 						if in.Kind != isa.OpStore {
 							continue
 						}
-						for _, a := range in.Addrs {
-							if a >= RegionOut {
-								mine[a/128] = true
+						for _, l := range in.Lines {
+							if l >= RegionOut {
+								mine[l/128] = true
 							}
 						}
 					}
@@ -147,9 +147,9 @@ func TestJOINChildrenConsumeStagedData(t *testing.T) {
 		for _, warp := range tb.Warps {
 			for _, in := range warp {
 				if in.Kind == isa.OpStore {
-					for _, a := range in.Addrs {
-						if a >= RegionStage && a < RegionOut {
-							parentStores[a/128] = true
+					for _, l := range in.Lines {
+						if l >= RegionStage && l < RegionOut {
+							parentStores[l/128] = true
 						}
 					}
 				}

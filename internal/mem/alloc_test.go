@@ -45,7 +45,7 @@ func TestMSHRInsertExpireZeroAlloc(t *testing.T) {
 				break
 			}
 		}
-		s.NextStallWake(0, now+1)
+		s.NextStallWake(0, now+1, 0)
 		// Jump past every fill completion: the next round's first lookup
 		// prunes the entire table (lazy expiry).
 		now += 1 << 20

@@ -127,14 +127,14 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 	probes := []uint64{fillCycle, fillCycle + 1, fillCycle + 2,
 		minComplete - 1, minComplete, minComplete + 1}
 	for _, next := range probes {
-		if got, want := s.NextStallWake(0, next), oracle(next); got != want {
+		if got, want := s.NextStallWake(0, next, 0), oracle(next); got != want {
 			t.Errorf("NextStallWake(0, %d) = %d, dense oracle %d", next, got, want)
 		}
 	}
 
 	// The wake must be productive: a retry at the reported cycle succeeds,
 	// while one the cycle before (past the merge window) still bounces.
-	wake := s.NextStallWake(0, fillCycle+2)
+	wake := s.NextStallWake(0, fillCycle+2, 0)
 	if wake != minComplete {
 		t.Fatalf("post-merge-window wake = %d, want first fill completion %d", wake, minComplete)
 	}
@@ -148,7 +148,47 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 	// Once fills land, a free slot means the wake is immediate whatever the
 	// horizon asked for.
 	far := completes[len(completes)-1] + 1000
-	if got := s.NextStallWake(0, far); got != far {
+	if got := s.NextStallWake(0, far, 0); got != far {
 		t.Errorf("NextStallWake with free slots = %d, want next=%d", got, far)
+	}
+}
+
+// TestNextStallWakeSkipsObservedAdds: when every stalled warp has observed
+// the table's latest add (minGen equals MSHRGen), that add cannot have made
+// any blocked line mergeable, so the lastAdd+1 wake is dropped and the first
+// fill completion is the wake; while some stalled warp last observed an
+// older generation, lastAdd+1 still wakes it.
+func TestNextStallWakeSkipsObservedAdds(t *testing.T) {
+	cfg := config.SmallTest()
+	cfg.L1MSHRs = 4
+	s := NewSystem(&cfg)
+	fillCycle := uint64(10)
+	minComplete := uint64(noExpiry)
+	for i := uint64(0); i < 4; i++ {
+		c, ok := s.Load(0, i*config.LineSize, fillCycle)
+		if !ok {
+			t.Fatalf("fill load %d rejected", i)
+		}
+		minComplete = min(minComplete, c)
+	}
+	blocked := uint64(4 * config.LineSize)
+	if _, ok := s.Load(0, blocked, fillCycle); ok {
+		t.Fatal("fifth miss accepted by a full 4-entry MSHR table")
+	}
+	gen := s.MSHRGen(0)
+	next := fillCycle + 1
+	if got := s.NextStallWake(0, next, gen); got != minComplete {
+		t.Errorf("every add observed: NextStallWake = %d, want first fill completion %d", got, minComplete)
+	}
+	if got := s.NextStallWake(0, next, gen-1); got != next {
+		t.Errorf("an add missed: NextStallWake = %d, want lastAdd+1 = %d", got, next)
+	}
+	// The dropped wake was spurious: a retry then is provably rejected.
+	g := gen
+	if !s.StillRejected(0, blocked, &g, next) {
+		t.Error("retry at lastAdd+1 not provably rejected")
+	}
+	if _, ok := s.Load(0, blocked, next); ok {
+		t.Error("retry at lastAdd+1 accepted")
 	}
 }

@@ -37,9 +37,10 @@ type mshrTable struct {
 	// len(entries) < cap or nextExpire <= t, whether or not t was pruned.
 	nextExpire uint64
 	// lastAdd is the cycle of the most recent add (noExpiry before the
-	// first). A new entry can turn a stalled warp's blocked line into an
-	// MSHR merge (and, once the fill lands, an L1 hit) on the very next
-	// cycle, so lastAdd+1 is a wake horizon alongside nextExpire.
+	// first). A new entry can turn the blocked line of a stalled warp that
+	// has not yet retried since the add into an MSHR merge (and, once the
+	// fill lands, an L1 hit) on the very next cycle, so lastAdd+1 is then
+	// a wake horizon alongside nextExpire.
 	lastAdd uint64
 	// gen counts adds; recent[g%addRing] is the line of add number g.
 	// add is the only way a line enters the table or its L1, so a load
@@ -238,23 +239,29 @@ func (s *System) dramAccess(ready uint64) uint64 {
 
 // NextStallWake returns the earliest cycle >= next at which a warp of the
 // given SMX stalled on a full MSHR table could make progress, or ^uint64(0)
-// when no such cycle is scheduled. A blocked line advances when the table
+// when no such cycle is scheduled; minGen is the oldest MSHRGen any of the
+// SMX's stalled warps last observed (the smallest generation a rejection or
+// a true StillRejected recorded). A blocked line advances when the table
 // has a slot for it — if a slot is already free at next (expired fills can
 // linger unclaimed while the warp scheduler's issue-width starves the
 // stalled warp's retry), the retry can succeed immediately; otherwise the
 // earliest fill completion (nextExpire) is the first chance. Independently,
 // another warp's access to the same line can turn the retry into an MSHR
 // merge (and, once the fill lands, an L1 hit) — new entries appear only
-// through add, so lastAdd+1 bounds that case; a lastAdd+1 below next has
-// already been observed by a retry and never rearms. Every case is O(1).
-func (s *System) NextStallWake(smx int, next uint64) uint64 {
+// through add, so lastAdd+1 bounds that case, but only for a warp that has
+// missed an add: with minGen == gen every stalled warp has already retried
+// against the current table (a full table admits no add within the cycle
+// of a rejection), so no add can have made its line mergeable and the wake
+// would be spurious. A lastAdd+1 below next has already been observed by a
+// retry and never rearms. Every case is O(1).
+func (s *System) NextStallWake(smx int, next, minGen uint64) uint64 {
 	m := s.port[smx].mshr
 	if !m.fullAt(next) {
 		return next
 	}
 	// A full table implies no entry expires by next, so nextExpire > next.
 	wake := m.nextExpire
-	if m.lastAdd != noExpiry {
+	if minGen < m.gen { // some add happened, so lastAdd is set
 		if a := m.lastAdd + 1; a >= next && a < wake {
 			wake = a
 		}

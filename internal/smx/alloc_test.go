@@ -1,9 +1,9 @@
 package smx
 
 // Allocation pin for the SMX pipeline: with warm block/warp free pools, a
-// full dispatch → execute → retire block lifecycle — including coalescing
-// into the warp's inline line buffer, MSHR traffic, a barrier, and the
-// retirement sweep — allocates nothing. The budget is an explicit 0 so any
+// full dispatch → execute → retire block lifecycle — including issuing
+// memory instructions straight from the program's coalesced lines, MSHR
+// traffic, a barrier, and the retirement sweep — allocates nothing. The budget is an explicit 0 so any
 // regression (a fresh slice on the issue path, a lost freelist recycle)
 // fails this test rather than quietly serializing the worker pool again.
 
@@ -21,6 +21,7 @@ type nopEvents struct{}
 
 func (nopEvents) Launch(int, *Block, *isa.Kernel, uint64, bool) bool { return true }
 func (nopEvents) BlockDone(int, *Block, uint64)                      {}
+func (nopEvents) LaunchFrees() uint64                                { return 0 }
 
 func TestBlockLifecycleZeroAlloc(t *testing.T) {
 	cfg := config.SmallTest()
@@ -73,5 +74,49 @@ func TestStalledRetryZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, lifecycle); allocs != 0 {
 		t.Errorf("stalled-retry lifecycle: %.2f allocs per block, want 0", allocs)
+	}
+}
+
+// gateEvents refuses every launch while closed and counts launch-queue
+// releases, without allocating.
+type gateEvents struct {
+	closed bool
+	frees  uint64
+}
+
+func (g *gateEvents) Launch(int, *Block, *isa.Kernel, uint64, bool) bool { return !g.closed }
+func (g *gateEvents) BlockDone(int, *Block, uint64)                      {}
+func (g *gateEvents) LaunchFrees() uint64                                { return g.frees }
+
+// TestLaunchElisionZeroAlloc pins TickFF's launch-stall path: a warp stalls
+// on a closed launch queue, TickFF elides its retries while no release
+// happens, and a release lets the launch through — none of it may allocate.
+func TestLaunchElisionZeroAlloc(t *testing.T) {
+	cfg := config.SmallTest()
+	var seq uint64
+	ev := &gateEvents{}
+	s := New(0, &cfg, mem.NewSystem(&cfg), ev, GTO, &seq)
+	child := isa.NewKernel("child").Add(isa.NewTB(32).Compute(1).Build()).Build()
+	tb := isa.NewTB(32).Launch(0, child).Compute(3).Build()
+	var now, elided uint64
+	lifecycle := func() {
+		ev.closed = true
+		s.AddBlock(tb, nil, now)
+		for i := 0; !s.Idle(); i++ {
+			if i == 16 {
+				ev.closed = false
+				ev.frees++
+			}
+			elided += s.TickFF(now)
+			now++
+			s.NextEvent(now)
+		}
+	}
+	lifecycle()
+	if elided == 0 {
+		t.Fatal("no elided launch retries: the elision path did not run")
+	}
+	if allocs := testing.AllocsPerRun(100, lifecycle); allocs != 0 {
+		t.Errorf("launch-elision lifecycle: %.2f allocs per block, want 0", allocs)
 	}
 }

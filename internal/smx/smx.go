@@ -56,6 +56,11 @@ type Events interface {
 	// and retry next cycle; retry marks such a reissue of a previously
 	// stalled launch.
 	Launch(smxID int, b *Block, child *isa.Kernel, now uint64, retry bool) bool
+	// LaunchFrees returns a monotone count of launch-queue releases (KMU
+	// pending-pool and direct-pool entries freed). Between two releases
+	// the queues only fill, so a launch refused while the count was n is
+	// refused again for as long as it still reads n.
+	LaunchFrees() uint64
 	// BlockDone is invoked when every warp of a resident block has
 	// retired and its resources have been freed. The Block record may be
 	// recycled for a later dispatch once the callback returns, so
@@ -95,13 +100,11 @@ type warp struct {
 	pc    int
 	// readyAt is the first cycle the warp may issue again.
 	readyAt uint64
-	// pending holds coalesced line addresses of the current memory
-	// instruction not yet accepted by the memory system (MSHR stalls).
-	// It always aliases lineBuf — a warp instruction coalesces to at most
-	// WarpSize lines — so issuing memory instructions never allocates.
+	// pending is the suffix of the current memory instruction's Lines not
+	// yet accepted by the memory system (MSHR stalls). It aliases the
+	// program's read-only Lines and is only ever resliced, so issuing
+	// memory instructions neither allocates nor copies.
 	pending []uint64
-	// lineBuf is the warp-owned coalescer scratch buffer backing pending.
-	lineBuf [config.WarpSize]uint64
 	// pendingMax is the latest completion cycle among the transactions
 	// already issued for the current memory instruction.
 	pendingMax uint64
@@ -186,6 +189,13 @@ type SMX struct {
 	// the stall-wake horizons cannot be trusted until a full scan runs —
 	// NextEvent pins the next cycle while this holds.
 	scanShort bool
+	// launchSeen is the Events.LaunchFrees count at the last full Tick
+	// that left warps launch-stalled: while it is unchanged, their retries
+	// provably fail again and TickFF may elide them.
+	launchSeen uint64
+	// minRejectGen is the smallest rejectGen over the MSHR-stalled warps
+	// after the last full Tick (see NextStallWake).
+	minRejectGen uint64
 	// horizon/horizonAt cache the last NextEvent answer: the SMX provably
 	// cannot act on any cycle in [horizonAt, horizon), because nothing an
 	// SMX observes changes inside the window — its warps, retiring blocks,
@@ -278,15 +288,15 @@ func (s *SMX) Stats() Stats { return s.stats }
 // non-stalled warp or pending block retirement), lowered to the MSHR stall
 // wake-up bound when warps are blocked on a full MSHR table — a stalled
 // retry can only advance when the table frees a slot at a known
-// fill-completion cycle or the cycle after another warp's access makes the
-// blocked line mergeable (mem.NextStallWake covers both). Warps stalled on
-// a full launch queue contribute nothing: the queue only frees through
-// KMU/TB dispatch or a block retirement, each of which is already a horizon
-// source, and the stalled warps are re-scanned on every processed cycle. It
-// returns ^uint64(0) when the SMX holds no work at all, so the engine's
-// fast-forward clock may skip it entirely until a dispatch makes it
-// actionable again. Engine-driven changes (AddBlockAttr) lower nextReady
-// themselves, so the bound stays valid across skipped spans.
+// fill-completion cycle or, if some stalled warp has not yet observed the
+// table's latest add, the cycle after it (mem.NextStallWake covers both).
+// Warps stalled on a full launch queue contribute nothing: the queue only
+// frees through KMU or TB dispatch, which run on processed cycles of their
+// own phases, and TickFF retries the stalled warps on the first processed
+// cycle after such a release. It returns ^uint64(0) when the SMX holds no
+// work at all, so the engine's fast-forward clock may skip it entirely until
+// a dispatch makes it actionable again. Engine-driven changes (AddBlockAttr)
+// lower nextReady themselves, so the bound stays valid across skipped spans.
 //
 // All of this presumes every stalled warp retried on the last processed
 // cycle; when the issue scan stopped short (scanShort), a starved warp's
@@ -307,7 +317,7 @@ func (s *SMX) nextEvent(next uint64) uint64 {
 	}
 	h := s.nextReady
 	if s.memStalledWarps > 0 {
-		if r := s.mem.NextStallWake(s.ID, next); r < h {
+		if r := s.mem.NextStallWake(s.ID, next, s.minRejectGen); r < h {
 			h = r
 		}
 	}
@@ -319,21 +329,25 @@ func (s *SMX) nextEvent(next uint64) uint64 {
 
 // TickFF is Tick under the fast-forward clock: when the cached NextEvent
 // window proves the SMX cannot act at cycle now, the whole tick — including
-// the per-cycle issue scan a memory-stalled SMX would otherwise pay — is
-// replaced by a one-cycle SkipIdle. This is the engine's span-skip argument
+// the per-cycle issue scan a stalled SMX would otherwise pay — is replaced
+// by a one-cycle SkipIdle, whose elided launch retries it returns for the
+// engine's launch-backpressure counter (0 after a real Tick, whose retries
+// reach the engine through Launch). This is the engine's span-skip argument
 // applied to a single SMX on a cycle some other component pinned: inside
-// [horizonAt, horizon) the SMX's warps, retiring blocks, and private MSHR
-// table cannot change except through its own tick or an engine dispatch
-// (which invalidates the cache), so every elided stall retry would have
-// failed. Warps stalled on a full launch queue disqualify the elision — the
-// queue can free through another component's action on this very cycle,
-// which the cached window does not see.
-func (s *SMX) TickFF(now uint64) {
-	if s.launchStalledWarps == 0 && s.horizonAt <= now && now < s.horizon {
-		s.SkipIdle(1)
-		return
+// [horizonAt, horizon) the SMX's warps, retiring blocks, and MSHR table
+// cannot change except through its own tick or an engine dispatch (which
+// invalidates the cache), so every elided MSHR retry would have failed. A
+// launch queue can free on this very cycle through the engine's KMU or TB
+// dispatch, which the window does not see; but every release bumps
+// Events.LaunchFrees, so while it still reads the count of the last full
+// Tick, every elided launch retry would have failed too.
+func (s *SMX) TickFF(now uint64) (launchRetries uint64) {
+	if s.horizonAt <= now && now < s.horizon &&
+		(s.launchStalledWarps == 0 || s.events.LaunchFrees() == s.launchSeen) {
+		return s.SkipIdle(1)
 	}
 	s.Tick(now)
+	return 0
 }
 
 // SkipIdle credits an elided span of `cycles` cycles, all strictly before
@@ -439,19 +453,27 @@ func (s *SMX) Tick(now uint64) {
 	if s.needSweep {
 		s.sweep()
 	}
+	if s.launchStalledWarps > 0 {
+		s.launchSeen = s.events.LaunchFrees()
+	}
 	// Recompute the next cycle anything can happen: the earliest issuable
 	// warp or the earliest pending block retirement. Warps waiting at a
 	// barrier are excluded: their release happens inside the tick in
 	// which the last live warp arrives, which updates readyAt. Stalled
 	// warps are excluded too — their failed retries re-arm readyAt every
 	// cycle and would pin the horizon; NextEvent accounts for their actual
-	// wake-up sources instead.
+	// wake-up sources instead, given the oldest MSHR generation any
+	// MSHR-stalled warp last observed.
 	next := ^uint64(0)
+	minGen := ^uint64(0)
 	for _, w := range s.warps {
-		if !w.done && !w.atBarrier && !w.launchStalled && len(w.pending) == 0 && w.readyAt < next {
+		if len(w.pending) > 0 {
+			minGen = min(minGen, w.rejectGen)
+		} else if !w.done && !w.atBarrier && !w.launchStalled && w.readyAt < next {
 			next = w.readyAt
 		}
 	}
+	s.minRejectGen = minGen
 	for _, b := range s.retiring {
 		if b.retireAt < next {
 			next = b.retireAt
@@ -510,7 +532,7 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	wasStalled := in == nil // resuming implies a prior MSHR rejection
 	if in != nil {
-		w.pending = isa.CoalesceInto(w.lineBuf[:0], in.Addrs)
+		w.pending = in.Lines
 		w.pendingMax = 0
 	} else {
 		// A retry the memory system proves would be rejected again is

@@ -10,7 +10,8 @@ import (
 
 // recorder implements Events and records notifications. refuse, when
 // positive, rejects that many launches first (simulating a full launch
-// queue); retries counts reissues of stalled launches.
+// queue); retries counts reissues of stalled launches; frees is the
+// launch-queue release count LaunchFrees reports.
 type recorder struct {
 	launches []*isa.Kernel
 	launchBy []int
@@ -18,6 +19,7 @@ type recorder struct {
 	doneAt   []uint64
 	refuse   int
 	retries  int
+	frees    uint64
 }
 
 func (r *recorder) Launch(smxID int, b *Block, child *isa.Kernel, now uint64, retry bool) bool {
@@ -32,6 +34,8 @@ func (r *recorder) Launch(smxID int, b *Block, child *isa.Kernel, now uint64, re
 	r.launchBy = append(r.launchBy, smxID)
 	return true
 }
+
+func (r *recorder) LaunchFrees() uint64 { return r.frees }
 
 func (r *recorder) BlockDone(smxID int, b *Block, now uint64) {
 	r.done = append(r.done, b)
