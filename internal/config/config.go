@@ -19,6 +19,10 @@ const WarpSize = 32
 // Section III-A also counts references in units of 128-byte blocks.
 const LineSize = 128
 
+// MaxL1MSHRs is the largest supported L1MSHRs: the memory model counts an
+// MSHR table's entries in 16-bit counters.
+const MaxL1MSHRs = 1<<16 - 1
+
 // OverflowPolicy selects what happens when a device-side launch finds its
 // launch queue (the KMU pending pool or the DTBL aggregation buffer) full.
 type OverflowPolicy int
@@ -86,7 +90,7 @@ type GPU struct {
 	L1Bytes int
 	L1Assoc int
 	// L1MSHRs bounds the outstanding misses per SMX L1; a full MSHR table
-	// stalls the issuing warp.
+	// stalls the issuing warp. At most MaxL1MSHRs.
 	L1MSHRs int
 
 	// L2 cache geometry (shared, banked). Table I: 1536 KB.
@@ -260,7 +264,7 @@ func (g *GPU) ClusterOf(smx int) int { return smx / g.SMXsPerCluster }
 
 // Validate reports a descriptive error if the configuration is internally
 // inconsistent (non-positive resources, cache geometry that does not divide
-// evenly, etc.).
+// evenly or whose set counts are not powers of two, etc.).
 func (g *GPU) Validate() error {
 	type check struct {
 		ok  bool
@@ -278,7 +282,7 @@ func (g *GPU) Validate() error {
 		{g.IssueWidth > 0, "IssueWidth must be positive"},
 		{g.L1Bytes > 0 && g.L1Assoc > 0, "L1 geometry must be positive"},
 		{g.L2Bytes > 0 && g.L2Assoc > 0 && g.L2Banks > 0, "L2 geometry must be positive"},
-		{g.L1MSHRs > 0, "L1MSHRs must be positive"},
+		{g.L1MSHRs > 0 && g.L1MSHRs <= MaxL1MSHRs, "L1MSHRs must be positive and at most MaxL1MSHRs"},
 		{g.L1HitLatency > 0, "L1HitLatency must be positive"},
 		{g.L2HitLatency > g.L1HitLatency, "L2HitLatency must exceed L1HitLatency"},
 		{g.DRAMLatency > g.L2HitLatency, "DRAMLatency must exceed L2HitLatency"},
@@ -305,6 +309,13 @@ func (g *GPU) Validate() error {
 	}
 	if g.L2Bytes%(LineSize*g.L2Assoc*g.L2Banks) != 0 {
 		return fmt.Errorf("config: L2Bytes %d not divisible into %d banks of %d-way %d-byte-line sets", g.L2Bytes, g.L2Banks, g.L2Assoc, LineSize)
+	}
+	// Caches index their sets with a mask of the line ID's low bits.
+	if n := g.L1Sets(); n&(n-1) != 0 {
+		return fmt.Errorf("config: L1 set count %d is not a power of two", n)
+	}
+	if n := g.L2SetsPerBank(); n&(n-1) != 0 {
+		return fmt.Errorf("config: L2 sets per bank %d is not a power of two", n)
 	}
 	return nil
 }

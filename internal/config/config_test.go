@@ -80,6 +80,7 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero L1", func(g *GPU) { g.L1Bytes = 0 }},
 		{"zero L2 banks", func(g *GPU) { g.L2Banks = 0 }},
 		{"zero MSHRs", func(g *GPU) { g.L1MSHRs = 0 }},
+		{"too many MSHRs", func(g *GPU) { g.L1MSHRs = MaxL1MSHRs + 1 }},
 		{"L2 latency below L1", func(g *GPU) { g.L2HitLatency = g.L1HitLatency }},
 		{"DRAM latency below L2", func(g *GPU) { g.DRAMLatency = g.L2HitLatency }},
 		{"zero DRAM bandwidth", func(g *GPU) { g.DRAMTransPer1000Cycles = 0 }},
@@ -90,6 +91,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		{"zero dispatch rate", func(g *GPU) { g.TBDispatchPerCycle = 0 }},
 		{"indivisible L1", func(g *GPU) { g.L1Bytes = 1000 }},
 		{"indivisible L2", func(g *GPU) { g.L2Bytes = 100000 }},
+		// Divisible geometries whose set counts (96 L1 sets, 192 L2 sets
+		// per bank) are not powers of two: caches index sets by mask.
+		{"non-power-of-two L1 sets", func(g *GPU) { g.L1Bytes = 48 * 1024 }},
+		{"non-power-of-two L2 sets per bank", func(g *GPU) { g.L2Bytes = 1152 * 1024 }},
 		{"negative KMU pool", func(g *GPU) { g.KMUPendingCapacity = -1 }},
 		{"negative agg buffer", func(g *GPU) { g.DTBLAggBufferEntries = -1 }},
 		{"unknown overflow policy", func(g *GPU) { g.DTBLOverflowPolicy = OverflowPolicy(9) }},

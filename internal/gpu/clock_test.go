@@ -248,8 +248,8 @@ func TestClockSampleCyclesPinned(t *testing.T) {
 // third-party policy that predates the fast-forward clock.
 type opaqueScheduler struct{ inner gpu.TBScheduler }
 
-func (o opaqueScheduler) Name() string                                 { return o.inner.Name() }
-func (o opaqueScheduler) Enqueue(k *gpu.KernelInstance)                { o.inner.Enqueue(k) }
+func (o opaqueScheduler) Name() string                  { return o.inner.Name() }
+func (o opaqueScheduler) Enqueue(k *gpu.KernelInstance) { o.inner.Enqueue(k) }
 func (o opaqueScheduler) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
 	return o.inner.Select(d)
 }

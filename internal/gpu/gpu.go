@@ -249,13 +249,13 @@ type Simulator struct {
 	// kmuQueue holds instances at the KMU waiting for a KDU entry, one
 	// FIFO per priority level (highest level dispatches first), each
 	// with a head cursor.
-	kmuQueue  []kmuFIFO
-	kmuCount  int
-	kduUsed   int
-	kduFilled uint64 // cumulative KMU->KDU moves (watchdog progress)
-	live      int
-	kernels   []*KernelInstance // every instance ever created
-	nextID    int
+	kmuQueue   []kmuFIFO
+	kmuCount   int
+	kduUsed    int
+	kduFilled  uint64 // cumulative KMU->KDU moves (watchdog progress)
+	live       int
+	kernels    []*KernelInstance // every instance ever created
+	nextID     int
 	maxCycles  uint64
 	trace      func(ki *KernelInstance, tbIndex, smxID int, cycle uint64)
 	traceQ     func(ev QueueEvent)
@@ -311,7 +311,7 @@ type Simulator struct {
 	// streak — the common long-idle case where all blocks are dispatched
 	// and executing.
 	schedLive int
-	started     time.Time
+	started   time.Time
 
 	// flts is the armed failpoint registry (nil = disarmed, zero-cost).
 	flts *faults.Registry

@@ -9,12 +9,18 @@
 // (the builders coalesce each instruction's per-lane addresses once, at build
 // time), and launch instructions spawn child grids (device kernels under
 // CDP, thread-block groups under DTBL).
+//
+// Programs are immutable once validated or launched: Kernel.Validate
+// remembers success rather than re-walking the program, and the simulator
+// reads programs (shared between concurrent runs) for the whole of a run.
+// Build a new program instead of editing one in place.
 package isa
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"laperm/internal/config"
 )
@@ -141,9 +147,19 @@ func (tb *TB) Footprint() []uint64 {
 // Kernel is a grid: an ordered list of thread-block programs. Device-side
 // launches reference child Kernels; under DTBL the same structure is treated
 // as a thread-block group.
+//
+// A Kernel, its TBs and everything they reach must not be modified once the
+// kernel has been validated or launched: Validate remembers success, and
+// the simulator reads the program while a run is in progress (memoized
+// programs are shared by concurrent runs).
 type Kernel struct {
 	Name string
 	TBs  []*TB
+
+	// validated records that Validate succeeded, so later calls (one per
+	// host launch, and one per parent that launches a shared child) return
+	// without walking the program again.
+	validated atomic.Bool
 }
 
 // InstCount returns the total per-thread instruction count of the grid,
@@ -187,8 +203,21 @@ func (k *Kernel) walkChildren(visit func(parent, child *Kernel)) {
 // Validate reports an error if any instruction is malformed: launches out of
 // range, memory ops whose lines are not a coalescer's output (none, more than
 // the active lanes, unaligned, or repeated), non-positive compute latency, or
-// lane counts exceeding the warp width.
+// lane counts exceeding the warp width. Success is remembered — a later call
+// returns nil at once — while a failure is reported again on every call.
+// Validate is safe for concurrent use.
 func (k *Kernel) Validate() error {
+	if k.validated.Load() {
+		return nil
+	}
+	if err := k.validate(); err != nil {
+		return err
+	}
+	k.validated.Store(true)
+	return nil
+}
+
+func (k *Kernel) validate() error {
 	for ti, tb := range k.TBs {
 		if tb.Threads <= 0 {
 			return fmt.Errorf("isa: kernel %q TB %d has %d threads", k.Name, ti, tb.Threads)

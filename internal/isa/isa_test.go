@@ -3,6 +3,7 @@ package isa
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -170,6 +171,69 @@ func TestValidateRecursesIntoChildren(t *testing.T) {
 	parent := NewKernel("p").Add(parentTB).Build()
 	if err := parent.Validate(); err == nil {
 		t.Fatal("Validate did not recurse into launched child")
+	}
+}
+
+// TestValidateRemembersSuccessOnly: a failure is reported on every call,
+// while after a success Validate returns nil without walking the program —
+// shown by a (contract-breaking) later corruption going unnoticed — and
+// without allocating.
+func TestValidateRemembersSuccessOnly(t *testing.T) {
+	bad := &Kernel{Name: "bad", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 0, ActiveLanes: 32}}}}}}
+	for i := 0; i < 3; i++ {
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("call %d: invalid kernel accepted", i+1)
+		}
+	}
+	// Repairing the program is seen: failures were never remembered.
+	bad.TBs[0].Warps[0][0].Latency = 1
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("repaired kernel rejected: %v", err)
+	}
+
+	child := NewKernel("child").Add(NewTB(32).LoadSeq(0, 1).Build()).Build()
+	good := NewKernel("good").Add(NewTB(64).Compute(2).Launch(0, child).Barrier().Build()).Build()
+	if err := good.Validate(); err != nil {
+		t.Fatalf("valid kernel rejected: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = good.Validate() }); allocs != 0 {
+		t.Errorf("second Validate: %.1f allocs, want 0", allocs)
+	}
+	child.TBs[0].Warps[0][0].ActiveLanes = 0
+	if err := good.Validate(); err != nil {
+		t.Errorf("validated kernel walked again: %v", err)
+	}
+	if err := child.Validate(); err != nil {
+		t.Errorf("child validated through its parent walked again: %v", err)
+	}
+}
+
+// TestValidateConcurrent validates one shared program (a parent and the
+// child every one of its blocks launches) from many goroutines at once, as
+// concurrent simulations of a memoized workload do; run it under -race.
+func TestValidateConcurrent(t *testing.T) {
+	child := NewKernel("child").Add(NewTB(32).LoadSeq(0, 1).Build()).Build()
+	kb := NewKernel("parent")
+	for i := 0; i < 16; i++ {
+		kb.Add(NewTB(64).Compute(1).Launch(0, child).Build())
+	}
+	k := kb.Build()
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4 && errs[g] == nil; i++ {
+				errs[g] = k.Validate()
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
+		}
 	}
 }
 

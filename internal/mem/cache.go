@@ -177,25 +177,31 @@ type cacheLine struct {
 // Cache is a set-associative cache with true LRU replacement over 128-byte
 // lines. It tracks contents and hit statistics only; timing lives in System.
 type Cache struct {
-	sets    [][]cacheLine
-	numSets uint64
+	sets [][]cacheLine
+	// mask selects a line's set: the set count is a power of two, so the
+	// index is the line ID's low bits.
+	mask    uint64
 	useTick uint64
 	stats   Stats
 	attrib  bool
 	reuse   ReuseStats
 }
 
-// NewCache builds a cache with the given set count and associativity.
+// NewCache builds a cache with the given set count and associativity. The
+// set count must be a power of two.
 func NewCache(numSets, assoc int) *Cache {
 	if numSets <= 0 || assoc <= 0 {
 		panic(fmt.Sprintf("mem: NewCache(%d, %d): geometry must be positive", numSets, assoc))
+	}
+	if numSets&(numSets-1) != 0 {
+		panic(fmt.Sprintf("mem: NewCache(%d, %d): set count must be a power of two", numSets, assoc))
 	}
 	sets := make([][]cacheLine, numSets)
 	backing := make([]cacheLine, numSets*assoc)
 	for i := range sets {
 		sets[i], backing = backing[:assoc:assoc], backing[assoc:]
 	}
-	return &Cache{sets: sets, numSets: uint64(numSets)}
+	return &Cache{sets: sets, mask: uint64(numSets - 1)}
 }
 
 // Access looks up the line identified by lineID (byte address divided by the
@@ -210,12 +216,13 @@ func (c *Cache) Access(lineID uint64) bool {
 // classified into the cache's ReuseStats; otherwise it behaves exactly like
 // Access.
 func (c *Cache) AccessAs(lineID uint64, acc Accessor) bool {
-	hit := c.access(lineID, acc, true)
-	c.stats.Accesses++
-	if hit {
-		c.stats.Hits++
+	set, way := c.find(lineID)
+	if way >= 0 {
+		c.hit(set, way, acc)
+		return true
 	}
-	return hit
+	c.miss(set, lineID, acc)
+	return false
 }
 
 // SetAttribution enables or disables reuse attribution. Toggling it does not
@@ -229,50 +236,66 @@ func (c *Cache) Reuse() ReuseStats { return c.reuse }
 // Probe reports whether the line is present without allocating or touching
 // LRU state or statistics.
 func (c *Cache) Probe(lineID uint64) bool {
-	set := c.sets[lineID%c.numSets]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineID {
-			return true
-		}
-	}
-	return false
+	_, way := c.find(lineID)
+	return way >= 0
 }
 
 // Touch updates the line's LRU position if present without allocating; used
 // for write-through-no-allocate stores that hit. Not counted in statistics
 // and never reclassifies or retags the line.
 func (c *Cache) Touch(lineID uint64) bool {
-	return c.access(lineID, NoAccessor, false)
+	set, way := c.find(lineID)
+	c.useTick++
+	if way < 0 {
+		return false
+	}
+	set[way].lastUse = c.useTick
+	return true
 }
 
-func (c *Cache) access(lineID uint64, acc Accessor, allocate bool) bool {
-	c.useTick++
-	set := c.sets[lineID%c.numSets]
-	victim := 0
+// find returns the line's set and the way holding it (-1 when absent). It
+// changes nothing, so a caller may probe once and then act on the result
+// with hit or miss.
+func (c *Cache) find(lineID uint64) (set []cacheLine, way int) {
+	set = c.sets[lineID&c.mask]
 	for i := range set {
 		if set[i].valid && set[i].tag == lineID {
-			set[i].lastUse = c.useTick
-			if c.attrib && allocate {
-				c.reuse.count(acc.classify(set[i].inst, set[i].parent))
-			}
-			return true
+			return set, i
 		}
-		if set[i].lastUse < set[victim].lastUse || !set[i].valid && set[victim].valid {
+	}
+	return set, -1
+}
+
+// hit counts a hit on set[way] (as found by find), makes it the most
+// recently used line, and classifies it when attribution is on.
+func (c *Cache) hit(set []cacheLine, way int, acc Accessor) {
+	c.useTick++
+	set[way].lastUse = c.useTick
+	if c.attrib {
+		c.reuse.count(acc.classify(set[way].inst, set[way].parent))
+	}
+	c.stats.Accesses++
+	c.stats.Hits++
+}
+
+// miss counts a miss of lineID (absent from set, as found by find) and
+// installs it, tagged with acc, in the set's first invalid way or else its
+// least recently used way.
+func (c *Cache) miss(set []cacheLine, lineID uint64, acc Accessor) {
+	c.useTick++
+	c.stats.Accesses++
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].lastUse < set[victim].lastUse {
 			victim = i
 		}
 	}
-	if allocate {
-		// Prefer an invalid way over evicting.
-		for i := range set {
-			if !set[i].valid {
-				victim = i
-				break
-			}
-		}
-		set[victim] = cacheLine{tag: lineID, valid: true, lastUse: c.useTick,
-			inst: acc.Inst, parent: acc.Parent}
-	}
-	return false
+	set[victim] = cacheLine{tag: lineID, valid: true, lastUse: c.useTick,
+		inst: acc.Inst, parent: acc.Parent}
 }
 
 // Stats returns the accumulated access statistics.

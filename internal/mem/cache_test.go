@@ -93,7 +93,9 @@ func TestTouchUpdatesLRUWithoutAllocating(t *testing.T) {
 }
 
 func TestNewCachePanicsOnBadGeometry(t *testing.T) {
-	for _, args := range [][2]int{{0, 2}, {4, 0}, {-1, 2}} {
+	// {3, 2}: sets are indexed by mask, so the set count must be a power
+	// of two.
+	for _, args := range [][2]int{{0, 2}, {4, 0}, {-1, 2}, {3, 2}, {6, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -20,6 +20,11 @@ const noExpiry = ^uint64(0)
 // back to a real retry.
 const addRing = 64
 
+// lineBuckets is the number of line-ID buckets an MSHR table counts its
+// entries in, so lookup can rule out a merge without scanning. A power of
+// two.
+const lineBuckets = 256
+
 // mshrTable bounds and merges outstanding misses for one SMX's L1. An entry
 // is live at cycle t exactly while t < complete; liveness is a pure function
 // of the query cycle, so expiry is evaluated lazily — the table never needs
@@ -27,6 +32,10 @@ const addRing = 64
 // under the engine's fast-forward clock: querying once after a skipped span
 // yields the same answers as polling every elided cycle would have.
 type mshrTable struct {
+	// entries is sorted by completion cycle (ties in insertion order).
+	// Fills complete in nearly the order they are added, so add's
+	// insertion shift is short, and the entries prune expires are always
+	// a prefix.
 	entries []mshrEntry
 	cap     int
 	// nextExpire caches the minimum completion cycle over entries (noExpiry
@@ -48,12 +57,20 @@ type mshrTable struct {
 	// none of the adds since g was its line (stillRejected).
 	gen    uint64
 	recent [addRing]uint64
+	// count[id%lineBuckets] is the number of entries whose line ID falls in
+	// that bucket; a zero bucket proves the line has no outstanding miss.
+	// config.Validate bounds the capacity by config.MaxL1MSHRs, so a
+	// bucket cannot overflow.
+	count [lineBuckets]uint16
 }
 
 // lookup returns the completion cycle of an outstanding miss to lineID, if
 // one exists at cycle now (expired entries are pruned first).
 func (m *mshrTable) lookup(lineID, now uint64) (uint64, bool) {
 	m.prune(now)
+	if m.count[lineID%lineBuckets] == 0 {
+		return 0, false
+	}
 	for i := range m.entries {
 		if m.entries[i].lineID == lineID {
 			return m.entries[i].complete, true
@@ -62,24 +79,25 @@ func (m *mshrTable) lookup(lineID, now uint64) (uint64, bool) {
 	return 0, false
 }
 
-// prune drops entries whose fills have completed by cycle now. It is a no-op
-// until nextExpire, so steady-state queries cost one comparison.
+// prune drops entries whose fills have completed by cycle now — a prefix of
+// the sorted entries. It is a no-op until nextExpire, so steady-state
+// queries cost one comparison.
 func (m *mshrTable) prune(now uint64) {
 	if now < m.nextExpire {
 		return
 	}
-	keep := m.entries[:0]
-	next := uint64(noExpiry)
-	for _, e := range m.entries {
-		if e.complete > now {
-			keep = append(keep, e)
-			if e.complete < next {
-				next = e.complete
-			}
-		}
+	k := 0
+	for k < len(m.entries) && m.entries[k].complete <= now {
+		m.count[m.entries[k].lineID%lineBuckets]--
+		k++
 	}
-	m.entries = keep
-	m.nextExpire = next
+	// Shift the live suffix down so the preallocated backing array keeps
+	// its full capacity.
+	m.entries = m.entries[:copy(m.entries, m.entries[k:])]
+	m.nextExpire = noExpiry
+	if len(m.entries) > 0 {
+		m.nextExpire = m.entries[0].complete
+	}
 }
 
 func (m *mshrTable) full(now uint64) bool {
@@ -94,11 +112,17 @@ func (m *mshrTable) fullAt(now uint64) bool {
 	return len(m.entries) >= m.cap && m.nextExpire > now
 }
 
+// add records a new outstanding miss, inserting it after every entry that
+// completes no later.
 func (m *mshrTable) add(lineID, complete, now uint64) {
-	m.entries = append(m.entries, mshrEntry{lineID: lineID, complete: complete})
-	if complete < m.nextExpire {
-		m.nextExpire = complete
+	i := len(m.entries)
+	m.entries = append(m.entries, mshrEntry{})
+	for ; i > 0 && m.entries[i-1].complete > complete; i-- {
+		m.entries[i] = m.entries[i-1]
 	}
+	m.entries[i] = mshrEntry{lineID: lineID, complete: complete}
+	m.nextExpire = m.entries[0].complete
+	m.count[lineID%lineBuckets]++
 	m.lastAdd = now
 	m.recent[m.gen%addRing] = lineID
 	m.gen++
@@ -312,8 +336,11 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 		l1.stats.Accesses++
 		return c, true
 	}
-	if l1.Probe(lineID) {
-		l1.AccessAs(lineID, acc) // counts the hit and updates LRU
+	// One probe of the line's set serves the hit, or the allocation of a
+	// miss that gets an MSHR.
+	set, way := l1.find(lineID)
+	if way >= 0 {
+		l1.hit(set, way, acc) // counts the hit and updates LRU
 		return now + uint64(s.cfg.L1HitLatency), true
 	}
 	// Miss: needs an MSHR before it can allocate and go to L2. A full
@@ -321,7 +348,7 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 	if tbl.full(now) {
 		return 0, false
 	}
-	l1.AccessAs(lineID, acc) // counts the miss and allocates the fill target
+	l1.miss(set, lineID, acc) // counts the miss and allocates the fill target
 	c := s.l2Access(lineID, now, acc)
 	tbl.add(lineID, c, now)
 	return c, true

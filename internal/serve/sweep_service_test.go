@@ -521,9 +521,9 @@ func TestSweepValidationErrors(t *testing.T) {
 	s.Start()
 	for _, body := range []string{
 		`{not json`,
-		`{"base": {"scale":"tiny"}, "axes": []}`,                                             // no axes
-		`{"base": {"scale":"tiny"}, "axes": [{"field":"nope","values":[1]}]}`,                // unknown field
-		`{"base": {"scale":"tiny"}, "axes": [{"field":"workload","values":["amr","amr"]}]}`,  // dup value
+		`{"base": {"scale":"tiny"}, "axes": []}`, // no axes
+		`{"base": {"scale":"tiny"}, "axes": [{"field":"nope","values":[1]}]}`,                       // unknown field
+		`{"base": {"scale":"tiny"}, "axes": [{"field":"workload","values":["amr","amr"]}]}`,         // dup value
 		`{"base": {"scale":"tiny"}, "axes": [{"field":"max_cycles","values":[1,2,3,4,5,6,7,8,9]}]}`, // > MaxSweepCells
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))

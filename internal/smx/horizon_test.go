@@ -1,0 +1,195 @@
+package smx
+
+// The wake bound a Tick leaves behind (nextReady, minRejectGen) is what the
+// engine's fast-forward clock trusts to skip cycles, so it must be exactly
+// the full-pass definition however the issue scan computed it: GTO folds
+// each warp during its one scan pass, LRR and TwoLevel — and any scan in
+// which a barrier released warps already visited — redo the fold over every
+// warp.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"laperm/internal/config"
+	"laperm/internal/isa"
+	"laperm/internal/mem"
+)
+
+// fullPassBound recomputes the wake bound from scratch: the earliest
+// readyAt of a warp that can issue on its own or of a pending block
+// retirement, and the oldest rejectGen of an MSHR-stalled warp.
+func fullPassBound(s *SMX) (next, minGen uint64) {
+	next, minGen = ^uint64(0), ^uint64(0)
+	for _, w := range s.warps {
+		switch {
+		case len(w.pending) > 0:
+			minGen = min(minGen, w.rejectGen)
+		case !w.done && !w.atBarrier && !w.launchStalled:
+			next = min(next, w.readyAt)
+		}
+	}
+	for _, b := range s.retiring {
+		next = min(next, b.retireAt)
+	}
+	return next, minGen
+}
+
+// checkBound compares the bound the last Tick left with the full pass. An
+// SMX without warps returns from Tick at once and its bound is unused.
+func checkBound(t *testing.T, s *SMX, now uint64) {
+	t.Helper()
+	if s.Idle() {
+		return
+	}
+	next, minGen := fullPassBound(s)
+	if s.nextReady != next || s.minRejectGen != minGen {
+		t.Fatalf("smx %d cycle %d: nextReady %d, minRejectGen %d; full pass gives %d, %d",
+			s.ID, now, s.nextReady, s.minRejectGen, next, minGen)
+	}
+}
+
+// randomTB builds a block of 1-6 warps, each with its own random stream of
+// computes, multi-line loads and stores over a 48-line pool (so loads hit,
+// merge and miss), barriers, and launches.
+func randomTB(rng *rand.Rand, child *isa.Kernel) *isa.TB {
+	tb := isa.NewTB(32 * (1 + rng.Intn(6))).Build()
+	tb.Launches = []*isa.Kernel{child}
+	lines := func(max int) []uint64 {
+		n := 1 + rng.Intn(max)
+		out := make([]uint64, n)
+		for i, l := range rng.Perm(48)[:n] {
+			out[i] = uint64(l) * config.LineSize
+		}
+		return out
+	}
+	for w := range tb.Warps {
+		for i := rng.Intn(10); i >= 0; i-- {
+			var in isa.Inst
+			switch rng.Intn(7) {
+			case 0, 1:
+				in = isa.Inst{Kind: isa.OpCompute, Latency: 1 + rng.Intn(40)}
+			case 2, 3:
+				in = isa.Inst{Kind: isa.OpLoad, Lines: lines(6)}
+			case 4:
+				in = isa.Inst{Kind: isa.OpStore, Lines: lines(3)}
+			case 5:
+				in = isa.Inst{Kind: isa.OpBarrier}
+			case 6:
+				in = isa.Inst{Kind: isa.OpLaunch}
+			}
+			in.ActiveLanes = 32
+			tb.Warps[w] = append(tb.Warps[w], in)
+		}
+	}
+	return tb
+}
+
+func TestNextReadyMatchesFullPass(t *testing.T) {
+	child := isa.NewKernel("child").Add(isa.NewTB(32).Compute(1).Build()).Build()
+	for _, policy := range []Policy{GTO, LRR, TwoLevel} {
+		for _, cluster := range []bool{false, true} {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("%s/cluster=%t/seed=%d", policy, cluster, seed)
+				t.Run(name, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed))
+					cfg := config.SmallTest()
+					cfg.L1MSHRs = 2
+					nSMX := 1
+					if cluster {
+						cfg.SMXsPerCluster, nSMX = 2, 2
+					}
+					m := mem.NewSystem(&cfg)
+					// A launch queue that closes and opens at random;
+					// every opening counts as a release.
+					q := &gateEvents{closed: true}
+					var seq uint64
+					smxs := make([]*SMX, nSMX)
+					for i := range smxs {
+						smxs[i] = New(i, &cfg, m, q, policy, &seq)
+					}
+					pending := 40 // blocks still to dispatch
+					var now, releases uint64
+					idle := false
+					for ; !idle && now < 1<<20; now++ {
+						if rng.Intn(30) == 0 {
+							if q.closed = !q.closed; !q.closed {
+								q.frees++
+							}
+						}
+						for _, s := range smxs {
+							for pending > 0 && rng.Intn(4) == 0 {
+								tb := randomTB(rng, child)
+								if !s.CanFit(tb) {
+									break
+								}
+								s.AddBlock(tb, nil, now)
+								pending--
+							}
+						}
+						idle = pending == 0
+						for _, s := range smxs {
+							s.Tick(now)
+							checkBound(t, s, now)
+							if s.barrierReleased {
+								releases++
+							}
+							idle = idle && s.Idle()
+						}
+					}
+					if !idle {
+						t.Fatalf("work left at cycle %d: %d blocks undispatched", now, pending)
+					}
+					if releases == 0 {
+						t.Error("no barrier released during a scan; the fallback went unexercised")
+					}
+					var stalls int64
+					for _, s := range smxs {
+						stalls += s.Stats().MemStallEvents
+					}
+					if stalls == 0 {
+						t.Error("no MSHR stalls; the minRejectGen fold went unexercised")
+					}
+				})
+			}
+		}
+	}
+
+	// The youngest warp of a block finishes while its older warps, already
+	// visited by this cycle's GTO scan, wait at a barrier: its retirement
+	// releases them to issue on the next cycle, which the one-pass fold
+	// alone would miss.
+	t.Run("release-by-youngest-warp", func(t *testing.T) {
+		s, _, cfg := newTestSMX(t, GTO)
+		older := []isa.Inst{
+			{Kind: isa.OpBarrier, ActiveLanes: 32},
+			{Kind: isa.OpCompute, Latency: 1, ActiveLanes: 32},
+		}
+		tb := isa.NewTB(32 * (cfg.IssueWidth + 2)).Build()
+		for w := range tb.Warps {
+			tb.Warps[w] = older
+		}
+		youngest := len(tb.Warps) - 1
+		tb.Warps[youngest] = []isa.Inst{{Kind: isa.OpCompute, Latency: 20, ActiveLanes: 32}}
+		s.AddBlock(tb, nil, 0)
+		// Cycle 0 fills the issue width with barrier arrivals; cycle 1
+		// issues the last older warp's arrival, then the youngest warp's
+		// final instruction, which releases the barrier.
+		for now := uint64(0); now < 2; now++ {
+			s.Tick(now)
+			checkBound(t, s, now)
+		}
+		if !s.barrierReleased || s.nextReady != 2 {
+			t.Fatalf("barrier released %t, nextReady %d; want a release at cycle 1 waking the older warps at 2",
+				s.barrierReleased, s.nextReady)
+		}
+		for now := uint64(2); !s.Idle(); now++ {
+			if now > 1000 {
+				t.Fatal("block did not retire")
+			}
+			s.Tick(now)
+			checkBound(t, s, now)
+		}
+	})
+}

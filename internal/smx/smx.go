@@ -94,10 +94,9 @@ type Block struct {
 	dead     bool
 }
 
+// warp is one resident warp. The fields every issue scan reads come first,
+// packed together, so a scan touches as little of each record as it can.
 type warp struct {
-	block *Block
-	idx   int
-	pc    int
 	// readyAt is the first cycle the warp may issue again.
 	readyAt uint64
 	// pending is the suffix of the current memory instruction's Lines not
@@ -105,11 +104,8 @@ type warp struct {
 	// program's read-only Lines and is only ever resliced, so issuing
 	// memory instructions neither allocates nor copies.
 	pending []uint64
-	// pendingMax is the latest completion cycle among the transactions
-	// already issued for the current memory instruction.
-	pendingMax uint64
 	// rejectGen is the MSHR add generation (mem.MSHRGen) at which
-	// pending[0] was last rejected; a resumed retry first asks
+	// pending[0] was last rejected; a stalled warp's retry first asks
 	// mem.StillRejected whether the load provably fails again.
 	rejectGen uint64
 	atBarrier bool
@@ -117,6 +113,13 @@ type warp struct {
 	// launchStalled marks a warp blocked at a launch instruction by a
 	// full launch queue; it retries the launch every cycle.
 	launchStalled bool
+
+	block *Block
+	idx   int
+	pc    int
+	// pendingMax is the latest completion cycle among the transactions
+	// already issued for the current memory instruction.
+	pendingMax uint64
 }
 
 func (w *warp) stream() []isa.Inst { return w.block.Prog.Warps[w.idx] }
@@ -196,6 +199,10 @@ type SMX struct {
 	// minRejectGen is the smallest rejectGen over the MSHR-stalled warps
 	// after the last full Tick (see NextStallWake).
 	minRejectGen uint64
+	// barrierReleased records that a barrier released during the current
+	// issue scan: the released warps may already have been folded into
+	// the scan's wake bound, so Tick recomputes it with a full pass.
+	barrierReleased bool
 	// horizon/horizonAt cache the last NextEvent answer: the SMX provably
 	// cannot act on any cycle in [horizonAt, horizon), because nothing an
 	// SMX observes changes inside the window — its warps, retiring blocks,
@@ -394,28 +401,33 @@ func (s *SMX) Tick(now uint64) {
 		s.retiring = keep
 	}
 	issued := 0
+	s.barrierReleased = false
+	wb := wakeBound{next: ^uint64(0), minGen: ^uint64(0)}
+	folded := false
 	switch s.policy {
 	case GTO:
 		// Greedy warp first, then oldest (s.warps is in dispatch
 		// order). A warp that issues gets readyAt > now, so one pass
-		// suffices.
-		if s.greedy != nil && s.greedy.canIssue(now) && s.issue(s.greedy, now) {
+		// suffices. The pass visits every warp exactly once, after the
+		// greedy attempt, and keeps visiting past the issue width so it
+		// can fold each warp into the wake bound once its state for this
+		// cycle is final.
+		if g := s.greedy; g != nil && g.canIssue(now) && (len(g.pending) == 0 || !s.retryRejected(g, now)) && s.issue(g, now) {
 			issued++
 		}
 		for _, w := range s.warps {
-			if issued >= s.cfg.IssueWidth {
-				break
-			}
-			if w.canIssue(now) && s.issue(w, now) {
+			if issued < s.cfg.IssueWidth && w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now) {
 				issued++
 				s.greedy = w
 			}
+			wb.fold(w)
 		}
+		folded = true
 	case LRR:
 		n := len(s.warps)
 		for i := 0; i < n && issued < s.cfg.IssueWidth; i++ {
 			w := s.warps[(s.rrCursor+i)%n]
-			if w.canIssue(now) && s.issue(w, now) {
+			if w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now) {
 				issued++
 				s.rrCursor = (s.rrCursor + i + 1) % n
 			}
@@ -431,7 +443,7 @@ func (s *SMX) Tick(now uint64) {
 				hi = n
 			}
 			for i := lo; i < hi && issued < s.cfg.IssueWidth; i++ {
-				if w := s.warps[i]; w.canIssue(now) && s.issue(w, now) {
+				if w := s.warps[i]; w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now) {
 					issued++
 				}
 			}
@@ -457,29 +469,66 @@ func (s *SMX) Tick(now uint64) {
 		s.launchSeen = s.events.LaunchFrees()
 	}
 	// Recompute the next cycle anything can happen: the earliest issuable
-	// warp or the earliest pending block retirement. Warps waiting at a
-	// barrier are excluded: their release happens inside the tick in
-	// which the last live warp arrives, which updates readyAt. Stalled
-	// warps are excluded too — their failed retries re-arm readyAt every
-	// cycle and would pin the horizon; NextEvent accounts for their actual
-	// wake-up sources instead, given the oldest MSHR generation any
-	// MSHR-stalled warp last observed.
-	next := ^uint64(0)
-	minGen := ^uint64(0)
-	for _, w := range s.warps {
-		if len(w.pending) > 0 {
-			minGen = min(minGen, w.rejectGen)
-		} else if !w.done && !w.atBarrier && !w.launchStalled && w.readyAt < next {
-			next = w.readyAt
+	// warp or the earliest pending block retirement (see wakeBound.fold).
+	// GTO's scan already folded every warp; the fold is redone over all
+	// warps when the scan did not visit each warp exactly once after its
+	// last change — LRR and TwoLevel scans, and any scan in which a
+	// barrier released warps it had already visited. Warps the sweep just
+	// dropped belonged to retired blocks and folded to nothing.
+	if !folded || s.barrierReleased {
+		wb = wakeBound{next: ^uint64(0), minGen: ^uint64(0)}
+		for _, w := range s.warps {
+			wb.fold(w)
 		}
 	}
-	s.minRejectGen = minGen
+	s.minRejectGen = wb.minGen
+	next := wb.next
 	for _, b := range s.retiring {
 		if b.retireAt < next {
 			next = b.retireAt
 		}
 	}
 	s.nextReady = next
+}
+
+// wakeBound accumulates the warp part of an SMX's horizon over one pass.
+type wakeBound struct {
+	// next is the earliest readyAt of a warp that can issue on its own.
+	next uint64
+	// minGen is the oldest MSHR generation an MSHR-stalled warp last
+	// observed.
+	minGen uint64
+}
+
+// fold adds warp w to the bound. Warps waiting at a barrier are excluded:
+// their release happens inside the tick in which the last live warp
+// arrives, which updates readyAt. Stalled warps are excluded too — their
+// failed retries re-arm readyAt every cycle and would pin the horizon;
+// NextEvent accounts for their actual wake-up sources instead, given the
+// oldest MSHR generation any MSHR-stalled warp last observed.
+func (b *wakeBound) fold(w *warp) {
+	if len(w.pending) > 0 {
+		b.minGen = min(b.minGen, w.rejectGen)
+	} else if !w.done && !w.atBarrier && !w.launchStalled && w.readyAt < b.next {
+		b.next = w.readyAt
+	}
+}
+
+// retryRejected is the retry proof of an MSHR-stalled warp (one with
+// pending lines), run in every policy's scan loop before issue: when
+// mem.StillRejected shows the blocked load fails again, the warp records
+// exactly a failed retry — it waits a cycle, counts one stall cycle, and has
+// rejectGen advanced by the check — and reports true, so the scan skips the
+// calls into issue and issueMem. False (the retry may succeed) leaves the
+// warp untouched for issue. The loops test len(w.pending) themselves, so a
+// warp that is not stalled pays for no call.
+func (s *SMX) retryRejected(w *warp, now uint64) bool {
+	if !s.mem.StillRejected(s.ID, w.pending[0], &w.rejectGen, now) {
+		return false
+	}
+	w.readyAt = now + 1
+	s.stats.MemStallEvents++
+	return true
 }
 
 // issue executes one instruction (or resumes a stalled memory instruction)
@@ -535,13 +584,8 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 		w.pending = in.Lines
 		w.pendingMax = 0
 	} else {
-		// A retry the memory system proves would be rejected again is
-		// exactly a failed retry without the load.
-		if s.mem.StillRejected(s.ID, w.pending[0], &w.rejectGen, now) {
-			w.readyAt = now + 1
-			s.stats.MemStallEvents++
-			return false
-		}
+		// retryRejected already asked mem.StillRejected: this retry may
+		// succeed.
 		in = &w.stream()[w.pc]
 	}
 	isStore := in.Kind == isa.OpStore
@@ -622,6 +666,7 @@ func (s *SMX) releaseBarrier(b *Block, now uint64) {
 		return
 	}
 	b.arrived = 0
+	s.barrierReleased = true
 	for _, bw := range b.warps {
 		if bw.atBarrier {
 			bw.atBarrier = false

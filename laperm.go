@@ -73,7 +73,8 @@ type (
 	Simulator = gpu.Simulator
 	// Result is the outcome of one simulation run.
 	Result = gpu.Result
-	// Kernel is a grid of thread-block programs.
+	// Kernel is a grid of thread-block programs. It must not be modified
+	// once validated or launched.
 	Kernel = isa.Kernel
 	// TBBuilder assembles one thread block's program.
 	TBBuilder = isa.TBBuilder
