@@ -258,7 +258,7 @@ func runServerSweep(server, scale, workloads, schedulers, tenant string, priorit
 		_, err = os.Stdout.Write(csv)
 		return err
 	}
-	if err := os.WriteFile(csvPath, csv, 0o644); err != nil {
+	if err := exp.WriteFileAtomic(csvPath, func(w io.Writer) error { _, err := w.Write(csv); return err }); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", csvPath, len(csv))

@@ -12,7 +12,7 @@
 //
 // With -trace-dir, every failing cell is re-run with the event recorder
 // attached and its JSONL trace dropped in the directory for post-mortem
-// inspection (laperm-trace or ui.perfetto.dev render it).
+// inspection.
 package main
 
 import (
@@ -146,12 +146,7 @@ func validateWorkload(w kernels.Workload, sc kernels.Scale, traceDir string) (st
 func dumpTrace(dir string, w kernels.Workload, sc kernels.Scale, cfg *config.GPU, model gpu.Model, sched string) string {
 	rec := trace.NewRecorder()
 	cp := cfg.Clone()
-	_, sim, _ := exp.RunCell(w, model, sched, exp.Options{Scale: sc, Config: &cp},
-		func(g *gpu.Options) {
-			g.TraceDispatch = rec.DispatchHook()
-			g.TraceQueue = rec.QueueHook()
-			g.TraceBlockDone = rec.BlockHook()
-		})
+	_, sim, _ := exp.RunCell(w, model, sched, exp.Options{Scale: sc, Config: &cp}, rec.Attach)
 	if sim != nil {
 		rec.FinishRun(sim)
 	}

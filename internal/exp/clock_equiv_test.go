@@ -39,12 +39,7 @@ func runClockCell(t *testing.T, workload string, model gpu.Model, sched string,
 		DenseClock:  dense,
 	}
 	rec := trace.NewRecorder()
-	res, sim, err := RunCell(w, model, sched, o, func(g *gpu.Options) {
-		g.TraceDispatch = rec.DispatchHook()
-		g.TraceQueue = rec.QueueHook()
-		g.TraceBlockDone = rec.BlockHook()
-		g.TraceSample = rec.SampleHook()
-	})
+	res, sim, err := RunCell(w, model, sched, o, rec.Attach)
 	if err != nil {
 		t.Fatalf("%s/%v/%s dense=%v: %v", workload, model, sched, dense, err)
 	}

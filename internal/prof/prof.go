@@ -73,10 +73,13 @@ func (f *Flags) Start() (stop func() error, err error) {
 			if err != nil {
 				return fmt.Errorf("prof: %w", err)
 			}
-			defer hf.Close()
 			runtime.GC() // settle live objects before the snapshot
 			if err := pprof.WriteHeapProfile(hf); err != nil {
+				hf.Close()
 				return fmt.Errorf("prof: write heap profile: %w", err)
+			}
+			if err := hf.Close(); err != nil {
+				return fmt.Errorf("prof: close heap profile: %w", err)
 			}
 		}
 		return nil

@@ -50,7 +50,8 @@ func (e *CorruptEntryError) Error() string {
 		e.ID, e.Artifact, e.Detail)
 }
 
-// Artifact is one named file of a cache entry.
+// Artifact is one named file of a cache entry (or of a `lapermsim -out`
+// directory; see RunArtifacts).
 type Artifact struct {
 	// Name is the file name inside the entry directory (no separators).
 	Name string

@@ -932,7 +932,7 @@ func (s *Server) attempt(ctx context.Context, j *Job) (err error) {
 	}
 	artEnd := j.flight.Start("engine", "artifacts")
 	defer artEnd()
-	arts, err := runArtifacts(j.Spec, res, rec)
+	arts, err := RunArtifacts(j.Spec, res, rec)
 	if err != nil {
 		return err
 	}
@@ -940,8 +940,8 @@ func (s *Server) attempt(ctx context.Context, j *Job) (err error) {
 }
 
 // execute builds the job's simulator with trace recording attached, runs it
-// under ctx, and returns the bit-deterministic result (host-timing fields
-// stripped after feeding the throughput meter).
+// under ctx, feeds the throughput meter, and returns the result and its
+// recorder.
 func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recorder, error) {
 	rec := trace.NewRecorder()
 	buildEnd := j.flight.Start("engine", "build")
@@ -957,10 +957,8 @@ func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recor
 				j.flight.Add("engine", name, start, end)
 			}
 		}
-		g.TraceDispatch = rec.DispatchHook()
-		g.TraceQueue = rec.QueueHook()
-		g.TraceBlockDone = rec.BlockHook()
-		recordSample := rec.SampleHook()
+		rec.Attach(g)
+		recordSample := g.TraceSample
 		g.TraceSample = func(smp gpu.Sample) {
 			recordSample(smp)
 			j.publish(Event{Type: "sample", Data: smp})
@@ -976,17 +974,22 @@ func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recor
 	}
 	rec.FinishRun(sim)
 	s.meter.Add(res.Cycles)
-	res.WallTime, res.SimCyclesPerSec = 0, 0
 	return res, rec, nil
 }
 
-// runArtifacts assembles a completed run's cache entry. ResultArtifact is
-// included last-by-convention; the cache enforces write ordering itself.
-func runArtifacts(sp spec.RunSpec, res *gpu.Result, rec *trace.Recorder) ([]Artifact, error) {
+// RunArtifacts is the artifact set of one completed run, rec having been
+// attached to it and finished: lapermd's cache entry and the files
+// `lapermsim -out` writes. result.json leaves out the host-timing fields
+// (WallTime, SimCyclesPerSec), so equal specs give byte-identical sets; res
+// itself is not modified. ResultArtifact is included last-by-convention;
+// the cache enforces write ordering itself.
+func RunArtifacts(sp spec.RunSpec, res *gpu.Result, rec *trace.Recorder) ([]Artifact, error) {
 	canon, err := sp.Canonical()
 	if err != nil {
 		return nil, err
 	}
+	stripped := *res
+	stripped.WallTime, stripped.SimCyclesPerSec = 0, 0
 	return []Artifact{
 		{Name: SpecArtifact, Write: func(w io.Writer) error {
 			_, err := w.Write(append(canon, '\n'))
@@ -999,7 +1002,7 @@ func runArtifacts(sp spec.RunSpec, res *gpu.Result, rec *trace.Recorder) ([]Arti
 		{Name: ResultArtifact, Write: func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			return enc.Encode(res)
+			return enc.Encode(&stripped)
 		}},
 	}, nil
 }

@@ -26,17 +26,15 @@ func runFullyTraced(t *testing.T) *Recorder {
 	cfg := config.SmallTest()
 	cfg.DTBLLaunchLatency = 25
 	rec := NewRecorder()
-	sim := gpu.MustNew(gpu.Options{
-		Config:         &cfg,
-		Scheduler:      core.NewRoundRobin(),
-		Model:          gpu.DTBL,
-		TraceDispatch:  rec.DispatchHook(),
-		TraceQueue:     rec.QueueHook(),
-		TraceBlockDone: rec.BlockHook(),
-		TraceSample:    rec.SampleHook(),
-		SampleEvery:    64,
-		Attribution:    true,
-	})
+	opts := gpu.Options{
+		Config:      &cfg,
+		Scheduler:   core.NewRoundRobin(),
+		Model:       gpu.DTBL,
+		SampleEvery: 64,
+		Attribution: true,
+	}
+	rec.Attach(&opts)
+	sim := gpu.MustNew(opts)
 	child := isa.NewKernel("child").Add(isa.NewTB(32).LoadSeq(0, 2).Compute(5).Build()).Build()
 	kb := isa.NewKernel("host")
 	for i := 0; i < 4; i++ {

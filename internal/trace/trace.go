@@ -1,8 +1,10 @@
-// Package trace records structured simulation events (kernel lifecycle and
-// thread-block placement) and exports them as JSON Lines for debugging and
-// visualisation. The recorder attaches to the engine through the gpu
-// package's dispatch hook plus kernel-instance timestamps, so it costs
-// nothing when unused.
+// Package trace records structured simulation events (kernel lifecycle,
+// thread-block placement and retirement, launch backpressure, timeline
+// samples) and exports them as JSON Lines and Perfetto JSON for debugging
+// and visualisation. Recorder.Attach wires the recorder into gpu.Options'
+// trace hooks and FinishRun adds the kernel-instance timestamps after the
+// run, so it costs nothing when unused. `lapermsim -out` and lapermd write
+// these exports as part of one run-artifact set (serve.RunArtifacts).
 package trace
 
 import (
@@ -97,6 +99,17 @@ type Recorder struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
+
+// Attach points every trace hook of g at r: TB dispatch and completion,
+// launch backpressure, and timeline samples (delivered only when the run
+// samples). A caller that needs a hook for itself too wraps the one Attach
+// installed.
+func (r *Recorder) Attach(g *gpu.Options) {
+	g.TraceDispatch = r.DispatchHook()
+	g.TraceQueue = r.QueueHook()
+	g.TraceBlockDone = r.BlockHook()
+	g.TraceSample = r.SampleHook()
+}
 
 // DispatchHook returns a function suitable for gpu.Options.TraceDispatch
 // that records TBDispatched events.

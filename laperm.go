@@ -283,7 +283,6 @@ func AnalyzeFootprint(name string, k *Kernel) FootprintStats {
 // Experiments returns the per-table/figure experiment runners.
 func Experiments() []Experiment { return exp.All() }
 
-// NewTraceRecorder returns an empty trace recorder; attach its hooks via
-// SimOptions.TraceDispatch/TraceQueue/TraceBlockDone/TraceSample and call
-// FinishRun after Run.
+// NewTraceRecorder returns an empty trace recorder; attach it to a run's
+// options with rec.Attach(&opts) and call FinishRun after Run.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
