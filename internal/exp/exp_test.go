@@ -257,6 +257,22 @@ func TestNestedWorkloadValidates(t *testing.T) {
 	}
 }
 
+// TestNestedWorkloadMemoized: NestedWorkload builds its program once per
+// scale, like the Table II programs, and every later Build (one per levels
+// cell and sweep point) returns that shared tree.
+func TestNestedWorkloadMemoized(t *testing.T) {
+	tiny := NestedWorkload().Build(kernels.ScaleTiny)
+	if again := NestedWorkload().Build(kernels.ScaleTiny); again != tiny {
+		t.Error("second ScaleTiny build returned a new program")
+	}
+	if NestedWorkload().Build(kernels.ScaleSmall) == tiny {
+		t.Error("ScaleSmall build returned the ScaleTiny program")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NestedWorkload().Build(kernels.ScaleTiny) }); allocs != 0 {
+		t.Errorf("memoized Build: %.1f allocs, want 0", allocs)
+	}
+}
+
 func TestRunOneErrorsOnUnknownScheduler(t *testing.T) {
 	w, _ := kernels.ByName("amr")
 	if _, err := RunOne(w, gpu.DTBL, "bogus", fastOptions()); err == nil {

@@ -1,39 +1,56 @@
 package exp
 
 import (
+	"sync"
+
 	"laperm/internal/isa"
 	"laperm/internal/kernels"
 )
 
+// nestedPrograms memoizes NestedWorkload's program per scale, as the
+// kernels package does for the Table II programs: the build is
+// deterministic and the program immutable, so every levels cell and sweep
+// point shares one tree (validated once).
+var nestedPrograms sync.Map // kernels.Scale -> *isa.Kernel
+
 // NestedWorkload builds a synthetic 4-deep nested launch tree for the
 // priority-level ablation: every TB reads a region shared with its
 // descendants (so prioritising deep children pays off in cache reuse) and
-// launches two children until the depth limit.
+// launches two children until the depth limit. The program is built once
+// per scale and shared; callers must not modify it.
 func NestedWorkload() kernels.Workload {
 	return kernels.Workload{
 		Name:  "nested-4",
 		App:   "nested",
 		Input: "synthetic",
 		Build: func(s kernels.Scale) *isa.Kernel {
-			// Each root expands to 31 TBs (1+2+4+8+16). The small
-			// scale pushes ~10k TBs through the 208-TB machine and
-			// exceeds it with root TBs alone, so descendants truly
-			// queue and priority order matters.
-			roots := 16
-			if s == kernels.ScaleSmall {
-				roots = 320
+			if v, ok := nestedPrograms.Load(s); ok {
+				return v.(*isa.Kernel)
 			}
-			if s == kernels.ScaleMedium {
-				roots = 640
-			}
-			kb := isa.NewKernel("nested")
-			id := 0
-			for r := 0; r < roots; r++ {
-				kb.Add(nestedTB(uint64(r), 4, &id))
-			}
-			return kb.Build()
+			v, _ := nestedPrograms.LoadOrStore(s, buildNested(s))
+			return v.(*isa.Kernel)
 		},
 	}
+}
+
+// buildNested builds NestedWorkload's program at scale s.
+func buildNested(s kernels.Scale) *isa.Kernel {
+	// Each root expands to 31 TBs (1+2+4+8+16). The small scale pushes
+	// ~10k TBs through the 208-TB machine and exceeds it with root TBs
+	// alone, so descendants truly queue and priority order matters.
+	roots := 16
+	if s == kernels.ScaleSmall {
+		roots = 320
+	}
+	if s == kernels.ScaleMedium {
+		roots = 640
+	}
+	kb := isa.NewKernel("nested")
+	id := 0
+	for r := 0; r < roots; r++ {
+		kb.Add(nestedTB(uint64(r), 4, &id))
+	}
+	return kb.Build()
 }
 
 // nestedTB builds one TB of the nested tree rooted at region `root`, with

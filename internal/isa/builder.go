@@ -2,6 +2,8 @@ package isa
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"laperm/internal/config"
 )
@@ -43,15 +45,40 @@ func (b *TBBuilder) lanesOf(w int) int {
 	return lanes
 }
 
+// push appends an instruction to warp w with arg as its operand. An operand
+// that does not fit in Arg is recorded as the block's build error, which
+// Kernel.Validate reports, and the instruction keeps a zero Arg.
+func (b *TBBuilder) push(w int, kind OpKind, lanes, nlines, arg int) {
+	in := Inst{Kind: kind, ActiveLanes: uint8(lanes), NLines: uint8(nlines)}
+	if arg < 0 || uint64(arg) > math.MaxUint32 {
+		b.fail(w, fmt.Errorf("%s %d does not fit in 32 bits", operandName[kind], arg))
+	} else {
+		in.Arg = uint32(arg)
+	}
+	b.tb.Warps[w] = append(b.tb.Warps[w], in)
+}
+
+// operandName names what Arg holds for each op kind that has an operand.
+var operandName = [...]string{
+	OpCompute: "compute latency",
+	OpLoad:    "line arena offset",
+	OpStore:   "line arena offset",
+	OpLaunch:  "launch index",
+}
+
+// fail records err against the next instruction of warp w, unless the block
+// already has a build error.
+func (b *TBBuilder) fail(w int, err error) {
+	if b.tb.buildErr == nil {
+		b.tb.buildErr = &InstError{Warp: w, Inst: len(b.tb.Warps[w]), Err: err}
+	}
+}
+
 // Compute appends one compute instruction of the given latency to every
 // warp.
 func (b *TBBuilder) Compute(latency int) *TBBuilder {
 	for w := range b.tb.Warps {
-		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
-			Kind:        OpCompute,
-			Latency:     latency,
-			ActiveLanes: b.lanesOf(w),
-		})
+		b.push(w, OpCompute, b.lanesOf(w), 0, latency)
 	}
 	return b
 }
@@ -81,13 +108,34 @@ func (b *TBBuilder) mem(kind OpKind, addrFn func(tid int) uint64) *TBBuilder {
 		for l := 0; l < lanes; l++ {
 			addrs[l] = addrFn(w*config.WarpSize + l)
 		}
-		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
-			Kind:        kind,
-			Lines:       Coalesce(addrs[:lanes]),
-			ActiveLanes: lanes,
-		})
+		b.pushMem(w, kind, addrs[:lanes])
 	}
 	return b
+}
+
+// pushMem appends to warp w a memory instruction whose active lanes access
+// addrs. It is the coalescer: the distinct lines the lanes touch, in
+// first-touch lane order, go straight into the block's line arena as line
+// IDs (a warp has at most 32 lanes, so the dedup is a linear scan of the
+// instruction's own lines). A line ID that does not fit in 32 bits is
+// recorded as the block's build error, as is an arena offset past Arg's
+// range, in which case the arena is left as it is.
+func (b *TBBuilder) pushMem(w int, kind OpKind, addrs []uint64) {
+	tb := b.tb
+	off := len(tb.Lines)
+	if uint64(off) <= math.MaxUint32 {
+		for _, a := range addrs {
+			id := a / config.LineSize
+			if id > math.MaxUint32 {
+				b.fail(w, fmt.Errorf("lane address %#x has line ID %#x, which does not fit in 32 bits", a, id))
+				continue
+			}
+			if !slices.Contains(tb.Lines[off:], uint32(id)) {
+				tb.Lines = append(tb.Lines, uint32(id))
+			}
+		}
+	}
+	b.push(w, kind, len(addrs), len(tb.Lines)-off, off)
 }
 
 // LoadSeq appends a coalesced load of `words` consecutive 4-byte words per
@@ -152,11 +200,7 @@ func (b *TBBuilder) memMasked(kind OpKind, addrs []uint64, active []bool) *TBBui
 		if n == 0 {
 			continue
 		}
-		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
-			Kind:        kind,
-			Lines:       Coalesce(lane[:n]),
-			ActiveLanes: n,
-		})
+		b.pushMem(w, kind, lane[:n])
 	}
 	return b
 }
@@ -164,10 +208,7 @@ func (b *TBBuilder) memMasked(kind OpKind, addrs []uint64, active []bool) *TBBui
 // Barrier appends a block-wide barrier to every warp.
 func (b *TBBuilder) Barrier() *TBBuilder {
 	for w := range b.tb.Warps {
-		b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
-			Kind:        OpBarrier,
-			ActiveLanes: b.lanesOf(w),
-		})
+		b.push(w, OpBarrier, b.lanesOf(w), 0, 0)
 	}
 	return b
 }
@@ -184,12 +225,7 @@ func (b *TBBuilder) Launch(tid int, child *Kernel) *TBBuilder {
 	}
 	idx := len(b.tb.Launches)
 	b.tb.Launches = append(b.tb.Launches, child)
-	w := tid / config.WarpSize
-	b.tb.Warps[w] = append(b.tb.Warps[w], Inst{
-		Kind:        OpLaunch,
-		ActiveLanes: 1,
-		Launch:      idx,
-	})
+	b.push(tid/config.WarpSize, OpLaunch, 1, 0, idx)
 	return b
 }
 

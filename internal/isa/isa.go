@@ -5,10 +5,17 @@
 // behaviour it induces, so programs are represented as per-warp instruction
 // streams with explicit memory transactions rather than as compiled PTX:
 // compute instructions occupy the pipeline for a latency, memory
-// instructions carry the coalesced 128-byte lines their active lanes touch
-// (the builders coalesce each instruction's per-lane addresses once, at build
-// time), and launch instructions spawn child grids (device kernels under
-// CDP, thread-block groups under DTBL).
+// instructions carry the coalesced 128-byte lines their active lanes touch,
+// and launch instructions spawn child grids (device kernels under CDP,
+// thread-block groups under DTBL).
+//
+// The encoding is compact and pointer-free, because the memoized workload
+// programs are most of the simulator's heap: an Inst is an 8-byte record
+// whose one operand is a latency, a launch index, or an offset into its
+// thread block's line arena, where the builders coalesce each memory
+// instruction's per-lane addresses once, at build time, into 32-bit line
+// IDs. An operand that does not fit is recorded by the builder and reported
+// by Kernel.Validate rather than wrapped.
 //
 // Programs are immutable once validated or launched: Kernel.Validate
 // remembers success rather than re-walking the program, and the simulator
@@ -62,27 +69,27 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// Inst is one warp instruction.
+// Inst is one warp instruction: a fixed-size record holding no pointers, so
+// a built program's instruction streams are flat arrays the garbage
+// collector never scans. A memory instruction's coalesced lines live in its
+// thread block's Lines arena (TB.LinesOf).
 type Inst struct {
 	Kind OpKind
 
-	// Latency is the pipeline occupancy in cycles for OpCompute.
-	Latency int
-
-	// Lines holds the coalesced memory transactions of OpLoad/OpStore:
-	// the distinct line-aligned byte addresses its active lanes touch, in
-	// first-touch lane order (Coalesce of the per-lane addresses). The SMX
-	// issues them in this order and never writes to the slice.
-	Lines []uint64
-
 	// ActiveLanes is the number of threads executing the instruction;
 	// used for per-thread instruction counting (IPC). For memory ops it
-	// is at least len(Lines).
-	ActiveLanes int
+	// is at least NLines.
+	ActiveLanes uint8
 
-	// Launch indexes the owning thread block's Launches slice for
-	// OpLaunch.
-	Launch int
+	// NLines is the number of coalesced memory transactions of
+	// OpLoad/OpStore.
+	NLines uint8
+
+	// Arg is the kind's operand: the pipeline occupancy in cycles of
+	// OpCompute, the index into the thread block's Launches of OpLaunch,
+	// and the offset of the instruction's first line in the thread
+	// block's Lines of OpLoad/OpStore.
+	Arg uint32
 }
 
 // TB is the program of one thread block: one instruction stream per warp
@@ -93,6 +100,11 @@ type TB struct {
 	// Warps holds one instruction stream per warp. Warp w covers threads
 	// [w*32, min((w+1)*32, Threads)).
 	Warps [][]Inst
+	// Lines is the line arena of the block's memory instructions: each
+	// one's coalesced transactions as line IDs (byte address / LineSize),
+	// the distinct lines its active lanes touch in first-touch lane order,
+	// stored contiguously from its Arg.
+	Lines []uint32
 	// RegistersPerThread and SharedMemBytes are the per-block resource
 	// demands used for SMX occupancy accounting.
 	RegistersPerThread int
@@ -100,6 +112,19 @@ type TB struct {
 	// Launches lists the child grids this block may launch; OpLaunch
 	// instructions refer to entries by index.
 	Launches []*Kernel
+
+	// buildErr is the first operand the builder could not encode; Validate
+	// reports it.
+	buildErr *InstError
+}
+
+// LinesOf returns the line IDs of memory instruction in, a sub-slice of the
+// arena clipped to its length so an append cannot reach a neighbour's lines.
+// The SMX issues them in this order and never writes to the slice.
+func (tb *TB) LinesOf(in *Inst) []uint32 {
+	off := int(in.Arg)
+	end := off + int(in.NLines)
+	return tb.Lines[off:end:end]
 }
 
 // NumWarps returns the number of warps in the block.
@@ -131,8 +156,8 @@ func (tb *TB) Footprint() []uint64 {
 			if in.Kind != OpLoad && in.Kind != OpStore {
 				continue
 			}
-			for _, l := range in.Lines {
-				seen[l/config.LineSize] = struct{}{}
+			for _, id := range tb.LinesOf(in) {
+				seen[uint64(id)] = struct{}{}
 			}
 		}
 	}
@@ -200,12 +225,29 @@ func (k *Kernel) walkChildren(visit func(parent, child *Kernel)) {
 	}
 }
 
-// Validate reports an error if any instruction is malformed: launches out of
-// range, memory ops whose lines are not a coalescer's output (none, more than
-// the active lanes, unaligned, or repeated), non-positive compute latency, or
-// lane counts exceeding the warp width. Success is remembered — a later call
-// returns nil at once — while a failure is reported again on every call.
-// Validate is safe for concurrent use.
+// InstError is Validate's report of a malformed instruction, or of an
+// operand its builder could not encode (a line ID, compute latency, launch
+// index or arena offset that does not fit in 32 bits).
+type InstError struct {
+	Kernel         string
+	TB, Warp, Inst int
+	Err            error
+}
+
+func (e *InstError) Error() string {
+	return fmt.Sprintf("isa: kernel %q TB %d warp %d inst %d: %v", e.Kernel, e.TB, e.Warp, e.Inst, e.Err)
+}
+
+func (e *InstError) Unwrap() error { return e.Err }
+
+// Validate reports an error if any thread block records an operand its
+// builder could not encode, or any instruction is malformed: launches out
+// of range, memory ops whose lines are not a coalescer's output (none, more
+// than the active lanes, outside the arena, or repeated), zero compute
+// latency, or lane counts outside the warp width; instruction errors are
+// *InstError. Success is remembered — a later call returns nil at once —
+// while a failure is reported again on every call. Validate is safe for
+// concurrent use.
 func (k *Kernel) Validate() error {
 	if k.validated.Load() {
 		return nil
@@ -227,28 +269,15 @@ func (k *Kernel) validate() error {
 			return fmt.Errorf("isa: kernel %q TB %d has %d warps for %d threads, want %d",
 				k.Name, ti, len(tb.Warps), tb.Threads, wantWarps)
 		}
+		if tb.buildErr != nil {
+			e := *tb.buildErr // the program is shared: never write to it
+			e.Kernel, e.TB = k.Name, ti
+			return &e
+		}
 		for wi, w := range tb.Warps {
 			for ii := range w {
-				in := &w[ii]
-				if in.ActiveLanes <= 0 || in.ActiveLanes > config.WarpSize {
-					return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d has %d active lanes",
-						k.Name, ti, wi, ii, in.ActiveLanes)
-				}
-				switch in.Kind {
-				case OpCompute:
-					if in.Latency <= 0 {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d compute latency %d",
-							k.Name, ti, wi, ii, in.Latency)
-					}
-				case OpLoad, OpStore:
-					if err := in.checkLines(); err != nil {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d %w", k.Name, ti, wi, ii, err)
-					}
-				case OpLaunch:
-					if in.Launch < 0 || in.Launch >= len(tb.Launches) {
-						return fmt.Errorf("isa: kernel %q TB %d warp %d inst %d launch index %d out of %d",
-							k.Name, ti, wi, ii, in.Launch, len(tb.Launches))
-					}
+				if err := tb.check(&w[ii]); err != nil {
+					return &InstError{Kernel: k.Name, TB: ti, Warp: wi, Inst: ii, Err: err}
 				}
 			}
 		}
@@ -261,39 +290,43 @@ func (k *Kernel) validate() error {
 	return nil
 }
 
-// checkLines reports why a memory instruction's Lines could not have come
-// from Coalesce of its active lanes' addresses.
-func (in *Inst) checkLines() error {
-	if len(in.Lines) == 0 {
-		return fmt.Errorf("memory op without lines")
+// check reports why in is malformed in thread block tb.
+func (tb *TB) check(in *Inst) error {
+	if in.ActiveLanes == 0 || in.ActiveLanes > config.WarpSize {
+		return fmt.Errorf("has %d active lanes", in.ActiveLanes)
 	}
-	if len(in.Lines) > in.ActiveLanes {
-		return fmt.Errorf("has %d lines for %d lanes", len(in.Lines), in.ActiveLanes)
-	}
-	for i, l := range in.Lines {
-		if l%config.LineSize != 0 {
-			return fmt.Errorf("line %#x is not %d-byte aligned", l, config.LineSize)
+	switch in.Kind {
+	case OpCompute:
+		if in.Arg == 0 {
+			return fmt.Errorf("compute latency 0")
 		}
-		if slices.Contains(in.Lines[:i], l) {
-			return fmt.Errorf("repeats line %#x", l)
+	case OpLoad, OpStore:
+		return tb.checkLines(in)
+	case OpLaunch:
+		if int(in.Arg) >= len(tb.Launches) {
+			return fmt.Errorf("launch index %d out of %d", in.Arg, len(tb.Launches))
 		}
 	}
 	return nil
 }
 
-// Coalesce maps per-lane byte addresses onto the minimal set of 128-byte
-// memory transactions, in first-touch order, exactly as the hardware
-// coalescer does for a warp memory instruction; the builders store its
-// result as Inst.Lines. A warp has at most 32 lanes, so the dedup is a
-// linear scan rather than a map, and the result is allocated at its exact
-// length because built programs keep it for their lifetime.
-func Coalesce(addrs []uint64) []uint64 {
-	var buf [config.WarpSize]uint64
-	lines := buf[:0]
-	for _, a := range addrs {
-		if l := a / config.LineSize * config.LineSize; !slices.Contains(lines, l) {
-			lines = append(lines, l)
+// checkLines reports why a memory instruction's lines could not have come
+// from coalescing its active lanes' addresses into the arena.
+func (tb *TB) checkLines(in *Inst) error {
+	if in.NLines == 0 {
+		return fmt.Errorf("memory op without lines")
+	}
+	if in.NLines > in.ActiveLanes {
+		return fmt.Errorf("has %d lines for %d lanes", in.NLines, in.ActiveLanes)
+	}
+	if end := int(in.Arg) + int(in.NLines); end > len(tb.Lines) {
+		return fmt.Errorf("lines [%d, %d) outside the %d-line arena", in.Arg, end, len(tb.Lines))
+	}
+	lines := tb.LinesOf(in)
+	for i, id := range lines {
+		if slices.Contains(lines[:i], id) {
+			return fmt.Errorf("repeats line ID %#x", id)
 		}
 	}
-	return append(make([]uint64, 0, len(lines)), lines...)
+	return nil
 }

@@ -1,14 +1,47 @@
 package isa
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"laperm/internal/config"
 )
+
+// Coalesce maps per-lane byte addresses onto the minimal set of 128-byte
+// memory transactions, in first-touch order, exactly as the hardware
+// coalescer does for a warp memory instruction. It is the reference the
+// builders' in-arena coalescer is held to.
+func Coalesce(addrs []uint64) []uint64 {
+	var lines []uint64
+	for _, a := range addrs {
+		if l := a / config.LineSize * config.LineSize; !slices.Contains(lines, l) {
+			lines = append(lines, l)
+		}
+	}
+	return lines
+}
+
+// lineAddrs returns the byte addresses of memory instruction in's lines.
+func lineAddrs(tb *TB, in *Inst) []uint64 {
+	var out []uint64
+	for _, id := range tb.LinesOf(in) {
+		out = append(out, uint64(id)*config.LineSize)
+	}
+	return out
+}
+
+// memTB returns a one-warp block holding a single memory instruction of the
+// given lanes whose arena is lines, at offset 0.
+func memTB(kind OpKind, lanes int, lines ...uint32) *TB {
+	return &TB{Threads: 32, Lines: lines, Warps: [][]Inst{{{Kind: kind, ActiveLanes: uint8(lanes), NLines: uint8(len(lines))}}}}
+}
 
 func TestOpKindStrings(t *testing.T) {
 	want := map[OpKind]string{
@@ -65,14 +98,14 @@ func TestPartialWarpActiveLanes(t *testing.T) {
 func TestLoadAddressesPerThread(t *testing.T) {
 	tb := NewTB(64).Load(func(tid int) uint64 { return uint64(tid) * 8 }).Build()
 	for w := 0; w < 2; w++ {
-		in := tb.Warps[w][0]
+		in := &tb.Warps[w][0]
 		if in.Kind != OpLoad {
 			t.Fatalf("warp %d inst kind = %v", w, in.Kind)
 		}
 		// Lanes read 8-byte words tid*8: each warp covers two lines.
 		base := uint64(w*config.WarpSize) * 8
-		if want := []uint64{base, base + config.LineSize}; in.ActiveLanes != config.WarpSize || !reflect.DeepEqual(in.Lines, want) {
-			t.Errorf("warp %d: %d lanes, lines %v, want %d lanes, lines %v", w, in.ActiveLanes, in.Lines, config.WarpSize, want)
+		if want, got := []uint64{base, base + config.LineSize}, lineAddrs(tb, in); in.ActiveLanes != config.WarpSize || !reflect.DeepEqual(got, want) {
+			t.Errorf("warp %d: %d lanes, lines %v, want %d lanes, lines %v", w, in.ActiveLanes, got, config.WarpSize, want)
 		}
 	}
 }
@@ -82,8 +115,8 @@ func TestLoadSeqIsCoalesced(t *testing.T) {
 	// Each warp instruction should coalesce to exactly one 128-byte line.
 	for w, warp := range tb.Warps {
 		for i, in := range warp {
-			if len(in.Lines) != 1 {
-				t.Errorf("warp %d inst %d coalesces to %d lines, want 1", w, i, len(in.Lines))
+			if in.NLines != 1 {
+				t.Errorf("warp %d inst %d coalesces to %d lines, want 1", w, i, in.NLines)
 			}
 		}
 	}
@@ -150,11 +183,12 @@ func TestKernelValidate(t *testing.T) {
 	broken := []*Kernel{
 		{Name: "zero-threads", TBs: []*TB{{Threads: 0, Warps: nil}}},
 		{Name: "warp-mismatch", TBs: []*TB{{Threads: 64, Warps: make([][]Inst, 1)}}},
-		{Name: "bad-lanes", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 1, ActiveLanes: 33}}}}}},
-		{Name: "bad-latency", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 0, ActiveLanes: 32}}}}}},
+		{Name: "bad-lanes", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Arg: 1, ActiveLanes: 33}}}}}},
+		{Name: "zero-lanes", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Arg: 1}}}}}},
+		{Name: "bad-latency", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Arg: 0, ActiveLanes: 32}}}}}},
 		{Name: "no-lines", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, ActiveLanes: 32}}}}}},
-		{Name: "line-lane-mismatch", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLoad, Lines: []uint64{0, 128, 256, 384}, ActiveLanes: 2}}}}}},
-		{Name: "bad-launch-index", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLaunch, ActiveLanes: 1, Launch: 0}}}}}},
+		{Name: "line-lane-mismatch", TBs: []*TB{memTB(OpLoad, 2, 0, 1, 2, 3)}},
+		{Name: "bad-launch-index", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpLaunch, ActiveLanes: 1, Arg: 0}}}}}},
 	}
 	for _, k := range broken {
 		if err := k.Validate(); err == nil {
@@ -167,7 +201,7 @@ func TestValidateRecursesIntoChildren(t *testing.T) {
 	badChild := &Kernel{Name: "bad", TBs: []*TB{{Threads: 0}}}
 	parentTB := NewTB(32).Build()
 	parentTB.Launches = append(parentTB.Launches, badChild)
-	parentTB.Warps[0] = append(parentTB.Warps[0], Inst{Kind: OpLaunch, ActiveLanes: 1, Launch: 0})
+	parentTB.Warps[0] = append(parentTB.Warps[0], Inst{Kind: OpLaunch, ActiveLanes: 1, Arg: 0})
 	parent := NewKernel("p").Add(parentTB).Build()
 	if err := parent.Validate(); err == nil {
 		t.Fatal("Validate did not recurse into launched child")
@@ -179,14 +213,14 @@ func TestValidateRecursesIntoChildren(t *testing.T) {
 // shown by a (contract-breaking) later corruption going unnoticed — and
 // without allocating.
 func TestValidateRemembersSuccessOnly(t *testing.T) {
-	bad := &Kernel{Name: "bad", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Latency: 0, ActiveLanes: 32}}}}}}
+	bad := &Kernel{Name: "bad", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpCompute, Arg: 0, ActiveLanes: 32}}}}}}
 	for i := 0; i < 3; i++ {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("call %d: invalid kernel accepted", i+1)
 		}
 	}
 	// Repairing the program is seen: failures were never remembered.
-	bad.TBs[0].Warps[0][0].Latency = 1
+	bad.TBs[0].Warps[0][0].Arg = 1
 	if err := bad.Validate(); err != nil {
 		t.Fatalf("repaired kernel rejected: %v", err)
 	}
@@ -392,11 +426,11 @@ func TestLoadMaskedLaneCompaction(t *testing.T) {
 	if n := len(tb.Warps[0]); n != 1 {
 		t.Fatalf("warp 0 insts = %d", n)
 	}
-	if got := tb.Warps[0][0]; got.ActiveLanes != 1 || !reflect.DeepEqual(got.Lines, []uint64{3 * 256}) {
-		t.Errorf("warp 0 inst = %+v", got)
+	if got := &tb.Warps[0][0]; got.ActiveLanes != 1 || !reflect.DeepEqual(lineAddrs(tb, got), []uint64{3 * 256}) {
+		t.Errorf("warp 0 inst = %+v, lines %v", *got, lineAddrs(tb, got))
 	}
-	if got := tb.Warps[1][0]; got.ActiveLanes != 2 || !reflect.DeepEqual(got.Lines, []uint64{40 * 256, 41 * 256}) {
-		t.Errorf("warp 1 inst = %+v", got)
+	if got := &tb.Warps[1][0]; got.ActiveLanes != 2 || !reflect.DeepEqual(lineAddrs(tb, got), []uint64{40 * 256, 41 * 256}) {
+		t.Errorf("warp 1 inst = %+v, lines %v", *got, lineAddrs(tb, got))
 	}
 }
 
@@ -438,7 +472,7 @@ func TestStoreSeqAddressing(t *testing.T) {
 		t.Fatalf("insts = %d", len(tb.Warps[0]))
 	}
 	// Word 1 starts after 64 threads * 4 bytes.
-	if got := tb.Warps[0][1].Lines[0]; got != 1024+256 {
+	if got := lineAddrs(tb, &tb.Warps[0][1])[0]; got != 1024+256 {
 		t.Errorf("second word base = %d, want %d", got, 1024+256)
 	}
 	if tb.Warps[0][0].Kind != OpStore {
@@ -446,25 +480,156 @@ func TestStoreSeqAddressing(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsMalformedLines: a memory op's Lines must be what
-// Coalesce could have produced for its lanes — at least one and at most
-// ActiveLanes distinct, line-aligned addresses.
+// TestValidateRejectsMalformedLines: a memory op's lines must be what the
+// coalescer could have produced for its lanes — at least one and at most
+// ActiveLanes distinct line IDs, inside the arena. (A line ID cannot be
+// unaligned.)
 func TestValidateRejectsMalformedLines(t *testing.T) {
-	memOp := func(lanes int, lines ...uint64) *Kernel {
-		return &Kernel{Name: "k", TBs: []*TB{{Threads: 32, Warps: [][]Inst{{{Kind: OpStore, Lines: lines, ActiveLanes: lanes}}}}}}
+	memOp := func(lanes int, lines ...uint32) *Kernel {
+		return &Kernel{Name: "k", TBs: []*TB{memTB(OpStore, lanes, lines...)}}
 	}
-	if err := memOp(32, 0, 3*config.LineSize).Validate(); err != nil {
+	if err := memOp(32, 0, 3).Validate(); err != nil {
 		t.Errorf("two lines for 32 lanes rejected: %v", err)
 	}
+	outside := memOp(32, 0, 1)
+	outside.TBs[0].Warps[0][0].Arg = 1 // lines [1, 3) of a 2-line arena
 	for name, k := range map[string]*Kernel{
 		"no lines":              memOp(32),
-		"more lines than lanes": memOp(1, 0, config.LineSize),
-		"unaligned line":        memOp(32, 0, config.LineSize+4),
-		"duplicate line":        memOp(32, config.LineSize, 0, config.LineSize),
+		"more lines than lanes": memOp(1, 0, 1),
+		"duplicate line":        memOp(32, 1, 0, 1),
+		"lines outside arena":   outside,
 	} {
-		if err := k.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted", name)
+		var ie *InstError
+		if err := k.Validate(); !errors.As(err, &ie) || ie.Kernel != "k" || ie.TB != 0 || ie.Warp != 0 || ie.Inst != 0 {
+			t.Errorf("%s: Validate = %v, want an *InstError at kernel k TB 0 warp 0 inst 0", name, err)
 		}
+	}
+}
+
+// TestValidateReportsBuildOverflows: an operand a builder cannot encode —
+// a lane address whose line ID needs more than 32 bits, a compute latency,
+// launch index or arena offset outside Arg's range — is never wrapped: the
+// builder records the first one on the block, and Validate reports it as an
+// *InstError naming the kernel, TB, warp and instruction.
+func TestValidateReportsBuildOverflows(t *testing.T) {
+	const tooBig = math.MaxUint32 + 1
+	farLane := func(tid int) uint64 {
+		if tid == 40 {
+			return tooBig * config.LineSize
+		}
+		return uint64(tid) * 4
+	}
+	cases := []struct {
+		name       string
+		tb         func() *TB
+		warp, inst int
+	}{
+		{"line ID", func() *TB { return NewTB(64).Compute(1).Load(farLane).Build() }, 1, 1},
+		{"masked line ID", func() *TB {
+			addrs, active := make([]uint64, 64), make([]bool, 64)
+			for tid := range addrs {
+				addrs[tid], active[tid] = farLane(tid), tid >= 40
+			}
+			return NewTB(64).Compute(1).StoreMasked(addrs, active).Build()
+		}, 1, 1},
+		{"compute latency", func() *TB { return NewTB(64).Barrier().Compute(tooBig).Build() }, 0, 1},
+		{"negative compute latency", func() *TB { return NewTB(64).Compute(-1).Build() }, 0, 0},
+		// The 2^32nd launch and a 16 GiB arena are out of a test's reach:
+		// hand push, the one encoder of every operand, the operands those
+		// would carry.
+		{"launch index", func() *TB {
+			b := NewTB(64).Compute(1)
+			b.push(1, OpLaunch, 1, 0, tooBig)
+			return b.Build()
+		}, 1, 1},
+		{"arena offset", func() *TB {
+			b := NewTB(64).Compute(1).Compute(1)
+			b.push(0, OpLoad, 32, 0, tooBig)
+			return b.Build()
+		}, 0, 2},
+		{"first error kept", func() *TB { return NewTB(64).Compute(-1).Load(farLane).Compute(tooBig).Build() }, 0, 0},
+	}
+	for _, c := range cases {
+		good := NewTB(32).Compute(1).Build()
+		k := NewKernel("big").Add(good, c.tb()).Build()
+		var ie *InstError
+		err := k.Validate()
+		if !errors.As(err, &ie) {
+			t.Errorf("%s: Validate = %v, want an *InstError", c.name, err)
+			continue
+		}
+		if ie.Kernel != "big" || ie.TB != 1 || ie.Warp != c.warp || ie.Inst != c.inst {
+			t.Errorf("%s: error at kernel %q TB %d warp %d inst %d, want kernel big TB 1 warp %d inst %d (%v)",
+				c.name, ie.Kernel, ie.TB, ie.Warp, ie.Inst, c.warp, c.inst, err)
+		}
+		if err := k.Validate(); err == nil {
+			t.Errorf("%s: second Validate accepted", c.name)
+		}
+	}
+}
+
+// TestInstEncodingPins: an Inst is a small fixed-size record with no
+// pointers, so instruction streams are flat arrays the GC never scans.
+func TestInstEncodingPins(t *testing.T) {
+	if size := unsafe.Sizeof(Inst{}); size > 16 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want <= 16", size)
+	}
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return false
+		case reflect.Array:
+			return typ.Len() > 0 && hasPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		}
+		return true // pointers, slices, maps, strings, interfaces, funcs, chans
+	}
+	if hasPointers(reflect.TypeOf(Inst{})) {
+		t.Error("isa.Inst holds a pointer")
+	}
+}
+
+// TestTBBuilderLoadAllocPins: a Load appends one Inst per warp and its
+// lines to the block's arena, and allocates nothing else — no slice per
+// instruction. From empty, its allocations are the amortised growth of the
+// four warp streams and the arena, O(log n) each (a per-instruction slice
+// would be 4 per Load); with capacity in hand it allocates nothing at all.
+func TestTBBuilderLoadAllocPins(t *testing.T) {
+	const loads = 1000
+	var b *TBBuilder
+	var base uint64
+	load := func() {
+		b.Load(func(tid int) uint64 { return base + uint64(tid)*8 }) // 2 lines a warp
+		base += 4096
+	}
+	build := func() {
+		b = NewTB(128) // 4 warps
+		for i := 0; i < loads; i++ {
+			load()
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, build); allocs > 100 {
+		t.Errorf("%d loads from empty: %.0f allocs, want amortised growth (<= 100; one per instruction is %d)",
+			loads, allocs, 4*loads)
+	}
+	for w := range b.tb.Warps {
+		b.tb.Warps[w] = b.tb.Warps[w][:0]
+	}
+	b.tb.Lines = b.tb.Lines[:0]
+	if allocs := testing.AllocsPerRun(loads-1, load); allocs != 0 {
+		t.Errorf("Load within capacity: %.1f allocs, want 0", allocs)
+	}
+	if n, lines := len(b.tb.Warps[0]), len(b.tb.Lines); n != loads || lines != 8*loads {
+		t.Fatalf("warp 0 holds %d loads and the arena %d lines, want %d and %d", n, lines, loads, 8*loads)
 	}
 }
 
@@ -513,10 +678,11 @@ func TestBuildersStoreCoalescedLines(t *testing.T) {
 	for _, c := range cases {
 		for w, warp := range c.tb.Warps {
 			lines, lanes := want(w, c.addr, c.on)
-			in := warp[c.inst]
-			if in.Kind != OpLoad || in.ActiveLanes != lanes || !reflect.DeepEqual(in.Lines, lines) {
+			in := &warp[c.inst]
+			got := lineAddrs(c.tb, in)
+			if in.Kind != OpLoad || int(in.ActiveLanes) != lanes || !reflect.DeepEqual(got, lines) {
 				t.Errorf("%s warp %d: %v, %d lanes, lines %v; want load, %d lanes, lines %v",
-					c.name, w, in.Kind, in.ActiveLanes, in.Lines, lanes, lines)
+					c.name, w, in.Kind, in.ActiveLanes, got, lanes, lines)
 			}
 		}
 	}

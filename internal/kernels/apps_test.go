@@ -3,6 +3,7 @@ package kernels
 import (
 	"testing"
 
+	"laperm/internal/config"
 	"laperm/internal/isa"
 )
 
@@ -54,8 +55,8 @@ func TestAMRChildrenWritePrivateFineGrids(t *testing.T) {
 						if in.Kind != isa.OpStore {
 							continue
 						}
-						for _, l := range in.Lines {
-							if l >= RegionOut {
+						for _, id := range tb.LinesOf(&in) {
+							if l := uint64(id) * config.LineSize; l >= RegionOut {
 								mine[l/128] = true
 							}
 						}
@@ -147,8 +148,8 @@ func TestJOINChildrenConsumeStagedData(t *testing.T) {
 		for _, warp := range tb.Warps {
 			for _, in := range warp {
 				if in.Kind == isa.OpStore {
-					for _, l := range in.Lines {
-						if l >= RegionStage && l < RegionOut {
+					for _, id := range tb.LinesOf(&in) {
+						if l := uint64(id) * config.LineSize; l >= RegionStage && l < RegionOut {
 							parentStores[l/128] = true
 						}
 					}

@@ -314,8 +314,8 @@ func (s *System) StillRejected(smx int, lineAddr uint64, gen *uint64, now uint64
 }
 
 // Load performs one coalesced 128-byte load transaction for the given SMX at
-// cycle now. lineAddr must be line-aligned (as produced by isa.Coalesce).
-// It returns the cycle at which the data is available and ok=false if the
+// cycle now. lineAddr must be line-aligned (an isa line ID times
+// config.LineSize). It returns the cycle at which the data is available and ok=false if the
 // SMX's MSHRs are full (the caller must retry on a later cycle; the access
 // is not counted).
 func (s *System) Load(smx int, lineAddr, now uint64) (complete uint64, ok bool) {

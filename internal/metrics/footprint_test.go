@@ -30,8 +30,8 @@ func TestAnalyzeFootprintHandCheck(t *testing.T) {
 	parentTB.Launches = []*isa.Kernel{childA, childB}
 	// Attach launch instructions for validity.
 	parentTB.Warps[0] = append(parentTB.Warps[0],
-		isa.Inst{Kind: isa.OpLaunch, ActiveLanes: 1, Launch: 0},
-		isa.Inst{Kind: isa.OpLaunch, ActiveLanes: 1, Launch: 1},
+		isa.Inst{Kind: isa.OpLaunch, ActiveLanes: 1, Arg: 0},
+		isa.Inst{Kind: isa.OpLaunch, ActiveLanes: 1, Arg: 1},
 	)
 	k := isa.NewKernel("hand").Add(parentTB).Build()
 	if err := k.Validate(); err != nil {

@@ -56,24 +56,26 @@ func checkBound(t *testing.T, s *SMX, now uint64) {
 func randomTB(rng *rand.Rand, child *isa.Kernel) *isa.TB {
 	tb := isa.NewTB(32 * (1 + rng.Intn(6))).Build()
 	tb.Launches = []*isa.Kernel{child}
-	lines := func(max int) []uint64 {
+	// memOp returns a memory instruction of 1-max distinct lines, which
+	// it appends to the block's arena.
+	memOp := func(kind isa.OpKind, max int) isa.Inst {
 		n := 1 + rng.Intn(max)
-		out := make([]uint64, n)
-		for i, l := range rng.Perm(48)[:n] {
-			out[i] = uint64(l) * config.LineSize
+		in := isa.Inst{Kind: kind, NLines: uint8(n), Arg: uint32(len(tb.Lines))}
+		for _, l := range rng.Perm(48)[:n] {
+			tb.Lines = append(tb.Lines, uint32(l))
 		}
-		return out
+		return in
 	}
 	for w := range tb.Warps {
 		for i := rng.Intn(10); i >= 0; i-- {
 			var in isa.Inst
 			switch rng.Intn(7) {
 			case 0, 1:
-				in = isa.Inst{Kind: isa.OpCompute, Latency: 1 + rng.Intn(40)}
+				in = isa.Inst{Kind: isa.OpCompute, Arg: uint32(1 + rng.Intn(40))}
 			case 2, 3:
-				in = isa.Inst{Kind: isa.OpLoad, Lines: lines(6)}
+				in = memOp(isa.OpLoad, 6)
 			case 4:
-				in = isa.Inst{Kind: isa.OpStore, Lines: lines(3)}
+				in = memOp(isa.OpStore, 3)
 			case 5:
 				in = isa.Inst{Kind: isa.OpBarrier}
 			case 6:
@@ -164,14 +166,14 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 		s, _, cfg := newTestSMX(t, GTO)
 		older := []isa.Inst{
 			{Kind: isa.OpBarrier, ActiveLanes: 32},
-			{Kind: isa.OpCompute, Latency: 1, ActiveLanes: 32},
+			{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
 		}
 		tb := isa.NewTB(32 * (cfg.IssueWidth + 2)).Build()
 		for w := range tb.Warps {
 			tb.Warps[w] = older
 		}
 		youngest := len(tb.Warps) - 1
-		tb.Warps[youngest] = []isa.Inst{{Kind: isa.OpCompute, Latency: 20, ActiveLanes: 32}}
+		tb.Warps[youngest] = []isa.Inst{{Kind: isa.OpCompute, Arg: 20, ActiveLanes: 32}}
 		s.AddBlock(tb, nil, 0)
 		// Cycle 0 fills the issue width with barrier arrivals; cycle 1
 		// issues the last older warp's arrival, then the youngest warp's

@@ -99,11 +99,13 @@ type Block struct {
 type warp struct {
 	// readyAt is the first cycle the warp may issue again.
 	readyAt uint64
-	// pending is the suffix of the current memory instruction's Lines not
-	// yet accepted by the memory system (MSHR stalls). It aliases the
-	// program's read-only Lines and is only ever resliced, so issuing
-	// memory instructions neither allocates nor copies.
-	pending []uint64
+	// pending holds the line IDs of the current memory instruction not
+	// yet accepted by the memory system (MSHR stalls): a suffix of the
+	// instruction's lines in the program's read-only line arena
+	// (isa.TB.LinesOf), only ever resliced, so issuing memory instructions
+	// neither allocates nor copies. A line's byte address is its ID times
+	// config.LineSize.
+	pending []uint32
 	// rejectGen is the MSHR add generation (mem.MSHRGen) at which
 	// pending[0] was last rejected; a stalled warp's retry first asks
 	// mem.StillRejected whether the load provably fails again.
@@ -523,7 +525,7 @@ func (b *wakeBound) fold(w *warp) {
 // warp untouched for issue. The loops test len(w.pending) themselves, so a
 // warp that is not stalled pays for no call.
 func (s *SMX) retryRejected(w *warp, now uint64) bool {
-	if !s.mem.StillRejected(s.ID, w.pending[0], &w.rejectGen, now) {
+	if !s.mem.StillRejected(s.ID, uint64(w.pending[0])*config.LineSize, &w.rejectGen, now) {
 		return false
 	}
 	w.readyAt = now + 1
@@ -540,7 +542,7 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 	in := &w.stream()[w.pc]
 	switch in.Kind {
 	case isa.OpCompute:
-		w.readyAt = now + uint64(in.Latency)
+		w.readyAt = now + uint64(in.Arg)
 		s.count(in)
 		s.advance(w, now)
 		return true
@@ -553,7 +555,7 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 		s.releaseBarrier(w.block, now)
 		return true
 	case isa.OpLaunch:
-		if !s.events.Launch(s.ID, w.block, w.block.Prog.Launches[in.Launch], now, w.launchStalled) {
+		if !s.events.Launch(s.ID, w.block, w.block.Prog.Launches[in.Arg], now, w.launchStalled) {
 			// Launch queue full: stall the warp and retry next
 			// cycle (backpressure on the parent kernel).
 			if !w.launchStalled {
@@ -581,7 +583,7 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	wasStalled := in == nil // resuming implies a prior MSHR rejection
 	if in != nil {
-		w.pending = in.Lines
+		w.pending = w.block.Prog.LinesOf(in)
 		w.pendingMax = 0
 	} else {
 		// retryRejected already asked mem.StillRejected: this retry may
@@ -590,7 +592,7 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	}
 	isStore := in.Kind == isa.OpStore
 	for len(w.pending) > 0 {
-		line := w.pending[0]
+		line := uint64(w.pending[0]) * config.LineSize
 		var done uint64
 		if isStore {
 			// Stores retire without blocking the warp; the drain

@@ -209,13 +209,13 @@ func TestBarrierSynchronisesWarps(t *testing.T) {
 	// immediately. After the barrier both run one more compute.
 	tb := isa.NewTB(64).Build()
 	tb.Warps[0] = []isa.Inst{
-		{Kind: isa.OpCompute, Latency: 50, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 50, ActiveLanes: 32},
 		{Kind: isa.OpBarrier, ActiveLanes: 32},
-		{Kind: isa.OpCompute, Latency: 1, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
 	}
 	tb.Warps[1] = []isa.Inst{
 		{Kind: isa.OpBarrier, ActiveLanes: 32},
-		{Kind: isa.OpCompute, Latency: 1, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
 	}
 	s.AddBlock(tb, nil, 0)
 	end := run(t, s, 1000)
@@ -230,12 +230,12 @@ func TestBarrierReleasedByRetiringWarp(t *testing.T) {
 	// barrier must still release (live-warp counting).
 	tb := isa.NewTB(64).Build()
 	tb.Warps[0] = []isa.Inst{
-		{Kind: isa.OpCompute, Latency: 1, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
 		{Kind: isa.OpBarrier, ActiveLanes: 32},
-		{Kind: isa.OpCompute, Latency: 1, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
 	}
 	tb.Warps[1] = []isa.Inst{
-		{Kind: isa.OpCompute, Latency: 40, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 40, ActiveLanes: 32},
 	}
 	s.AddBlock(tb, nil, 0)
 	run(t, s, 1000) // must not hang
