@@ -14,6 +14,12 @@
 // the parent-child share of L1 hits. Attribution is off by default and the
 // tagged access paths reduce to the untagged ones, so timing and hit/miss
 // behaviour are identical either way.
+//
+// A cache keeps its ways in flat per-slot arrays (tags, LRU stamps,
+// installers), so a probe reads one set's tags as contiguous words. An MSHR
+// table proves in O(1) that a rejected load is rejected again
+// (StillRejected), and StallsProved does the same for all of an SMX's
+// stalled loads at once.
 package mem
 
 import "fmt"
@@ -162,22 +168,25 @@ func (s Stats) String() string {
 	return fmt.Sprintf("%d/%d (%.1f%%)", s.Hits, s.Accesses, 100*s.HitRate())
 }
 
-type cacheLine struct {
-	tag     uint64
-	valid   bool
-	lastUse uint64
-	// inst and parent identify the kernel instance that installed the
-	// line (attribution only; -1 when untagged). The installer keeps
-	// ownership across hits: a line a parent installed stays attributed
-	// to the parent however many children re-reference it.
-	inst   int32
-	parent int32
-}
-
 // Cache is a set-associative cache with true LRU replacement over 128-byte
 // lines. It tracks contents and hit statistics only; timing lives in System.
+//
+// The ways are stored as flat per-slot arrays, slot set*assoc+way, so a probe
+// reads one set's tags as assoc contiguous words and touches nothing else.
 type Cache struct {
-	sets [][]cacheLine
+	// tags holds each slot's line ID plus one; 0 marks an invalid way. A
+	// line ID is a byte address divided by config.LineSize (below 2^57),
+	// or an L2 placement ID, which mix64 keeps below 2^64-1 for every such
+	// line; so no stored line has the invalid tag.
+	tags    []uint64
+	lastUse []uint64
+	// inst and parent identify the kernel instance that installed each
+	// slot's line (attribution only; -1 when untagged). The installer keeps
+	// ownership across hits: a line a parent installed stays attributed to
+	// the parent however many children re-reference it.
+	inst   []int32
+	parent []int32
+	assoc  int
 	// mask selects a line's set: the set count is a power of two, so the
 	// index is the line ID's low bits.
 	mask    uint64
@@ -196,12 +205,16 @@ func NewCache(numSets, assoc int) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("mem: NewCache(%d, %d): set count must be a power of two", numSets, assoc))
 	}
-	sets := make([][]cacheLine, numSets)
-	backing := make([]cacheLine, numSets*assoc)
-	for i := range sets {
-		sets[i], backing = backing[:assoc:assoc], backing[assoc:]
+	n := numSets * assoc
+	words, ids := make([]uint64, 2*n), make([]int32, 2*n)
+	return &Cache{
+		tags:    words[:n:n],
+		lastUse: words[n:],
+		inst:    ids[:n:n],
+		parent:  ids[n:],
+		assoc:   assoc,
+		mask:    uint64(numSets - 1),
 	}
-	return &Cache{sets: sets, mask: uint64(numSets - 1)}
 }
 
 // Access looks up the line identified by lineID (byte address divided by the
@@ -216,12 +229,12 @@ func (c *Cache) Access(lineID uint64) bool {
 // classified into the cache's ReuseStats; otherwise it behaves exactly like
 // Access.
 func (c *Cache) AccessAs(lineID uint64, acc Accessor) bool {
-	set, way := c.find(lineID)
-	if way >= 0 {
-		c.hit(set, way, acc)
+	slot := c.find(lineID)
+	if slot >= 0 {
+		c.hit(slot, acc)
 		return true
 	}
-	c.miss(set, lineID, acc)
+	c.miss(^slot, lineID, acc)
 	return false
 }
 
@@ -236,66 +249,66 @@ func (c *Cache) Reuse() ReuseStats { return c.reuse }
 // Probe reports whether the line is present without allocating or touching
 // LRU state or statistics.
 func (c *Cache) Probe(lineID uint64) bool {
-	_, way := c.find(lineID)
-	return way >= 0
+	return c.find(lineID) >= 0
 }
 
 // Touch updates the line's LRU position if present without allocating; used
 // for write-through-no-allocate stores that hit. Not counted in statistics
 // and never reclassifies or retags the line.
 func (c *Cache) Touch(lineID uint64) bool {
-	set, way := c.find(lineID)
+	slot := c.find(lineID)
 	c.useTick++
-	if way < 0 {
+	if slot < 0 {
 		return false
 	}
-	set[way].lastUse = c.useTick
+	c.lastUse[slot] = c.useTick
 	return true
 }
 
-// find returns the line's set and the way holding it (-1 when absent). It
-// changes nothing, so a caller may probe once and then act on the result
-// with hit or miss.
-func (c *Cache) find(lineID uint64) (set []cacheLine, way int) {
-	set = c.sets[lineID&c.mask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineID {
-			return set, i
+// find returns the slot holding the line, or the bitwise complement of its
+// set's first slot when the line is absent. It changes nothing, so a caller
+// may probe once and then act on the result with hit or miss.
+func (c *Cache) find(lineID uint64) int {
+	base := int(lineID&c.mask) * c.assoc
+	tag := lineID + 1
+	for i, t := range c.tags[base : base+c.assoc] {
+		if t == tag {
+			return base + i
 		}
 	}
-	return set, -1
+	return ^base
 }
 
-// hit counts a hit on set[way] (as found by find), makes it the most
+// hit counts a hit on the line in slot (as found by find), makes it the most
 // recently used line, and classifies it when attribution is on.
-func (c *Cache) hit(set []cacheLine, way int, acc Accessor) {
+func (c *Cache) hit(slot int, acc Accessor) {
 	c.useTick++
-	set[way].lastUse = c.useTick
+	c.lastUse[slot] = c.useTick
 	if c.attrib {
-		c.reuse.count(acc.classify(set[way].inst, set[way].parent))
+		c.reuse.count(acc.classify(c.inst[slot], c.parent[slot]))
 	}
 	c.stats.Accesses++
 	c.stats.Hits++
 }
 
-// miss counts a miss of lineID (absent from set, as found by find) and
-// installs it, tagged with acc, in the set's first invalid way or else its
-// least recently used way.
-func (c *Cache) miss(set []cacheLine, lineID uint64, acc Accessor) {
+// miss counts a miss of lineID (absent from the set whose first slot is base,
+// as found by find) and installs it, tagged with acc, in the set's first
+// invalid way or else its least recently used way.
+func (c *Cache) miss(base int, lineID uint64, acc Accessor) {
 	c.useTick++
 	c.stats.Accesses++
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
+	victim := base
+	for i := base; i < base+c.assoc; i++ {
+		if c.tags[i] == 0 {
 			victim = i
 			break
 		}
-		if set[i].lastUse < set[victim].lastUse {
+		if c.lastUse[i] < c.lastUse[victim] {
 			victim = i
 		}
 	}
-	set[victim] = cacheLine{tag: lineID, valid: true, lastUse: c.useTick,
-		inst: acc.Inst, parent: acc.Parent}
+	c.tags[victim], c.lastUse[victim] = lineID+1, c.useTick
+	c.inst[victim], c.parent[victim] = acc.Inst, acc.Parent
 }
 
 // Stats returns the accumulated access statistics.
@@ -304,11 +317,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Occupancy returns the number of valid lines, for tests and introspection.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
 		}
 	}
 	return n

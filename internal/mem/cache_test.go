@@ -183,3 +183,47 @@ func TestFittingWorkingSetConverges(t *testing.T) {
 		}
 	}
 }
+
+// unmix64 inverts mix64: each xor-shift is undone by iterating it, each
+// multiplication by the odd constant's inverse modulo 2^64 (Newton's
+// iteration), and the additive constant by subtraction.
+func unmix64(y uint64) uint64 {
+	unshift := func(x uint64, s uint) uint64 {
+		r := x
+		for i := 0; i < 64; i++ {
+			r = x ^ r>>s
+		}
+		return r
+	}
+	inverse := func(a uint64) uint64 {
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	x := unshift(y, 31) * inverse(0x94d049bb133111eb)
+	x = unshift(x, 27) * inverse(0xbf58476d1ce4e5b9)
+	return unshift(x, 30) - 0x9e3779b97f4a7c15
+}
+
+// TestNoLineHasTheInvalidTag: a cache slot's tag is its line ID plus one,
+// 0 marking an invalid way, so no stored ID may be 2^64-1. L1 line IDs are
+// byte addresses divided by the line size, below 2^57. An L2 placement ID
+// is mix64(line ID) divided by the bank count: below 2^63 with two or more
+// banks, and with one bank equal to 2^64-1 only for mix64's preimage of
+// 2^64-1 — which is not below 2^57, so no line maps there.
+func TestNoLineHasTheInvalidTag(t *testing.T) {
+	x := unmix64(^uint64(0))
+	if mix64(x) != ^uint64(0) {
+		t.Fatalf("unmix64 is not mix64's inverse: mix64(%#x) = %#x", x, mix64(x))
+	}
+	if x < 1<<57 {
+		t.Fatalf("line ID %#x is placed at ID 2^64-1 in a one-bank L2, whose tag would read as invalid", x)
+	}
+	for _, id := range []uint64{0, 1, 1<<57 - 1} {
+		if unmix64(mix64(id)) != id {
+			t.Errorf("unmix64(mix64(%#x)) = %#x", id, unmix64(mix64(id)))
+		}
+	}
+}

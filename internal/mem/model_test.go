@@ -220,31 +220,34 @@ func FuzzMSHRTableMatchesModel(f *testing.F) {
 
 // modelAccess is the two-pass cache step the single-probe load path
 // replaced: victim tracking during the tag scan, then a first-invalid-way
-// override on allocation.
+// override on allocation. It works on the cache's flat per-slot arrays, a
+// set being assoc consecutive slots, with its own validity test.
 func modelAccess(c *Cache, lineID uint64, acc Accessor, allocate bool) bool {
 	c.useTick++
-	set := c.sets[lineID%uint64(len(c.sets))]
-	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == lineID {
-			set[i].lastUse = c.useTick
+	set := int(lineID%uint64(len(c.tags)/c.assoc)) * c.assoc
+	valid := func(i int) bool { return c.tags[i] != 0 }
+	victim := set
+	for i := set; i < set+c.assoc; i++ {
+		if valid(i) && c.tags[i]-1 == lineID {
+			c.lastUse[i] = c.useTick
 			if c.attrib && allocate {
-				c.reuse.count(acc.classify(set[i].inst, set[i].parent))
+				c.reuse.count(acc.classify(c.inst[i], c.parent[i]))
 			}
 			return true
 		}
-		if set[i].lastUse < set[victim].lastUse || !set[i].valid && set[victim].valid {
+		if c.lastUse[i] < c.lastUse[victim] || !valid(i) && valid(victim) {
 			victim = i
 		}
 	}
 	if allocate {
-		for i := range set {
-			if !set[i].valid {
+		for i := set; i < set+c.assoc; i++ {
+			if !valid(i) {
 				victim = i
 				break
 			}
 		}
-		set[victim] = cacheLine{tag: lineID, valid: true, lastUse: c.useTick, inst: acc.Inst, parent: acc.Parent}
+		c.tags[victim], c.lastUse[victim] = lineID+1, c.useTick
+		c.inst[victim], c.parent[victim] = acc.Inst, acc.Parent
 	}
 	return false
 }
@@ -329,10 +332,12 @@ func TestLoadPathMatchesProbeThenAccess(t *testing.T) {
 				}
 				for i := range got.l1 {
 					g, w := got.l1[i], want.l1[i]
-					for si := range g.sets {
-						if !slices.Equal(g.sets[si], w.sets[si]) {
-							t.Fatalf("attrib %t cluster %d op %d: L1 %d set %d = %+v, model %+v",
-								attrib, perCluster, op, i, si, g.sets[si], w.sets[si])
+					for slot := range g.tags {
+						gl := [4]uint64{g.tags[slot], g.lastUse[slot], uint64(g.inst[slot]), uint64(g.parent[slot])}
+						wl := [4]uint64{w.tags[slot], w.lastUse[slot], uint64(w.inst[slot]), uint64(w.parent[slot])}
+						if gl != wl {
+							t.Fatalf("attrib %t cluster %d op %d: L1 %d slot %d (tag+1, LRU stamp, installer) = %v, model %v",
+								attrib, perCluster, op, i, slot, gl, wl)
 						}
 					}
 					if g.Stats() != w.Stats() || g.Reuse() != w.Reuse() || g.useTick != w.useTick {

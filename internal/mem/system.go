@@ -313,6 +313,48 @@ func (s *System) StillRejected(smx int, lineAddr uint64, gen *uint64, now uint64
 	return s.port[smx].mshr.stillRejected(lineAddr/config.LineSize, gen, now)
 }
 
+// MSHRState returns whether the MSHR table serving the given SMX is full at
+// cycle now, and its add generation (MSHRGen). A full table stays full for
+// the rest of the cycle — no entry completes within it and a full table
+// admits no add — so an issue scan reads both once and refreshes them only
+// after a load it issued may have added a miss.
+func (s *System) MSHRState(smx int, now uint64) (full bool, gen uint64) {
+	m := s.port[smx].mshr
+	return m.fullAt(now), m.gen
+}
+
+// StallCounts counts a caller's MSHR-rejected loads per line bucket (line ID
+// modulo the MSHR table's bucket count), so StallsProved can rule out, per
+// add, that the add was any of those loads' lines.
+type StallCounts [lineBuckets]uint32
+
+// Add counts a rejected load of lineID.
+func (c *StallCounts) Add(lineID uint32) { c[lineID%lineBuckets]++ }
+
+// Remove uncounts a rejected load of lineID.
+func (c *StallCounts) Remove(lineID uint32) { c[lineID%lineBuckets]-- }
+
+// StallsProved reports whether every load counted in c, each last rejected
+// (or proved rejected) when the given SMX's MSHRGen was gen, is rejected
+// again at cycle now — that is, whether StillRejected would return true for
+// each of them at generation gen. It holds when the table is full at now and
+// none of the adds since gen falls in a bucket c counts: then none of them
+// was a counted load's line. A bucket collision or more adds than the table
+// remembers answer false, and the caller proves its loads one by one. O(adds
+// since gen).
+func (s *System) StallsProved(smx int, gen uint64, c *StallCounts, now uint64) bool {
+	m := s.port[smx].mshr
+	if !m.fullAt(now) || m.gen-gen > addRing {
+		return false
+	}
+	for g := gen; g < m.gen; g++ {
+		if c[m.recent[g%addRing]%lineBuckets] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Load performs one coalesced 128-byte load transaction for the given SMX at
 // cycle now. lineAddr must be line-aligned (an isa line ID times
 // config.LineSize). It returns the cycle at which the data is available and ok=false if the
@@ -338,9 +380,9 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 	}
 	// One probe of the line's set serves the hit, or the allocation of a
 	// miss that gets an MSHR.
-	set, way := l1.find(lineID)
-	if way >= 0 {
-		l1.hit(set, way, acc) // counts the hit and updates LRU
+	slot := l1.find(lineID)
+	if slot >= 0 {
+		l1.hit(slot, acc) // counts the hit and updates LRU
 		return now + uint64(s.cfg.L1HitLatency), true
 	}
 	// Miss: needs an MSHR before it can allocate and go to L2. A full
@@ -348,7 +390,7 @@ func (s *System) LoadAs(smx int, lineAddr, now uint64, acc Accessor) (complete u
 	if tbl.full(now) {
 		return 0, false
 	}
-	l1.miss(set, lineID, acc) // counts the miss and allocates the fill target
+	l1.miss(^slot, lineID, acc) // counts the miss and allocates the fill target
 	c := s.l2Access(lineID, now, acc)
 	tbl.add(lineID, c, now)
 	return c, true

@@ -120,3 +120,29 @@ func TestLaunchElisionZeroAlloc(t *testing.T) {
 		t.Errorf("launch-elision lifecycle: %.2f allocs per block, want 0", allocs)
 	}
 }
+
+// TestStalledScanZeroAlloc pins the steady-state issue scan of a stall-heavy
+// SMX (see stalledSMX): ticks that pop and push wake-heap entries, retry
+// stalled loads that claim freed MSHR slots, and prove the other stalled
+// warps' retries in bulk allocate nothing.
+func TestStalledScanZeroAlloc(t *testing.T) {
+	s, now := stalledSMX(t)
+	var bulk int
+	insts, stalls := s.stats.WarpInsts, s.stats.MemStallEvents
+	ticks := func() {
+		for i := 0; i < 100; i++ {
+			s.Tick(now)
+			now++
+			if s.bulk {
+				bulk++
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, ticks); allocs != 0 {
+		t.Errorf("stalled steady-state ticks: %.2f allocs per 100 ticks, want 0", allocs)
+	}
+	if bulk == 0 || s.stats.WarpInsts == insts || s.stats.MemStallEvents == stalls || s.memStalledWarps == 0 {
+		t.Errorf("%d bulk-proved ticks, %d issued, %d stall events, %d warps still stalled; want all positive",
+			bulk, s.stats.WarpInsts-insts, s.stats.MemStallEvents-stalls, s.memStalledWarps)
+	}
+}

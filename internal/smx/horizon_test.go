@@ -2,10 +2,10 @@ package smx
 
 // The wake bound a Tick leaves behind (nextReady, minRejectGen) is what the
 // engine's fast-forward clock trusts to skip cycles, so it must be exactly
-// the full-pass definition however the issue scan computed it: GTO folds
-// each warp during its one scan pass, LRR and TwoLevel — and any scan in
-// which a barrier released warps already visited — redo the fold over every
-// warp.
+// the full-pass definition however the issue scan computed it: the scan
+// reads the wake heap's minimum, folds only the ready warps a short scan did
+// not visit, and keeps one shared generation for the stalled warps after a
+// complete scan.
 
 import (
 	"fmt"
@@ -17,15 +17,24 @@ import (
 	"laperm/internal/mem"
 )
 
+// effectiveGen is the MSHR generation the stalled warp at position p last
+// observed: the shared stallGen after a complete scan, else its own slot.
+func effectiveGen(s *SMX, p int) uint64 {
+	if s.stallShared {
+		return s.stallGen
+	}
+	return s.rejGen[p]
+}
+
 // fullPassBound recomputes the wake bound from scratch: the earliest
 // readyAt of a warp that can issue on its own or of a pending block
-// retirement, and the oldest rejectGen of an MSHR-stalled warp.
+// retirement, and the oldest effective generation of an MSHR-stalled warp.
 func fullPassBound(s *SMX) (next, minGen uint64) {
 	next, minGen = ^uint64(0), ^uint64(0)
-	for _, w := range s.warps {
+	for p, w := range s.warps {
 		switch {
 		case len(w.pending) > 0:
-			minGen = min(minGen, w.rejectGen)
+			minGen = min(minGen, effectiveGen(s, p))
 		case !w.done && !w.atBarrier && !w.launchStalled:
 			next = min(next, w.readyAt)
 		}
@@ -112,7 +121,7 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 						smxs[i] = New(i, &cfg, m, q, policy, &seq)
 					}
 					pending := 40 // blocks still to dispatch
-					var now, releases uint64
+					var now, releases, bulk uint64
 					idle := false
 					for ; !idle && now < 1<<20; now++ {
 						if rng.Intn(30) == 0 {
@@ -132,10 +141,24 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 						}
 						idle = pending == 0
 						for _, s := range smxs {
+							var atBarrier []*warp
+							for _, w := range s.warps {
+								if w.atBarrier {
+									atBarrier = append(atBarrier, w)
+								}
+							}
 							s.Tick(now)
+							if s.bulk {
+								bulk++
+							}
 							checkBound(t, s, now)
-							if s.barrierReleased {
-								releases++
+							if err := s.CheckInvariants(); err != nil {
+								t.Fatalf("cycle %d: %v", now, err)
+							}
+							for _, w := range atBarrier {
+								if !w.atBarrier {
+									releases++
+								}
 							}
 							idle = idle && s.Idle()
 						}
@@ -144,7 +167,7 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 						t.Fatalf("work left at cycle %d: %d blocks undispatched", now, pending)
 					}
 					if releases == 0 {
-						t.Error("no barrier released during a scan; the fallback went unexercised")
+						t.Error("no barrier released during a scan; released warps never entered the wake heap")
 					}
 					var stalls int64
 					for _, s := range smxs {
@@ -153,6 +176,9 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 					if stalls == 0 {
 						t.Error("no MSHR stalls; the minRejectGen fold went unexercised")
 					}
+					if bulk == 0 {
+						t.Error("no scan proved its stalled warps' retries in bulk")
+					}
 				})
 			}
 		}
@@ -160,8 +186,7 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 
 	// The youngest warp of a block finishes while its older warps, already
 	// visited by this cycle's GTO scan, wait at a barrier: its retirement
-	// releases them to issue on the next cycle, which the one-pass fold
-	// alone would miss.
+	// releases them to issue on the next cycle, through the wake heap.
 	t.Run("release-by-youngest-warp", func(t *testing.T) {
 		s, _, cfg := newTestSMX(t, GTO)
 		older := []isa.Inst{
@@ -182,9 +207,10 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 			s.Tick(now)
 			checkBound(t, s, now)
 		}
-		if !s.barrierReleased || s.nextReady != 2 {
-			t.Fatalf("barrier released %t, nextReady %d; want a release at cycle 1 waking the older warps at 2",
-				s.barrierReleased, s.nextReady)
+		released := !s.warps[0].atBarrier && s.warps[0].pc == 1
+		if !released || s.nextReady != 2 || len(s.wake) != len(tb.Warps)-1 {
+			t.Fatalf("barrier released %t, nextReady %d, %d warps waking; want a release at cycle 1 waking the %d older warps at 2",
+				released, s.nextReady, len(s.wake), len(tb.Warps)-1)
 		}
 		for now := uint64(2); !s.Idle(); now++ {
 			if now > 1000 {

@@ -4,6 +4,13 @@
 // block-wide barriers. The package is deliberately unaware of kernels and
 // TB scheduling; the GPU engine owns those and observes SMX events through
 // the Events interface.
+//
+// One issue scan serves every warp policy (scan.go). It visits only warps
+// that can act: ready and stalled warps are bits over the age-ordered warp
+// list, warps waiting out a latency sit in a min-heap on their wake cycle,
+// and the MSHR-stalled warps' retries are proved to fail again per warp in
+// O(1) or, when the table is full and no add since they last looked can be
+// any of their lines, all at once.
 package smx
 
 import (
@@ -94,10 +101,11 @@ type Block struct {
 	dead     bool
 }
 
-// warp is one resident warp. The fields every issue scan reads come first,
-// packed together, so a scan touches as little of each record as it can.
+// warp is one resident warp. The scan reads a record only when the warp
+// issues or its stalled load may succeed (see scan.go).
 type warp struct {
-	// readyAt is the first cycle the warp may issue again.
+	// readyAt is the first cycle the warp may issue again (stale while it
+	// is MSHR-stalled: it then retries every cycle).
 	readyAt uint64
 	// pending holds the line IDs of the current memory instruction not
 	// yet accepted by the memory system (MSHR stalls): a suffix of the
@@ -105,11 +113,7 @@ type warp struct {
 	// (isa.TB.LinesOf), only ever resliced, so issuing memory instructions
 	// neither allocates nor copies. A line's byte address is its ID times
 	// config.LineSize.
-	pending []uint32
-	// rejectGen is the MSHR add generation (mem.MSHRGen) at which
-	// pending[0] was last rejected; a stalled warp's retry first asks
-	// mem.StillRejected whether the load provably fails again.
-	rejectGen uint64
+	pending   []uint32
 	atBarrier bool
 	done      bool
 	// launchStalled marks a warp blocked at a launch instruction by a
@@ -117,17 +121,16 @@ type warp struct {
 	launchStalled bool
 
 	block *Block
-	idx   int
+	// insts is the warp's instruction stream (its block program's
+	// Warps[i]), and pc the index of its next instruction.
+	insts []isa.Inst
 	pc    int
+	// pos is the warp's index in SMX.warps: its bit in the scan's bitsets
+	// and its slot in the per-position stall arrays.
+	pos int
 	// pendingMax is the latest completion cycle among the transactions
 	// already issued for the current memory instruction.
 	pendingMax uint64
-}
-
-func (w *warp) stream() []isa.Inst { return w.block.Prog.Warps[w.idx] }
-
-func (w *warp) canIssue(now uint64) bool {
-	return !w.done && !w.atBarrier && w.readyAt <= now
 }
 
 // Stats aggregates execution statistics for one SMX.
@@ -162,6 +165,31 @@ type SMX struct {
 
 	blocks []*Block
 	warps  []*warp // issue-age order (dispatch order)
+
+	// Issue-scan state over warp positions (scan.go). ready holds the warps
+	// that can issue, plus the launch-stalled ones; stalled holds the
+	// MSHR-stalled ones; seen the warps the current scan has visited. wake
+	// holds every other warp that is neither done nor at a barrier, keyed
+	// on its readyAt. tickEnd is the cycle after the last Tick: a waiting
+	// warp is in wake exactly while its readyAt >= tickEnd.
+	ready, stalled, seen bitset
+	wake                 wakeHeap
+	tickEnd              uint64
+	// stallLine and rejGen hold, per position, an MSHR-stalled warp's
+	// blocked line ID (its pending[0]) and the MSHR generation it last
+	// observed — unless stallShared, when every stalled warp observed
+	// stallGen. stallCounts counts the blocked lines per mem line bucket.
+	stallLine   []uint32
+	rejGen      []uint64
+	stallGen    uint64
+	stallShared bool
+	stallCounts mem.StallCounts
+	// full and gen are the MSHR table's state as of the scan's last load;
+	// bulk records that every stalled warp the scan has yet to visit was
+	// proved to fail its retry (mem.StallsProved), and bulkTried that the
+	// proof was attempted on the full table.
+	full, bulk, bulkTried bool
+	gen                   uint64
 
 	usedThreads int
 	usedRegs    int
@@ -198,13 +226,9 @@ type SMX struct {
 	// that left warps launch-stalled: while it is unchanged, their retries
 	// provably fail again and TickFF may elide them.
 	launchSeen uint64
-	// minRejectGen is the smallest rejectGen over the MSHR-stalled warps
-	// after the last full Tick (see NextStallWake).
+	// minRejectGen is the oldest MSHR generation an MSHR-stalled warp last
+	// observed, after the last full Tick (see NextStallWake).
 	minRejectGen uint64
-	// barrierReleased records that a barrier released during the current
-	// issue scan: the released warps may already have been folded into
-	// the scan's wake bound, so Tick recomputes it with a full pass.
-	barrierReleased bool
 	// horizon/horizonAt cache the last NextEvent answer: the SMX provably
 	// cannot act on any cycle in [horizonAt, horizon), because nothing an
 	// SMX observes changes inside the window — its warps, retiring blocks,
@@ -227,7 +251,14 @@ type SMX struct {
 // New builds an SMX. nextSeq is a shared dispatch-sequence counter owned by
 // the GPU engine so that block ages are globally ordered.
 func New(id int, cfg *config.GPU, m *mem.System, ev Events, policy Policy, nextSeq *uint64) *SMX {
-	return &SMX{ID: id, cfg: cfg, mem: m, events: ev, policy: policy, nextSeq: nextSeq}
+	// The scan state starts sized for a full complement of warps; grow
+	// extends it past that only on demand.
+	n := cfg.WarpsPerSMX()
+	words := (n + 63) >> 6
+	b := make(bitset, 3*words)
+	return &SMX{ID: id, cfg: cfg, mem: m, events: ev, policy: policy, nextSeq: nextSeq,
+		ready: b[:words:words], stalled: b[words : 2*words : 2*words], seen: b[2*words:],
+		wake: make(wakeHeap, 0, n), stallLine: make([]uint32, 0, n), rejGen: make([]uint64, 0, n)}
 }
 
 // CanFit reports whether the block's resource demands fit in the SMX's
@@ -267,13 +298,19 @@ func (s *SMX) AddBlockAttr(tb *isa.TB, owner any, tbIndex int, tag mem.Accessor,
 	s.blocks = append(s.blocks, b)
 	for i := 0; i < tb.NumWarps(); i++ {
 		w := s.newWarp()
-		w.block, w.idx, w.readyAt = b, i, now
-		if len(w.stream()) == 0 {
-			w.done = true
-			b.doneWarps++
-		}
+		w.block, w.insts, w.readyAt, w.pos = b, tb.Warps[i], now, len(s.warps)
 		b.warps = append(b.warps, w)
 		s.warps = append(s.warps, w)
+		s.grow()
+		switch {
+		case len(w.insts) == 0:
+			w.done = true
+			b.doneWarps++
+		case now < s.tickEnd:
+			s.ready.set(w.pos)
+		default:
+			s.wake.push(now, w)
+		}
 	}
 	// A block whose every warp is empty completes immediately.
 	if b.doneWarps == len(b.warps) {
@@ -385,6 +422,7 @@ func (s *SMX) Tick(now uint64) {
 		return
 	}
 	s.stats.ResidentCycles++
+	s.tickEnd = now + 1
 	// Stalled warps retry (and re-fail) every cycle regardless of the
 	// ready horizon, so the early return applies only to stall-free SMXs.
 	if now < s.nextReady && s.launchStalledWarps == 0 && s.memStalledWarps == 0 {
@@ -402,58 +440,10 @@ func (s *SMX) Tick(now uint64) {
 		}
 		s.retiring = keep
 	}
-	issued := 0
-	s.barrierReleased = false
-	wb := wakeBound{next: ^uint64(0), minGen: ^uint64(0)}
-	folded := false
-	switch s.policy {
-	case GTO:
-		// Greedy warp first, then oldest (s.warps is in dispatch
-		// order). A warp that issues gets readyAt > now, so one pass
-		// suffices. The pass visits every warp exactly once, after the
-		// greedy attempt, and keeps visiting past the issue width so it
-		// can fold each warp into the wake bound once its state for this
-		// cycle is final.
-		if g := s.greedy; g != nil && g.canIssue(now) && (len(g.pending) == 0 || !s.retryRejected(g, now)) && s.issue(g, now) {
-			issued++
-		}
-		for _, w := range s.warps {
-			if issued < s.cfg.IssueWidth && w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now) {
-				issued++
-				s.greedy = w
-			}
-			wb.fold(w)
-		}
-		folded = true
-	case LRR:
-		n := len(s.warps)
-		for i := 0; i < n && issued < s.cfg.IssueWidth; i++ {
-			w := s.warps[(s.rrCursor+i)%n]
-			if w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now) {
-				issued++
-				s.rrCursor = (s.rrCursor + i + 1) % n
-			}
-		}
-	case TwoLevel:
-		n := len(s.warps)
-		groups := (n + TwoLevelGroupSize - 1) / TwoLevelGroupSize
-		for g := 0; g < groups && issued == 0; g++ {
-			gi := (s.activeGroup + g) % groups
-			lo := gi * TwoLevelGroupSize
-			hi := lo + TwoLevelGroupSize
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi && issued < s.cfg.IssueWidth; i++ {
-				if w := s.warps[i]; w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now) {
-					issued++
-				}
-			}
-			if issued > 0 {
-				s.activeGroup = gi
-			}
-		}
+	for len(s.wake) > 0 && s.wake[0].at <= now {
+		s.ready.set(s.wake.pop().pos)
 	}
+	issued := s.scan(now)
 	if issued > 0 {
 		s.stats.IssueCycles++
 	}
@@ -464,27 +454,21 @@ func (s *SMX) Tick(now uint64) {
 	} else {
 		s.scanShort = issued >= s.cfg.IssueWidth
 	}
+	// The next cycle anything can happen: the earliest issuable warp (one
+	// the scan left ready, or the wake heap's first) or the earliest
+	// pending block retirement. Warps at a barrier wake inside the tick in
+	// which the last live warp arrives; stalled warps wake on the blocking
+	// resource, which NextEvent accounts for.
+	next := s.settle()
 	if s.needSweep {
 		s.sweep()
 	}
 	if s.launchStalledWarps > 0 {
 		s.launchSeen = s.events.LaunchFrees()
 	}
-	// Recompute the next cycle anything can happen: the earliest issuable
-	// warp or the earliest pending block retirement (see wakeBound.fold).
-	// GTO's scan already folded every warp; the fold is redone over all
-	// warps when the scan did not visit each warp exactly once after its
-	// last change — LRR and TwoLevel scans, and any scan in which a
-	// barrier released warps it had already visited. Warps the sweep just
-	// dropped belonged to retired blocks and folded to nothing.
-	if !folded || s.barrierReleased {
-		wb = wakeBound{next: ^uint64(0), minGen: ^uint64(0)}
-		for _, w := range s.warps {
-			wb.fold(w)
-		}
+	if len(s.wake) > 0 && s.wake[0].at < next {
+		next = s.wake[0].at
 	}
-	s.minRejectGen = wb.minGen
-	next := wb.next
 	for _, b := range s.retiring {
 		if b.retireAt < next {
 			next = b.retireAt
@@ -493,53 +477,11 @@ func (s *SMX) Tick(now uint64) {
 	s.nextReady = next
 }
 
-// wakeBound accumulates the warp part of an SMX's horizon over one pass.
-type wakeBound struct {
-	// next is the earliest readyAt of a warp that can issue on its own.
-	next uint64
-	// minGen is the oldest MSHR generation an MSHR-stalled warp last
-	// observed.
-	minGen uint64
-}
-
-// fold adds warp w to the bound. Warps waiting at a barrier are excluded:
-// their release happens inside the tick in which the last live warp
-// arrives, which updates readyAt. Stalled warps are excluded too — their
-// failed retries re-arm readyAt every cycle and would pin the horizon;
-// NextEvent accounts for their actual wake-up sources instead, given the
-// oldest MSHR generation any MSHR-stalled warp last observed.
-func (b *wakeBound) fold(w *warp) {
-	if len(w.pending) > 0 {
-		b.minGen = min(b.minGen, w.rejectGen)
-	} else if !w.done && !w.atBarrier && !w.launchStalled && w.readyAt < b.next {
-		b.next = w.readyAt
-	}
-}
-
-// retryRejected is the retry proof of an MSHR-stalled warp (one with
-// pending lines), run in every policy's scan loop before issue: when
-// mem.StillRejected shows the blocked load fails again, the warp records
-// exactly a failed retry — it waits a cycle, counts one stall cycle, and has
-// rejectGen advanced by the check — and reports true, so the scan skips the
-// calls into issue and issueMem. False (the retry may succeed) leaves the
-// warp untouched for issue. The loops test len(w.pending) themselves, so a
-// warp that is not stalled pays for no call.
-func (s *SMX) retryRejected(w *warp, now uint64) bool {
-	if !s.mem.StillRejected(s.ID, uint64(w.pending[0])*config.LineSize, &w.rejectGen, now) {
-		return false
-	}
-	w.readyAt = now + 1
-	s.stats.MemStallEvents++
-	return true
-}
-
-// issue executes one instruction (or resumes a stalled memory instruction)
-// for warp w and reports whether an instruction issued.
+// issue executes warp w's next instruction and reports whether it issued.
+// An issued instruction's latency is positive (isa.Validate), so the warp
+// leaves the ready set for the wake heap, a barrier, or retirement.
 func (s *SMX) issue(w *warp, now uint64) bool {
-	if len(w.pending) > 0 {
-		return s.issueMem(w, nil, now)
-	}
-	in := &w.stream()[w.pc]
+	in := &w.insts[w.pc]
 	switch in.Kind {
 	case isa.OpCompute:
 		w.readyAt = now + uint64(in.Arg)
@@ -579,18 +521,17 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 }
 
 // issueMem issues the (possibly resumed) transactions of a memory
-// instruction. in is nil when resuming a stalled instruction.
+// instruction. in is nil when resuming a stalled instruction — always a
+// load, since stores never stall — whose retry could not prove the load
+// fails again: it may succeed.
 func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	wasStalled := in == nil // resuming implies a prior MSHR rejection
+	isStore := false
 	if in != nil {
 		w.pending = w.block.Prog.LinesOf(in)
 		w.pendingMax = 0
-	} else {
-		// retryRejected already asked mem.StillRejected: this retry may
-		// succeed.
-		in = &w.stream()[w.pc]
+		isStore = in.Kind == isa.OpStore
 	}
-	isStore := in.Kind == isa.OpStore
 	for len(w.pending) > 0 {
 		line := uint64(w.pending[0]) * config.LineSize
 		var done uint64
@@ -605,11 +546,16 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 			if !ok {
 				// MSHRs full: retry remaining transactions
 				// next cycle.
-				if !wasStalled {
+				if wasStalled {
+					s.stallCounts.Remove(s.stallLine[w.pos])
+				} else {
 					s.memStalledWarps++
+					s.stalled.set(w.pos)
 				}
-				w.rejectGen = s.mem.MSHRGen(s.ID)
-				w.readyAt = now + 1
+				s.stallLine[w.pos] = w.pending[0]
+				s.stallCounts.Add(w.pending[0])
+				s.full, s.gen = true, s.mem.MSHRGen(s.ID)
+				s.rejGen[w.pos] = s.gen
 				s.stats.MemStallEvents++
 				return false
 			}
@@ -621,10 +567,17 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	}
 	if wasStalled {
 		s.memStalledWarps--
+		s.stalled.unset(w.pos)
+		s.stallCounts.Remove(s.stallLine[w.pos])
 	}
 	w.readyAt = w.pendingMax
 	if isStore {
 		w.readyAt = now + 1
+	} else {
+		s.full, s.gen = s.mem.MSHRState(s.ID, now) // the loads may have added misses
+	}
+	if in == nil {
+		in = &w.insts[w.pc]
 	}
 	s.count(in)
 	s.advance(w, now)
@@ -636,12 +589,14 @@ func (s *SMX) count(in *isa.Inst) {
 	s.stats.ThreadInsts += int64(in.ActiveLanes)
 }
 
-// advance moves the warp past its current instruction. At stream end the
-// warp stops issuing; its block's resources are released only once its last
+// advance moves the warp, whose readyAt the caller has just set, past its
+// current instruction and into the wake heap. At stream end the warp stops
+// issuing; its block's resources are released only once its last
 // instruction completes (w.readyAt), matching hardware block retirement.
 func (s *SMX) advance(w *warp, now uint64) {
 	w.pc++
-	if w.pc < len(w.stream()) {
+	if w.pc < len(w.insts) {
+		s.wake.push(w.readyAt, w)
 		return
 	}
 	w.done = true
@@ -650,15 +605,18 @@ func (s *SMX) advance(w *warp, now uint64) {
 	if w.readyAt > b.retireAt {
 		b.retireAt = w.readyAt
 	}
-	// A finishing warp may be the last arrival a barrier was waiting on.
-	s.releaseBarrier(b, now)
-	if b.doneWarps == len(b.warps) && !b.dead {
+	if b.doneWarps == len(b.warps) {
 		if b.retireAt <= now {
 			s.retire(b, now)
 		} else {
 			s.retiring = append(s.retiring, b)
 		}
+		return
 	}
+	// A finishing warp may be the last arrival a barrier was waiting on.
+	// If the release finishes the block, the released warps' own advance
+	// retires it — exactly once.
+	s.releaseBarrier(b, now)
 }
 
 // releaseBarrier releases the block's barrier if every live warp has
@@ -668,7 +626,6 @@ func (s *SMX) releaseBarrier(b *Block, now uint64) {
 		return
 	}
 	b.arrived = 0
-	s.barrierReleased = true
 	for _, bw := range b.warps {
 		if bw.atBarrier {
 			bw.atBarrier = false
@@ -756,6 +713,80 @@ func (s *SMX) CheckInvariants() error {
 		return fmt.Errorf("smx %d: stalled-warp counts (launch %d, mem %d) != recomputed (%d, %d)",
 			s.ID, s.launchStalledWarps, s.memStalledWarps, launchStalled, memStalled)
 	}
+	return s.checkScan()
+}
+
+// checkScan recomputes the issue-scan state from warp state: each warp's
+// position, its ready and stalled bits, its wake-heap membership (exactly
+// the waiting warps, each once, keyed on its readyAt, in heap order), each
+// stalled warp's blocked line and bucket count, and the stall generations —
+// none ahead of the table's, and their minimum the wake bound's.
+func (s *SMX) checkScan() error {
+	n := len(s.warps)
+	if len(s.ready) < (n+63)>>6 || len(s.stalled) != len(s.ready) || len(s.seen) != len(s.ready) || len(s.stallLine) < n || len(s.rejGen) < n {
+		return fmt.Errorf("smx %d: scan state sized for fewer than its %d warps", s.ID, n)
+	}
+	inHeap := make([]int, n)
+	for i, e := range s.wake {
+		if i > 0 && s.wake[(i-1)/2].at > e.at {
+			return fmt.Errorf("smx %d: wake heap out of order at entry %d", s.ID, i)
+		}
+		if e.w.pos < 0 || e.w.pos >= n || s.warps[e.w.pos] != e.w {
+			return fmt.Errorf("smx %d: wake heap entry %d holds a warp not resident at its position", s.ID, i)
+		}
+		if e.at != e.w.readyAt {
+			return fmt.Errorf("smx %d: wake heap entry %d keyed %d, its warp's readyAt is %d", s.ID, i, e.at, e.w.readyAt)
+		}
+		inHeap[e.w.pos]++
+	}
+	var counts mem.StallCounts
+	gen, minGen := s.mem.MSHRGen(s.ID), ^uint64(0)
+	for p, w := range s.warps {
+		if w.pos != p {
+			return fmt.Errorf("smx %d: warp at position %d records position %d", s.ID, p, w.pos)
+		}
+		var ready, stalled, waiting bool
+		switch {
+		case w.done || w.atBarrier:
+		case len(w.pending) > 0:
+			stalled = true
+		case w.launchStalled || w.readyAt < s.tickEnd:
+			ready = true
+		default:
+			waiting = true
+		}
+		if s.ready.has(p) != ready || s.stalled.has(p) != stalled || (inHeap[p] == 1) != waiting || inHeap[p] > 1 {
+			return fmt.Errorf("smx %d: warp %d (done %t, barrier %t, pending %d, launch-stalled %t, readyAt %d) has ready %t, stalled %t, "+
+				"%d heap entries; want %t, %t, waiting %t", s.ID, p, w.done, w.atBarrier, len(w.pending), w.launchStalled, w.readyAt,
+				s.ready.has(p), s.stalled.has(p), inHeap[p], ready, stalled, waiting)
+		}
+		if !stalled {
+			continue
+		}
+		if s.stallLine[p] != w.pending[0] {
+			return fmt.Errorf("smx %d: stalled warp %d records blocked line %d, its load is blocked on %d", s.ID, p, s.stallLine[p], w.pending[0])
+		}
+		counts.Add(s.stallLine[p])
+		g := s.rejGen[p]
+		if s.stallShared {
+			g = s.stallGen
+		}
+		if g > gen {
+			return fmt.Errorf("smx %d: stalled warp %d observed MSHR generation %d, the table is at %d", s.ID, p, g, gen)
+		}
+		minGen = min(minGen, g)
+	}
+	for i := n; i < len(s.ready)<<6; i++ {
+		if s.ready.has(i) || s.stalled.has(i) {
+			return fmt.Errorf("smx %d: scan bit set at position %d past its %d warps", s.ID, i, n)
+		}
+	}
+	if counts != s.stallCounts {
+		return fmt.Errorf("smx %d: stall bucket counts do not match the stalled warps' blocked lines", s.ID)
+	}
+	if s.memStalledWarps > 0 && s.minRejectGen != minGen {
+		return fmt.Errorf("smx %d: wake bound's stall generation %d, stalled warps' oldest is %d", s.ID, s.minRejectGen, minGen)
+	}
 	return nil
 }
 
@@ -774,7 +805,7 @@ func (s *SMX) newBlock() *Block {
 }
 
 // newWarp pops a recycled warp record or allocates a fresh one. All fields
-// except the caller-assigned identity (block, idx, readyAt) are reset here.
+// except the caller-assigned ones (block, insts, readyAt, pos) are reset here.
 func (s *SMX) newWarp() *warp {
 	if n := len(s.freeWarps); n > 0 {
 		w := s.freeWarps[n-1]
@@ -787,18 +818,49 @@ func (s *SMX) newWarp() *warp {
 	return &warp{}
 }
 
+// grow sizes the per-position scan state for every resident warp. Residency
+// is bounded by thread count, not cfg.WarpsPerSMX (a block's last warp may
+// be partial), so it grows on demand; it allocates only past the SMX's peak
+// residency and New's initial capacity.
+func (s *SMX) grow() {
+	n := len(s.warps)
+	for len(s.stallLine) < n {
+		s.stallLine = append(s.stallLine, 0)
+		s.rejGen = append(s.rejGen, 0)
+	}
+	for words := (n + 63) >> 6; len(s.ready) < words; {
+		s.ready = append(s.ready, 0)
+		s.stalled = append(s.stalled, 0)
+		s.seen = append(s.seen, 0)
+	}
+}
+
 // sweep removes dead blocks and their warps from the issue lists and
-// recycles their records onto the free pools for the next dispatch.
+// recycles their records onto the free pools for the next dispatch. The
+// surviving warps keep their age order; their positions, bits and stall
+// slots move down with them. A dead block's warps are all done, so they own
+// no bits and no wake-heap entries.
 func (s *SMX) sweep() {
 	s.needSweep = false
 	warps := s.warps[:0]
-	for _, w := range s.warps {
-		if !w.block.dead {
-			warps = append(warps, w)
+	for i, w := range s.warps {
+		if w.block.dead {
+			continue
 		}
+		j := len(warps)
+		warps = append(warps, w)
+		if j == i {
+			continue
+		}
+		w.pos = j
+		s.ready.put(j, s.ready.has(i))
+		s.stalled.put(j, s.stalled.has(i))
+		s.stallLine[j], s.rejGen[j] = s.stallLine[i], s.rejGen[i]
 	}
 	for i := len(warps); i < len(s.warps); i++ {
 		s.warps[i] = nil
+		s.ready.unset(i)
+		s.stalled.unset(i)
 	}
 	s.warps = warps
 	blocks := s.blocks[:0]

@@ -541,3 +541,114 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("corrupted thread accounting not detected")
 	}
 }
+
+// TestBarrierLastBlockRetiresOnce is the regression test for a block whose
+// last live warps wait at a barrier that is their final instruction: the
+// finishing warp's barrier release completes the block inside a nested
+// advance, and the block must be queued for retirement — and its resources
+// credited back, and BlockDone fired — exactly once.
+func TestBarrierLastBlockRetiresOnce(t *testing.T) {
+	s, rec, _ := newTestSMX(t, GTO)
+	tb := isa.NewTB(64).Build()
+	tb.Warps[0] = []isa.Inst{
+		{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
+		{Kind: isa.OpCompute, Arg: 1, ActiveLanes: 32},
+	}
+	tb.Warps[1] = []isa.Inst{{Kind: isa.OpBarrier, ActiveLanes: 32}}
+	s.AddBlock(tb, nil, 0)
+	var now uint64
+	for ; now < 100 && !s.Idle(); now++ {
+		s.Tick(now)
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("cycle %d: %v", now, err)
+		}
+	}
+	if !s.Idle() {
+		t.Fatal("block did not retire")
+	}
+	if len(rec.done) != 1 || s.Stats().BlocksCompleted != 1 {
+		t.Fatalf("BlockDone fired %d times, BlocksCompleted %d; want 1 and 1", len(rec.done), s.Stats().BlocksCompleted)
+	}
+	if s.usedThreads != 0 || s.usedRegs != 0 || s.usedShmem != 0 {
+		t.Errorf("resources after retirement: threads %d, regs %d, shmem %d; want all 0", s.usedThreads, s.usedRegs, s.usedShmem)
+	}
+}
+
+// TestCheckInvariantsDetectsScanCorruption corrupts, one at a time, each
+// piece of issue-scan state CheckInvariants recomputes from warp state — a
+// ready bit, a stalled bit, wake-heap membership and order, a stalled warp's
+// blocked line, the per-bucket stall counts, and the stall generations —
+// and expects each corruption reported.
+func TestCheckInvariantsDetectsScanCorruption(t *testing.T) {
+	// setup returns an SMX after a few ticks of four blocks: some warps
+	// waiting out latencies, some MSHR-stalled on a one-entry table.
+	setup := func(t *testing.T) *SMX {
+		cfg := config.SmallTest()
+		cfg.L1MSHRs = 1
+		var seq uint64
+		s := New(0, &cfg, mem.NewSystem(&cfg), &recorder{}, GTO, &seq)
+		for b := 0; b < 3; b++ {
+			s.AddBlock(isa.NewTB(64).
+				Load(func(tid int) uint64 { return uint64(b*64+tid) * config.LineSize }).
+				Compute(50).
+				Build(), nil, 0)
+		}
+		s.AddBlock(isa.NewTB(64).ComputeN(50, 3).Build(), nil, 0)
+		for now := uint64(0); now < 3; now++ {
+			s.Tick(now)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("clean state: %v", err)
+		}
+		if s.memStalledWarps < 2 || len(s.wake) < 2 {
+			t.Fatalf("%d stalled warps, %d waking; the corruptions need at least 2 of each", s.memStalledWarps, len(s.wake))
+		}
+		return s
+	}
+	firstStalled := func(s *SMX) int {
+		for p := range s.warps {
+			if s.stalled.has(p) {
+				return p
+			}
+		}
+		return -1
+	}
+	cases := []struct {
+		name    string
+		corrupt func(s *SMX)
+	}{
+		{"ready bit of a waiting warp", func(s *SMX) { s.ready.set(s.wake[0].w.pos) }},
+		{"stalled bit cleared", func(s *SMX) { s.stalled.unset(firstStalled(s)) }},
+		{"stalled bit of a waiting warp", func(s *SMX) { s.stalled.set(s.wake[0].w.pos) }},
+		{"bit past the last warp", func(s *SMX) { s.ready.set(len(s.warps)) }},
+		{"heap entry dropped", func(s *SMX) { s.wake = s.wake[1:] }},
+		{"heap entry duplicated", func(s *SMX) { s.wake.push(s.wake[0].at, s.wake[0].w) }},
+		{"heap key differs from readyAt", func(s *SMX) { s.wake[len(s.wake)-1].at++ }},
+		{"heap order", func(s *SMX) {
+			s.wake[0].w.readyAt += 1 << 20
+			s.wake[0].at = s.wake[0].w.readyAt
+		}},
+		{"blocked line", func(s *SMX) { s.stallLine[firstStalled(s)]++ }},
+		{"bucket counts", func(s *SMX) { s.stallCounts.Add(7) }},
+		{"shared stall generation ahead of the table", func(s *SMX) {
+			s.stallShared, s.stallGen = true, s.mem.MSHRGen(s.ID)+1
+		}},
+		{"own stall generation ahead of the table", func(s *SMX) {
+			s.stallShared = false
+			s.rejGen[firstStalled(s)] = s.mem.MSHRGen(s.ID) + 1
+		}},
+		{"wake bound generation", func(s *SMX) { s.minRejectGen++ }},
+		{"warp position", func(s *SMX) { s.warps[1].pos = 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := setup(t)
+			tc.corrupt(s)
+			err := s.CheckInvariants()
+			if err == nil {
+				t.Fatal("corruption not detected")
+			}
+			t.Log(err)
+		})
+	}
+}

@@ -162,3 +162,59 @@ func TestMSHRStallStatsPinned(t *testing.T) {
 		}
 	}
 }
+
+// stalledSMX builds a K20c SMX (a 32-entry MSHR table) holding 48 warps:
+// five blocks of 8 warps whose every instruction is a 32-line load of lines
+// no other warp touches, so they fill the table and then retry against it,
+// and one block of 8 warps issuing short computes, which cycle through the
+// wake heap. It returns the SMX and the next cycle once 40 warps are
+// stalled on the full table; for the next 10^5 cycles the table stays full
+// and the compute warps keep issuing.
+func stalledSMX(tb testing.TB) (*SMX, uint64) {
+	cfg := config.KeplerK20c()
+	var seq uint64
+	s := New(0, &cfg, mem.NewSystem(&cfg), nopEvents{}, GTO, &seq)
+	for b := 0; b < 5; b++ {
+		bld := isa.NewTB(256)
+		for i := 0; i < 64; i++ {
+			base := uint64((b*64+i)*256) * config.LineSize
+			bld.Load(func(tid int) uint64 { return base + uint64(tid)*config.LineSize })
+		}
+		s.AddBlock(bld.Build(), nil, 0)
+	}
+	s.AddBlock(isa.NewTB(256).ComputeN(4, 1<<15).Build(), nil, 0)
+	var now uint64
+	for ; s.memStalledWarps < 40; now++ {
+		if now > 1000 {
+			tb.Fatalf("%d warps stalled after %d cycles, want 40", s.memStalledWarps, now)
+		}
+		s.Tick(now)
+	}
+	return s, now
+}
+
+// BenchmarkTickMSHRStalled measures one full SMX tick (ns/op) on an SMX
+// whose 40 loading warps are stalled on a full MSHR table next to 8 ready
+// or waiting compute warps: the per-tick cost of the issue scan when most
+// resident warps cannot act. It reports the average stalled warps and
+// issued instructions per tick.
+func BenchmarkTickMSHRStalled(b *testing.B) {
+	s, now := stalledSMX(b)
+	var stalled int
+	insts := s.stats.WarpInsts
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%100_000 == 99_999 {
+			b.StopTimer()
+			insts -= s.stats.WarpInsts
+			s, now = stalledSMX(b)
+			insts += s.stats.WarpInsts
+			b.StartTimer()
+		}
+		stalled += s.memStalledWarps
+		s.Tick(now)
+		now++
+	}
+	b.ReportMetric(float64(stalled)/float64(b.N), "stalled/tick")
+	b.ReportMetric(float64(s.stats.WarpInsts-insts)/float64(b.N), "issued/tick")
+}
