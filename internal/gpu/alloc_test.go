@@ -71,7 +71,7 @@ func startAlloc(t *testing.T, prog *isa.Kernel, dense bool) *Simulator {
 		s.nextID++
 		s.live++
 		s.kernels = append(s.kernels, ki)
-		s.arrivals = append(s.arrivals, ki)
+		s.arrivals.push(ki)
 	}
 	s.lastProgress = s.progress()
 	return s

@@ -9,7 +9,10 @@ import "fmt"
 // carries a state dump. The checks cover:
 //
 //   - per-SMX occupancy (threads, registers, shared memory, TB slots,
-//     warp lists) via smx.CheckInvariants;
+//     warp lists) and issue-scan state via smx.CheckInvariants;
+//   - each MSHR table's stall bookkeeping (bucket stamps, and watch counts
+//     vs the stalled warps of every SMX it serves) via mem.CheckMSHRs —
+//     a table can span a cluster, so this check sits here;
 //   - KMU queue counters vs the actual queue contents;
 //   - KDU entry accounting vs the set of incomplete KDU kernels;
 //   - the live-kernel count vs the instance list;
@@ -46,10 +49,15 @@ func (s *Simulator) stateDump() string {
 // runAudit validates every engine invariant, returning an *InvariantError
 // describing the first violation.
 func (s *Simulator) runAudit() error {
-	for _, x := range s.smxs {
+	stalled := make([][]uint32, len(s.smxs))
+	for i, x := range s.smxs {
 		if err := x.CheckInvariants(); err != nil {
 			return s.invariant("smx-occupancy", err.Error())
 		}
+		stalled[i] = x.StalledLines()
+	}
+	if err := s.memsys.CheckMSHRs(stalled); err != nil {
+		return s.invariant("mshr-stalls", err.Error())
 	}
 
 	queued := 0

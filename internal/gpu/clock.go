@@ -90,14 +90,11 @@ type arrivalsPhase struct{ s *Simulator }
 func (p arrivalsPhase) Tick(now uint64) error { p.s.deliverArrivals(); return nil }
 
 func (p arrivalsPhase) NextEvent(next uint64) uint64 {
-	s := p.s
-	if s.arrHead >= len(s.arrivals) {
+	ki := p.s.arrivals.peek()
+	if ki == nil {
 		return NoEvent
 	}
-	if at := s.arrivals[s.arrHead].ArriveCycle; at > next {
-		return at
-	}
-	return next
+	return max(ki.ArriveCycle, next)
 }
 
 func (p arrivalsPhase) Skip(uint64) {}

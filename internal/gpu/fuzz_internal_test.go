@@ -1,13 +1,14 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 )
 
 // FuzzKMUFIFO drives push/pop sequences through the amortised head-cursor
-// queue and cross-checks every observable against a trivial reference
-// implementation, so the head-compaction path cannot silently reorder, drop,
-// or duplicate entries.
+// queue (instQueue, as each KMU priority level uses it) and cross-checks
+// every observable against a trivial reference implementation, so the
+// head-compaction path cannot silently reorder, drop, or duplicate entries.
 func FuzzKMUFIFO(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1})
@@ -19,7 +20,7 @@ func FuzzKMUFIFO(f *testing.F) {
 	f.Add(long)
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		var q kmuFIFO
+		var q instQueue
 		var ref []*KernelInstance
 		next := 0
 		for _, op := range ops {
@@ -45,6 +46,9 @@ func FuzzKMUFIFO(f *testing.F) {
 					t.Fatalf("pop returned kernel %d, want %d (FIFO order broken)", got.ID, want.ID)
 				}
 			}
+			if head := q.peek(); len(ref) == 0 && head != nil || len(ref) > 0 && head != ref[0] {
+				t.Fatalf("peek disagrees with the reference head (%d queued)", len(ref))
+			}
 			if q.len() != len(ref) {
 				t.Fatalf("len() = %d, reference %d", q.len(), len(ref))
 			}
@@ -67,27 +71,57 @@ func FuzzKMUFIFO(f *testing.F) {
 	})
 }
 
-// FuzzArrivalOrdering checks the sorted-insert used when DropToKMU demotions
-// mix the two launch latencies: arrivals must stay nondecreasing in
-// ArriveCycle from the head cursor onward.
+// FuzzArrivalOrdering checks the sorted insert used when DropToKMU
+// demotions mix the two launch latencies, interleaved with the head pops
+// deliverArrivals makes: the queue must stay nondecreasing in ArriveCycle
+// from the head cursor onward, pop the instances in a stable sort's order
+// (equal cycles in insertion order), and hold every inserted instance that
+// was not popped.
 func FuzzArrivalOrdering(f *testing.F) {
 	f.Add([]byte{10, 200, 10, 10, 200, 30})
+	f.Add([]byte{10, 200, 0xff, 10, 10, 0xff, 0xff, 200, 30, 0xff})
 	f.Fuzz(func(t *testing.T, lat []byte) {
 		if len(lat) > 256 {
 			t.Skip("bounded input")
 		}
-		s := &Simulator{}
+		var q instQueue
+		var ref []*KernelInstance // the live instances, stably sorted
 		for i, l := range lat {
-			s.insertArrival(&KernelInstance{ID: i, ArriveCycle: uint64(l)})
-		}
-		for i := s.arrHead + 1; i < len(s.arrivals); i++ {
-			if s.arrivals[i-1].ArriveCycle > s.arrivals[i].ArriveCycle {
-				t.Fatalf("arrivals unsorted at %d: %d > %d",
-					i, s.arrivals[i-1].ArriveCycle, s.arrivals[i].ArriveCycle)
+			if l == 0xff { // pop the head
+				got := q.pop()
+				if len(ref) == 0 {
+					if got != nil {
+						t.Fatalf("pop on empty queue returned kernel %d", got.ID)
+					}
+					continue
+				}
+				if got != ref[0] {
+					t.Fatalf("pop returned kernel %d, want %d", got.ID, ref[0].ID)
+				}
+				ref = ref[1:]
+				continue
+			}
+			ki := &KernelInstance{ID: i, ArriveCycle: uint64(l)}
+			q.insert(ki)
+			j := len(ref)
+			for j > 0 && ref[j-1].ArriveCycle > ki.ArriveCycle {
+				j--
+			}
+			ref = slices.Insert(ref, j, ki)
+			for k := q.head + 1; k < len(q.items); k++ {
+				if q.items[k-1].ArriveCycle > q.items[k].ArriveCycle {
+					t.Fatalf("arrivals unsorted at %d: %d > %d",
+						k, q.items[k-1].ArriveCycle, q.items[k].ArriveCycle)
+				}
 			}
 		}
-		if len(s.arrivals) != len(lat) {
-			t.Fatalf("inserted %d, stored %d", len(lat), len(s.arrivals))
+		if q.len() != len(ref) {
+			t.Fatalf("queue holds %d, want %d", q.len(), len(ref))
+		}
+		for k, ki := range ref {
+			if q.items[q.head+k] != ki {
+				t.Fatalf("entry %d is kernel %d, want %d", k, q.items[q.head+k].ID, ki.ID)
+			}
 		}
 	})
 }

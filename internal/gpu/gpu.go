@@ -239,17 +239,15 @@ type Simulator struct {
 	// arrivals holds launched instances waiting out their launch
 	// latency. Launch latency is uniform per launch path, but DropToKMU
 	// demotions pay the (longer) CDP latency, so ArriveCycle is kept
-	// sorted by insertion point; arrHead walks the slice without
-	// refiltering.
-	arrivals []*KernelInstance
-	arrHead  int
+	// sorted by insertion point (instQueue.insert).
+	arrivals instQueue
 	// delivered counts arrivals handed to the KMU or scheduler, for the
 	// watchdog's progress vector.
 	delivered uint64
 	// kmuQueue holds instances at the KMU waiting for a KDU entry, one
 	// FIFO per priority level (highest level dispatches first), each
 	// with a head cursor.
-	kmuQueue   []kmuFIFO
+	kmuQueue   []instQueue
 	kmuCount   int
 	kduUsed    int
 	kduFilled  uint64 // cumulative KMU->KDU moves (watchdog progress)
@@ -400,7 +398,7 @@ func New(opts Options) (*Simulator, error) {
 	if opts.Attribution {
 		s.memsys.SetAttribution(true)
 	}
-	s.kmuQueue = make([]kmuFIFO, opts.Config.MaxPriorityLevels+1)
+	s.kmuQueue = make([]instQueue, opts.Config.MaxPriorityLevels+1)
 	s.smxs = make([]*smx.SMX, opts.Config.NumSMX)
 	for i := range s.smxs {
 		s.smxs[i] = smx.New(i, opts.Config, s.memsys, s, opts.WarpPolicy, &s.seq)
@@ -508,7 +506,7 @@ func (s *Simulator) Launch(smxID int, b *smx.Block, child *isa.Kernel, now uint6
 	s.nextID++
 	s.live++
 	s.kernels = append(s.kernels, ki)
-	s.insertArrival(ki)
+	s.arrivals.insert(ki)
 	return true
 }
 
@@ -528,17 +526,6 @@ func (s *Simulator) noteStall(smxID int, parent *KernelInstance, child *isa.Kern
 			s.traceQ(QueueEvent{Kind: QueueStall, Cycle: s.now, SMX: smxID,
 				Parent: parent, Child: child, Queue: queue})
 		}
-	}
-}
-
-// insertArrival appends ki keeping arrivals sorted by ArriveCycle. With a
-// single launch path the slice is naturally sorted; DropToKMU demotions mix
-// the two latencies, so later entries may need to shift by a few slots.
-func (s *Simulator) insertArrival(ki *KernelInstance) {
-	s.arrivals = append(s.arrivals, ki)
-	for i := len(s.arrivals) - 1; i > s.arrHead && s.arrivals[i-1].ArriveCycle > ki.ArriveCycle; i-- {
-		s.arrivals[i] = s.arrivals[i-1]
-		s.arrivals[i-1] = ki
 	}
 }
 
@@ -569,20 +556,42 @@ func reuseTag(ki *KernelInstance) mem.Accessor {
 	return t
 }
 
-// compactThreshold is the head-cursor depth past which the amortised queues
-// copy their live tail down, so backing arrays do not grow without bound
-// under steady launch pressure that never fully drains them.
+// compactThreshold is the head-cursor depth past which an instQueue copies
+// its live tail down, so backing arrays do not grow without bound under
+// steady launch pressure that never fully drains them.
 const compactThreshold = 64
 
-// kmuFIFO is one priority level's KMU queue with an amortised head cursor.
-type kmuFIFO struct {
+// instQueue is a queue of kernel instances with an amortised head cursor:
+// one per KMU priority level (FIFO), and the arrivals queue (kept sorted by
+// ArriveCycle through insert).
+type instQueue struct {
 	items []*KernelInstance
 	head  int
 }
 
-func (q *kmuFIFO) push(ki *KernelInstance) { q.items = append(q.items, ki) }
+func (q *instQueue) push(ki *KernelInstance) { q.items = append(q.items, ki) }
 
-func (q *kmuFIFO) pop() *KernelInstance {
+// insert adds ki after every queued instance that arrives no later, keeping
+// the queue sorted by ArriveCycle. With a single launch path the arrivals
+// are naturally sorted; DropToKMU demotions mix the two latencies, so later
+// entries may need to shift by a few slots.
+func (q *instQueue) insert(ki *KernelInstance) {
+	q.items = append(q.items, ki)
+	for i := len(q.items) - 1; i > q.head && q.items[i-1].ArriveCycle > ki.ArriveCycle; i-- {
+		q.items[i] = q.items[i-1]
+		q.items[i-1] = ki
+	}
+}
+
+// peek returns the head instance without removing it, or nil when empty.
+func (q *instQueue) peek() *KernelInstance {
+	if q.empty() {
+		return nil
+	}
+	return q.items[q.head]
+}
+
+func (q *instQueue) pop() *KernelInstance {
 	if q.head >= len(q.items) {
 		return nil
 	}
@@ -600,7 +609,7 @@ func (q *kmuFIFO) pop() *KernelInstance {
 
 // compact shifts the live entries to the front of the backing array and
 // nils the vacated tail so popped instances become collectable.
-func (q *kmuFIFO) compact() {
+func (q *instQueue) compact() {
 	n := copy(q.items, q.items[q.head:])
 	for i := n; i < len(q.items); i++ {
 		q.items[i] = nil
@@ -609,19 +618,17 @@ func (q *kmuFIFO) compact() {
 	q.head = 0
 }
 
-func (q *kmuFIFO) len() int { return len(q.items) - q.head }
+func (q *instQueue) len() int { return len(q.items) - q.head }
 
-func (q *kmuFIFO) empty() bool { return q.head >= len(q.items) }
+func (q *instQueue) empty() bool { return q.head >= len(q.items) }
 
 // deliverArrivals moves launches whose latency has elapsed to the KMU (CDP
 // and host kernels, plus demoted direct-path children) or directly to the
 // TB scheduler (DTBL TB groups and PMK task-queue entries, which are always
 // visible to it).
 func (s *Simulator) deliverArrivals() {
-	for s.arrHead < len(s.arrivals) && s.arrivals[s.arrHead].ArriveCycle <= s.now {
-		ki := s.arrivals[s.arrHead]
-		s.arrivals[s.arrHead] = nil
-		s.arrHead++
+	for ki := s.arrivals.peek(); ki != nil && ki.ArriveCycle <= s.now; ki = s.arrivals.peek() {
+		s.arrivals.pop()
 		s.delivered++
 		if ki.viaKMU {
 			p := ki.Priority
@@ -634,21 +641,10 @@ func (s *Simulator) deliverArrivals() {
 			s.enqueueSched(ki)
 		}
 	}
-	if s.arrHead == len(s.arrivals) {
-		s.arrivals = s.arrivals[:0]
-		s.arrHead = 0
-	} else if s.arrHead >= compactThreshold && s.arrHead*2 >= len(s.arrivals) {
-		n := copy(s.arrivals, s.arrivals[s.arrHead:])
-		for i := n; i < len(s.arrivals); i++ {
-			s.arrivals[i] = nil
-		}
-		s.arrivals = s.arrivals[:n]
-		s.arrHead = 0
-	}
 }
 
 // pendingArrivals reports launches still waiting out their latency.
-func (s *Simulator) pendingArrivals() int { return len(s.arrivals) - s.arrHead }
+func (s *Simulator) pendingArrivals() int { return s.arrivals.len() }
 
 // kmuDispatch fills free KDU entries from the KMU queues, highest priority
 // first (FCFS within a priority level), as the prioritized kernel launch
@@ -800,7 +796,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		s.nextID++
 		s.live++
 		s.kernels = append(s.kernels, ki)
-		s.arrivals = append(s.arrivals, ki)
+		s.arrivals.push(ki)
 	}
 	if s.live == 0 {
 		return nil, fmt.Errorf("gpu: nothing to run; call LaunchHost first")

@@ -1,13 +1,13 @@
 package mem
 
 // Allocation pins for the MSHR table: insert to capacity, reject at the full
-// table, short-cut the stalled retry with StillRejected, query the
-// stall-wake horizon, and lazily expire the whole table — the complete
+// table, short-cut the stalled retry with Rejected and AllRejected, query
+// the stall-wake horizon, and lazily expire the whole table — the complete
 // per-cycle MSHR protocol — with zero allocations; likewise insertions that
 // shift the completion-sorted entries and expiries that drop only a prefix.
 // The entry slice is preallocated to the table's capacity in NewSystem, and
-// the add ring and bucket counts are arrays inside the table, so these pins
-// hold from the first access, not just after warm-up.
+// the bucket stamps, watch counts and entry counts are arrays inside the
+// table, so these pins hold from the first access, not just after warm-up.
 
 import (
 	"testing"
@@ -88,10 +88,12 @@ func testMSHRProtocolZeroAlloc(t *testing.T) {
 			if !ok {
 				rejected = true
 				// The stalled warp's next-cycle retry provably fails.
-				gen := s.MSHRGen(0)
-				if s.StillRejected(0, (line-1)*config.LineSize, &gen, now+1) {
+				s.Stall(0, uint32(line-1))
+				_, gen := s.MSHRState(0, now)
+				if s.Rejected(0, uint32(line-1), gen, now+1) && s.AllRejected(0, gen, now+1) {
 					elided++
 				}
+				s.Unstall(0, uint32(line-1))
 				break
 			}
 			if filled++; filled > cfg.L1MSHRs {
@@ -108,7 +110,7 @@ func testMSHRProtocolZeroAlloc(t *testing.T) {
 		t.Fatalf("table never filled: %d inserts accepted without rejection (cap %d)", cfg.L1MSHRs, cfg.L1MSHRs)
 	}
 	if elided == 0 {
-		t.Fatal("StillRejected never short-cut the retry of a rejected load")
+		t.Fatal("Rejected and AllRejected never short-cut the retry of a rejected load")
 	}
 	if allocs := testing.AllocsPerRun(500, protocol); allocs != 0 {
 		t.Errorf("MSHR insert/reject/expire protocol: %.2f allocs per round, want 0", allocs)

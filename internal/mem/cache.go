@@ -17,9 +17,11 @@
 //
 // A cache keeps its ways in flat per-slot arrays (tags, LRU stamps,
 // installers), so a probe reads one set's tags as contiguous words. An MSHR
-// table proves in O(1) that a rejected load is rejected again
-// (StillRejected), and StallsProved does the same for all of an SMX's
-// stalled loads at once.
+// table keeps one rejection rule: a rejected load stays rejected while the
+// table is full and no add since it last looked fell in its line's bucket.
+// Per-bucket add stamps prove it in O(1) for one load (Rejected), and one
+// generation of the latest add into a bucket some stalled load watches
+// proves it for all of an SMX's stalled loads at once (AllRejected).
 package mem
 
 import "fmt"

@@ -2,10 +2,11 @@ package mem
 
 // Differential oracles for the MSHR table and the L1 load path. The models
 // are the straightforward implementations the optimized code replaced: an
-// unsorted MSHR table that scans every entry, and a load path that probes
-// the L1 set and then accesses it again through a cache step with its own
-// copy of the victim rule. The optimized code must give the same answers
-// and leave the same state on every input.
+// unsorted MSHR table that scans every entry and proves rejections from a
+// log of every add, and a load path that probes the L1 set and then
+// accesses it again through a cache step with its own copy of the victim
+// rule. The optimized code must give the same answers and leave the same
+// state on every input.
 
 import (
 	"cmp"
@@ -17,18 +18,26 @@ import (
 )
 
 // modelMSHR is the unsorted MSHR table: entries in insertion order, a
-// rescan on every expiry, and a linear lookup.
+// rescan on every expiry, a linear lookup, and the rejection rule read off
+// a log of every add, each with its bucket and whether a stalled load
+// watched that bucket when it happened.
 type modelMSHR struct {
 	entries    []mshrEntry
 	cap        int
 	nextExpire uint64
 	lastAdd    uint64
 	gen        uint64
-	recent     [addRing]uint64
+	adds       []modelAdd // adds[g-1] is add number g
+	watch      map[uint64]uint32
+}
+
+type modelAdd struct {
+	bucket  uint64
+	watched bool
 }
 
 func newModelMSHR(cap int) *modelMSHR {
-	return &modelMSHR{cap: cap, nextExpire: noExpiry, lastAdd: noExpiry}
+	return &modelMSHR{cap: cap, nextExpire: noExpiry, lastAdd: noExpiry, watch: map[uint64]uint32{}}
 }
 
 func (m *modelMSHR) lookup(lineID, now uint64) (uint64, bool) {
@@ -69,21 +78,49 @@ func (m *modelMSHR) add(lineID, complete, now uint64) {
 	m.entries = append(m.entries, mshrEntry{lineID: lineID, complete: complete})
 	m.nextExpire = min(m.nextExpire, complete)
 	m.lastAdd = now
-	m.recent[m.gen%addRing] = lineID
+	b := lineID % lineBuckets
+	m.adds = append(m.adds, modelAdd{bucket: b, watched: m.watch[b] > 0})
 	m.gen++
 }
 
-func (m *modelMSHR) stillRejected(lineID uint64, gen *uint64, now uint64) bool {
-	if !m.fullAt(now) || m.gen-*gen > addRing {
+// rejected: the table is full and none of the adds after generation since
+// fell in the line's bucket.
+func (m *modelMSHR) rejected(lineID, since, now uint64) bool {
+	if !m.fullAt(now) {
 		return false
 	}
-	for g := *gen; g < m.gen; g++ {
-		if m.recent[g%addRing] == lineID {
+	for _, a := range m.adds[since:] {
+		if a.bucket == lineID%lineBuckets {
 			return false
 		}
 	}
-	*gen = m.gen
 	return true
+}
+
+// allRejected: the table is full and none of the adds after generation
+// since fell in a watched bucket.
+func (m *modelMSHR) allRejected(since, now uint64) bool {
+	if !m.fullAt(now) {
+		return false
+	}
+	for _, a := range m.adds[since:] {
+		if a.watched {
+			return false
+		}
+	}
+	return true
+}
+
+// stamps derives the table's per-bucket add stamps and hot generation from
+// the log.
+func (m *modelMSHR) stamps() (stamp [lineBuckets]uint64, hot uint64) {
+	for i, a := range m.adds {
+		stamp[a.bucket] = uint64(i + 1)
+		if a.watched {
+			hot = uint64(i + 1)
+		}
+	}
+	return stamp, hot
 }
 
 func (m *modelMSHR) nextStallWake(next, minGen uint64) uint64 {
@@ -100,13 +137,15 @@ func (m *modelMSHR) nextStallWake(next, minGen uint64) uint64 {
 }
 
 // FuzzMSHRTableMatchesModel drives the table of a real System (sorted,
-// bucket-counted, preallocated) and the model with one random op stream.
-// Each byte pair is one op: a miss-path admission (lookup, then add when
-// no merge and not full, with a completion latency that may reorder
-// fills), a bare lookup, full, fullAt, a StillRejected retry of a tracked
-// rejection, NextStallWake at a tracked generation, or a clock advance.
+// bucket-counted and -stamped, preallocated) and the model with one random
+// op stream. Each byte pair is one op: a miss-path admission (lookup, then
+// add when no merge and not full, with a completion latency that may
+// reorder fills; a rejection is stalled and tracked), a bare lookup, full,
+// fullAt, Rejected and AllRejected for a tracked rejection (or its
+// unstalling), NextStallWake at a tracked generation, or a clock advance.
 // Line IDs are drawn so that some share a lookup bucket. Every answer and
-// the table's observable state must match after every op.
+// the table's observable state — its stamps, watch counts and hot
+// generation included — must match after every op.
 func FuzzMSHRTableMatchesModel(f *testing.F) {
 	f.Add(byte(3), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 4, 5, 6, 9, 5, 0, 6, 200, 0, 6})
 	f.Add(byte(0), []byte{0, 0, 0, 0, 1, 0, 6, 255, 1, 0, 2, 0, 3, 7})
@@ -145,8 +184,12 @@ func FuzzMSHRTableMatchesModel(f *testing.F) {
 				}
 				if f1 {
 					if len(gens) == 8 {
+						s.Unstall(0, uint32(line[0]))
+						model.watch[line[0]%lineBuckets]--
 						gens, line = gens[1:], line[1:]
 					}
+					s.Stall(0, uint32(id))
+					model.watch[id%lineBuckets]++
 					gens, line = append(gens, tbl.gen), append(line, id)
 					break
 				}
@@ -175,15 +218,18 @@ func FuzzMSHRTableMatchesModel(f *testing.F) {
 				if len(gens) == 0 {
 					break
 				}
-				j := int(arg) % len(gens)
-				g1, g2 := gens[j], gens[j]
-				r1 := s.StillRejected(0, line[j]*config.LineSize, &g1, now)
-				r2 := model.stillRejected(line[j], &g2, now)
-				if r1 != r2 || g1 != g2 {
-					t.Fatalf("op %d cycle %d: StillRejected(line %d, gen %d) = (%t, gen %d), model (%t, gen %d)",
-						i, now, line[j], gens[j], r1, g1, r2, g2)
+				j := int(arg&0x7f) % len(gens)
+				if r1, r2 := s.Rejected(0, uint32(line[j]), gens[j], now), model.rejected(line[j], gens[j], now); r1 != r2 {
+					t.Fatalf("op %d cycle %d: Rejected(line %d, gen %d) = %t, model %t", i, now, line[j], gens[j], r1, r2)
 				}
-				gens[j] = g1
+				if r1, r2 := s.AllRejected(0, gens[j], now), model.allRejected(gens[j], now); r1 != r2 {
+					t.Fatalf("op %d cycle %d: AllRejected(gen %d) = %t, model %t", i, now, gens[j], r1, r2)
+				}
+				if arg&0x80 != 0 { // the load is reissued and leaves the watch
+					s.Unstall(0, uint32(line[j]))
+					model.watch[line[j]%lineBuckets]--
+					gens, line = slices.Delete(gens, j, j+1), slices.Delete(line, j, j+1)
+				}
 			case 5:
 				minGen := tbl.gen
 				if len(gens) > 0 {
@@ -210,6 +256,14 @@ func FuzzMSHRTableMatchesModel(f *testing.F) {
 			}
 			if want != tbl.count {
 				t.Fatalf("op %d: bucket counts do not match the entries", i)
+			}
+			if stamp, hot := model.stamps(); stamp != tbl.stamp || hot != tbl.hot {
+				t.Fatalf("op %d: add stamps or hot generation %d differ from the model's (hot %d)", i, tbl.hot, hot)
+			}
+			for b, n := range tbl.watch {
+				if model.watch[uint64(b)] != n {
+					t.Fatalf("op %d: bucket %d watches %d stalled loads, model %d", i, b, n, model.watch[uint64(b)])
+				}
 			}
 			if cap(tbl.entries) != cfg.L1MSHRs {
 				t.Fatalf("op %d: entries capacity %d, want the preallocated %d", i, cap(tbl.entries), cfg.L1MSHRs)

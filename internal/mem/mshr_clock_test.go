@@ -154,10 +154,10 @@ func TestNextStallWakeMatchesDenseScan(t *testing.T) {
 }
 
 // TestNextStallWakeSkipsObservedAdds: when every stalled warp has observed
-// the table's latest add (minGen equals MSHRGen), that add cannot have made
-// any blocked line mergeable, so the lastAdd+1 wake is dropped and the first
-// fill completion is the wake; while some stalled warp last observed an
-// older generation, lastAdd+1 still wakes it.
+// the table's latest add (minGen equals its generation), that add cannot
+// have made any blocked line mergeable, so the lastAdd+1 wake is dropped and
+// the first fill completion is the wake; while some stalled warp last
+// observed an older generation, lastAdd+1 still wakes it.
 func TestNextStallWakeSkipsObservedAdds(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.L1MSHRs = 4
@@ -175,7 +175,7 @@ func TestNextStallWakeSkipsObservedAdds(t *testing.T) {
 	if _, ok := s.Load(0, blocked, fillCycle); ok {
 		t.Fatal("fifth miss accepted by a full 4-entry MSHR table")
 	}
-	gen := s.MSHRGen(0)
+	_, gen := s.MSHRState(0, fillCycle)
 	next := fillCycle + 1
 	if got := s.NextStallWake(0, next, gen); got != minComplete {
 		t.Errorf("every add observed: NextStallWake = %d, want first fill completion %d", got, minComplete)
@@ -184,8 +184,7 @@ func TestNextStallWakeSkipsObservedAdds(t *testing.T) {
 		t.Errorf("an add missed: NextStallWake = %d, want lastAdd+1 = %d", got, next)
 	}
 	// The dropped wake was spurious: a retry then is provably rejected.
-	g := gen
-	if !s.StillRejected(0, blocked, &g, next) {
+	if !s.Rejected(0, uint32(blocked/config.LineSize), gen, next) {
 		t.Error("retry at lastAdd+1 not provably rejected")
 	}
 	if _, ok := s.Load(0, blocked, next); ok {

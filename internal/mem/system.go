@@ -15,14 +15,8 @@ type mshrEntry struct {
 // noExpiry is the nextExpire sentinel of an empty MSHR table.
 const noExpiry = ^uint64(0)
 
-// addRing is how many of the most recent adds an MSHR table remembers for
-// StillRejected; a stalled warp that has missed more adds than this falls
-// back to a real retry.
-const addRing = 64
-
-// lineBuckets is the number of line-ID buckets an MSHR table counts its
-// entries in, so lookup can rule out a merge without scanning. A power of
-// two.
+// lineBuckets is the number of line-ID buckets an MSHR table keeps its
+// entry counts, add stamps and watch counts in. A power of two.
 const lineBuckets = 256
 
 // mshrTable bounds and merges outstanding misses for one SMX's L1. An entry
@@ -51,12 +45,14 @@ type mshrTable struct {
 	// fill lands, an L1 hit) on the very next cycle, so lastAdd+1 is then
 	// a wake horizon alongside nextExpire.
 	lastAdd uint64
-	// gen counts adds; recent[g%addRing] is the line of add number g.
-	// add is the only way a line enters the table or its L1, so a load
-	// rejected at generation g stays rejected while the table is full and
-	// none of the adds since g was its line (stillRejected).
-	gen    uint64
-	recent [addRing]uint64
+	// gen counts adds, and stamp[b] is gen after the latest add whose line
+	// fell in bucket b (Rejected). watch[b] counts the stalled loads of
+	// every SMX the table serves that are blocked on bucket b (Stall), and
+	// hot is gen after the latest add into a watched bucket (AllRejected).
+	gen   uint64
+	stamp [lineBuckets]uint64
+	watch [lineBuckets]uint32
+	hot   uint64
 	// count[id%lineBuckets] is the number of entries whose line ID falls in
 	// that bucket; a zero bucket proves the line has no outstanding miss.
 	// config.Validate bounds the capacity by config.MaxL1MSHRs, so a
@@ -122,26 +118,14 @@ func (m *mshrTable) add(lineID, complete, now uint64) {
 	}
 	m.entries[i] = mshrEntry{lineID: lineID, complete: complete}
 	m.nextExpire = m.entries[0].complete
-	m.count[lineID%lineBuckets]++
+	b := lineID % lineBuckets
+	m.count[b]++
 	m.lastAdd = now
-	m.recent[m.gen%addRing] = lineID
 	m.gen++
-}
-
-// stillRejected reports whether a load of lineID, rejected when the table's
-// add generation was *gen, is provably rejected again at cycle now, and if
-// so advances *gen to the current generation.
-func (m *mshrTable) stillRejected(lineID uint64, gen *uint64, now uint64) bool {
-	if !m.fullAt(now) || m.gen-*gen > addRing {
-		return false
+	m.stamp[b] = m.gen
+	if m.watch[b] != 0 {
+		m.hot = m.gen
 	}
-	for g := *gen; g < m.gen; g++ {
-		if m.recent[g%addRing] == lineID {
-			return false
-		}
-	}
-	*gen = m.gen
-	return true
 }
 
 // l1Port is the L1 and MSHR table serving one SMX (its cluster's).
@@ -263,21 +247,15 @@ func (s *System) dramAccess(ready uint64) uint64 {
 
 // NextStallWake returns the earliest cycle >= next at which a warp of the
 // given SMX stalled on a full MSHR table could make progress, or ^uint64(0)
-// when no such cycle is scheduled; minGen is the oldest MSHRGen any of the
-// SMX's stalled warps last observed (the smallest generation a rejection or
-// a true StillRejected recorded). A blocked line advances when the table
-// has a slot for it — if a slot is already free at next (expired fills can
-// linger unclaimed while the warp scheduler's issue-width starves the
-// stalled warp's retry), the retry can succeed immediately; otherwise the
-// earliest fill completion (nextExpire) is the first chance. Independently,
-// another warp's access to the same line can turn the retry into an MSHR
-// merge (and, once the fill lands, an L1 hit) — new entries appear only
-// through add, so lastAdd+1 bounds that case, but only for a warp that has
-// missed an add: with minGen == gen every stalled warp has already retried
-// against the current table (a full table admits no add within the cycle
-// of a rejection), so no add can have made its line mergeable and the wake
-// would be spurious. A lastAdd+1 below next has already been observed by a
-// retry and never rearms. Every case is O(1).
+// when no such cycle is scheduled; every stalled warp has observed the
+// table's generation (MSHRState) minGen or a later one. A slot free at next
+// (expired fills can linger unclaimed while issue-width starvation delays
+// a retry) wakes at once, else the earliest fill completion (nextExpire)
+// does. An add can also turn a blocked line into an MSHR merge a cycle
+// later, so lastAdd+1 wakes too — unless minGen == gen: then every stalled
+// warp retried after the latest add (a full table admits no add within the
+// cycle of a rejection). A lastAdd+1 below next has already been observed
+// by a retry and never rearms. Every case is O(1).
 func (s *System) NextStallWake(smx int, next, minGen uint64) uint64 {
 	m := s.port[smx].mshr
 	if !m.fullAt(next) {
@@ -293,66 +271,68 @@ func (s *System) NextStallWake(smx int, next, minGen uint64) uint64 {
 	return wake
 }
 
-// MSHRGen returns the add generation of the MSHR table serving the given
-// SMX: the number of misses it has accepted. A caller whose load was just
-// rejected records it for StillRejected.
-func (s *System) MSHRGen(smx int) uint64 { return s.port[smx].mshr.gen }
-
-// StillRejected reports whether a load of lineAddr by the given SMX, last
-// rejected (LoadAs returned ok=false) when MSHRGen was *gen, would be
-// rejected again at cycle now; on true it advances *gen, so the caller can
-// keep asking on later cycles. A true answer is exact: LoadAs would change
-// no state and return ok=false, so the caller may skip it. A line enters
-// the MSHR table and the L1 only through a miss's add (stores only touch
-// the L1, hits never allocate), so the line is still neither mergeable nor
-// cached while none of the adds since *gen was its own, and the table is
-// still full while len(entries) == cap and nextExpire > now. False means
-// the retry may succeed — or that more adds than the table remembers have
-// happened since *gen — and the caller must call LoadAs.
-func (s *System) StillRejected(smx int, lineAddr uint64, gen *uint64, now uint64) bool {
-	return s.port[smx].mshr.stillRejected(lineAddr/config.LineSize, gen, now)
-}
-
 // MSHRState returns whether the MSHR table serving the given SMX is full at
-// cycle now, and its add generation (MSHRGen). A full table stays full for
-// the rest of the cycle — no entry completes within it and a full table
-// admits no add — so an issue scan reads both once and refreshes them only
-// after a load it issued may have added a miss.
+// cycle now, and its add generation: the number of misses it has accepted.
+// A full table stays full for the rest of the cycle — no entry completes
+// within it and a full table admits no add — so an issue scan reads both
+// once and refreshes them only after a load it issued may have added a
+// miss.
 func (s *System) MSHRState(smx int, now uint64) (full bool, gen uint64) {
 	m := s.port[smx].mshr
 	return m.fullAt(now), m.gen
 }
 
-// StallCounts counts a caller's MSHR-rejected loads per line bucket (line ID
-// modulo the MSHR table's bucket count), so StallsProved can rule out, per
-// add, that the add was any of those loads' lines.
-type StallCounts [lineBuckets]uint32
+// Stall records that a load of lineID by the given SMX was just rejected
+// and will be retried: its bucket is watched until Unstall. A retrying warp
+// unstalls its load before reissuing it, so its own add never marks the
+// table hot.
+func (s *System) Stall(smx int, lineID uint32) { s.port[smx].mshr.watch[lineID%lineBuckets]++ }
 
-// Add counts a rejected load of lineID.
-func (c *StallCounts) Add(lineID uint32) { c[lineID%lineBuckets]++ }
+// Unstall drops a load recorded by Stall.
+func (s *System) Unstall(smx int, lineID uint32) { s.port[smx].mshr.watch[lineID%lineBuckets]-- }
 
-// Remove uncounts a rejected load of lineID.
-func (c *StallCounts) Remove(lineID uint32) { c[lineID%lineBuckets]-- }
-
-// StallsProved reports whether every load counted in c, each last rejected
-// (or proved rejected) when the given SMX's MSHRGen was gen, is rejected
-// again at cycle now — that is, whether StillRejected would return true for
-// each of them at generation gen. It holds when the table is full at now and
-// none of the adds since gen falls in a bucket c counts: then none of them
-// was a counted load's line. A bucket collision or more adds than the table
-// remembers answer false, and the caller proves its loads one by one. O(adds
-// since gen).
-func (s *System) StallsProved(smx int, gen uint64, c *StallCounts, now uint64) bool {
+// Rejected reports whether a load of lineID by the given SMX, rejected when
+// the table's generation (MSHRState) was since or later, is rejected again
+// at cycle now: the table is full, and no add since fell in the line's
+// bucket. A line enters the table or the L1 only through a miss's add
+// (stores only touch the L1, hits never allocate), so a true answer is
+// exact — LoadAs would change no state and return ok=false. False (a
+// bucket collision among them) sends the caller to a real LoadAs.
+func (s *System) Rejected(smx int, lineID uint32, since, now uint64) bool {
 	m := s.port[smx].mshr
-	if !m.fullAt(now) || m.gen-gen > addRing {
-		return false
-	}
-	for g := gen; g < m.gen; g++ {
-		if c[m.recent[g%addRing]%lineBuckets] != 0 {
-			return false
+	return m.fullAt(now) && m.stamp[lineID%lineBuckets] <= since
+}
+
+// AllRejected is Rejected for every load the given SMX has stalled at
+// once: the table is full, and no add since fell in a bucket any stalled
+// load of the table's SMXs is watching — from its rejection on, so any
+// later add of its line marks the table hot.
+func (s *System) AllRejected(smx int, since, now uint64) bool {
+	m := s.port[smx].mshr
+	return m.fullAt(now) && m.hot <= since
+}
+
+// CheckMSHRs validates every MSHR table's stall bookkeeping for the
+// engine's audit: no stamp and no hot generation ahead of the table's, and
+// each bucket's watch count equal to a recount over the SMXs it serves,
+// stalled[smx] listing the lines that SMX's stalled loads are blocked on
+// (none for an SMX past its end).
+func (s *System) CheckMSHRs(stalled [][]uint32) error {
+	for i := 0; i < len(s.port); i += s.cfg.SMXsPerCluster {
+		m, watch := s.port[i].mshr, [lineBuckets]uint32{}
+		for j := i; j < min(i+s.cfg.SMXsPerCluster, len(stalled)); j++ {
+			for _, id := range stalled[j] {
+				watch[id%lineBuckets]++
+			}
+		}
+		for b := range m.stamp {
+			if m.stamp[b] > m.gen || m.hot > m.gen || m.watch[b] != watch[b] {
+				return fmt.Errorf("mshr %d at generation %d: bucket %d stamped %d, hot %d, watches %d stalled loads, its SMXs hold %d",
+					i, m.gen, b, m.stamp[b], m.hot, m.watch[b], watch[b])
+			}
 		}
 	}
-	return true
+	return nil
 }
 
 // Load performs one coalesced 128-byte load transaction for the given SMX at

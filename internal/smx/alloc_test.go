@@ -50,7 +50,8 @@ func TestBlockLifecycleZeroAlloc(t *testing.T) {
 
 // TestStalledRetryZeroAlloc pins the MSHR-stall path: with a one-entry MSHR
 // table every warp's 32-line load stalls, and each stalled retry is either
-// short-cut by mem.StillRejected or re-issued — neither may allocate.
+// short-cut by mem.Rejected or mem.AllRejected, or re-issued — none may
+// allocate.
 func TestStalledRetryZeroAlloc(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.L1MSHRs = 1

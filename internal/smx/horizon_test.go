@@ -1,11 +1,13 @@
 package smx
 
-// The wake bound a Tick leaves behind (nextReady, minRejectGen) is what the
-// engine's fast-forward clock trusts to skip cycles, so it must be exactly
-// the full-pass definition however the issue scan computed it: the scan
-// reads the wake heap's minimum, folds only the ready warps a short scan did
-// not visit, and keeps one shared generation for the stalled warps after a
-// complete scan.
+// The horizon a Tick leaves behind is what the engine's fast-forward clock
+// trusts to skip cycles and elide ticks, and it is no longer recomputed on
+// the cycles in between, so it must equal the full-pass definition on every
+// one of them: the earliest readyAt of a warp that can issue on its own or
+// of a pending block retirement, lowered to the MSHR stall wake while loads
+// are stalled, and pinned to the next cycle while a short scan left stalled
+// warps — however the issue scan computed it and whatever the SMX's cluster
+// peer did since.
 
 import (
 	"fmt"
@@ -17,46 +19,53 @@ import (
 	"laperm/internal/mem"
 )
 
-// effectiveGen is the MSHR generation the stalled warp at position p last
-// observed: the shared stallGen after a complete scan, else its own slot.
-func effectiveGen(s *SMX, p int) uint64 {
-	if s.stallShared {
-		return s.stallGen
+// fullPassHorizon recomputes from scratch the earliest cycle >= next at
+// which the SMX can act, by a pass over its warps and retiring blocks and a
+// NextStallWake query at next.
+func fullPassHorizon(s *SMX, next uint64) uint64 {
+	if s.Idle() {
+		return ^uint64(0)
 	}
-	return s.rejGen[p]
-}
-
-// fullPassBound recomputes the wake bound from scratch: the earliest
-// readyAt of a warp that can issue on its own or of a pending block
-// retirement, and the oldest effective generation of an MSHR-stalled warp.
-func fullPassBound(s *SMX) (next, minGen uint64) {
-	next, minGen = ^uint64(0), ^uint64(0)
-	for p, w := range s.warps {
+	fold := ^uint64(0)
+	memStalled, launchStalled := false, false
+	for _, w := range s.warps {
 		switch {
 		case len(w.pending) > 0:
-			minGen = min(minGen, effectiveGen(s, p))
-		case !w.done && !w.atBarrier && !w.launchStalled:
-			next = min(next, w.readyAt)
+			memStalled = true
+		case w.launchStalled:
+			launchStalled = true
+		case !w.done && !w.atBarrier:
+			fold = min(fold, w.readyAt)
 		}
 	}
 	for _, b := range s.retiring {
-		next = min(next, b.retireAt)
+		fold = min(fold, b.retireAt)
 	}
-	return next, minGen
+	if (memStalled || launchStalled) && s.scanShort {
+		return next
+	}
+	if memStalled {
+		fold = min(fold, s.mem.NextStallWake(s.ID, next, s.stallGen))
+	}
+	return max(fold, next)
 }
 
-// checkBound compares the bound the last Tick left with the full pass. An
-// SMX without warps returns from Tick at once and its bound is unused.
-func checkBound(t *testing.T, s *SMX, now uint64) {
+// checkHorizon compares the SMX's horizon at cycle next with the full pass.
+func checkHorizon(t *testing.T, s *SMX, next uint64) {
 	t.Helper()
-	if s.Idle() {
-		return
+	if h, want := s.NextEvent(next), fullPassHorizon(s, next); h != want {
+		t.Fatalf("smx %d next %d: horizon %d, full pass gives %d", s.ID, next, h, want)
 	}
-	next, minGen := fullPassBound(s)
-	if s.nextReady != next || s.minRejectGen != minGen {
-		t.Fatalf("smx %d cycle %d: nextReady %d, minRejectGen %d; full pass gives %d, %d",
-			s.ID, now, s.nextReady, s.minRejectGen, next, minGen)
+}
+
+// checkStalls audits the MSHR tables' watch counts against the stalled
+// warps of every SMX, as the engine's invariant auditor does.
+func checkStalls(smxs []*SMX) error {
+	stalled := make([][]uint32, len(smxs))
+	for i, s := range smxs {
+		stalled[i] = s.StalledLines()
 	}
+	return smxs[0].mem.CheckMSHRs(stalled)
 }
 
 // randomTB builds a block of 1-6 warps, each with its own random stream of
@@ -97,6 +106,10 @@ func randomTB(rng *rand.Rand, child *isa.Kernel) *isa.TB {
 	return tb
 }
 
+// TestNextReadyMatchesFullPass drives one SMX, or two sharing an L1 and
+// MSHR table, with random blocks under every warp policy, ticking them as
+// the engine does (TickFF), and holds the horizon to fullPassHorizon after
+// every tick and on every later cycle, the elided ones included.
 func TestNextReadyMatchesFullPass(t *testing.T) {
 	child := isa.NewKernel("child").Add(isa.NewTB(32).Compute(1).Build()).Build()
 	for _, policy := range []Policy{GTO, LRR, TwoLevel} {
@@ -121,7 +134,7 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 						smxs[i] = New(i, &cfg, m, q, policy, &seq)
 					}
 					pending := 40 // blocks still to dispatch
-					var now, releases, bulk uint64
+					var now, releases, bulk, elided uint64
 					idle := false
 					for ; !idle && now < 1<<20; now++ {
 						if rng.Intn(30) == 0 {
@@ -147,11 +160,16 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 									atBarrier = append(atBarrier, w)
 								}
 							}
-							s.Tick(now)
+							// Ticks the horizon elides leave the SMX's
+							// state, and so its horizon, as it was.
+							if now < s.horizon && !s.Idle() {
+								elided++
+							}
+							s.TickFF(now)
 							if s.bulk {
 								bulk++
 							}
-							checkBound(t, s, now)
+							checkHorizon(t, s, now+1)
 							if err := s.CheckInvariants(); err != nil {
 								t.Fatalf("cycle %d: %v", now, err)
 							}
@@ -161,6 +179,14 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 								}
 							}
 							idle = idle && s.Idle()
+						}
+						// Every cycle up to the horizon, after the
+						// cluster peer's tick too, finds it unchanged.
+						for _, s := range smxs {
+							checkHorizon(t, s, now+1)
+						}
+						if err := checkStalls(smxs); err != nil {
+							t.Fatalf("cycle %d: %v", now, err)
 						}
 					}
 					if !idle {
@@ -174,10 +200,13 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 						stalls += s.Stats().MemStallEvents
 					}
 					if stalls == 0 {
-						t.Error("no MSHR stalls; the minRejectGen fold went unexercised")
+						t.Error("no MSHR stalls; the stall wake went unexercised")
 					}
 					if bulk == 0 {
 						t.Error("no scan proved its stalled warps' retries in bulk")
+					}
+					if elided == 0 {
+						t.Error("no tick was elided before the horizon")
 					}
 				})
 			}
@@ -205,19 +234,19 @@ func TestNextReadyMatchesFullPass(t *testing.T) {
 		// final instruction, which releases the barrier.
 		for now := uint64(0); now < 2; now++ {
 			s.Tick(now)
-			checkBound(t, s, now)
+			checkHorizon(t, s, now+1)
 		}
 		released := !s.warps[0].atBarrier && s.warps[0].pc == 1
-		if !released || s.nextReady != 2 || len(s.wake) != len(tb.Warps)-1 {
-			t.Fatalf("barrier released %t, nextReady %d, %d warps waking; want a release at cycle 1 waking the %d older warps at 2",
-				released, s.nextReady, len(s.wake), len(tb.Warps)-1)
+		if !released || s.horizon != 2 || len(s.wake) != len(tb.Warps)-1 {
+			t.Fatalf("barrier released %t, horizon %d, %d warps waking; want a release at cycle 1 waking the %d older warps at 2",
+				released, s.horizon, len(s.wake), len(tb.Warps)-1)
 		}
 		for now := uint64(2); !s.Idle(); now++ {
 			if now > 1000 {
 				t.Fatal("block did not retire")
 			}
 			s.Tick(now)
-			checkBound(t, s, now)
+			checkHorizon(t, s, now+1)
 		}
 	})
 }

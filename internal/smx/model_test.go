@@ -1,12 +1,13 @@
 package smx
 
-// The differential oracle for the issue scan: modelSMX is the per-warp
-// scan the bitset scan replaced. Every tick it visits the resident warps
-// one by one in the policy's order, asks each whether it can issue, proves
-// a stalled warp's retry with mem.StillRejected against the generation the
-// warp itself last observed, and recomputes the wake bound with a full pass
+// The differential oracle for the issue scan: modelSMX is a per-warp scan
+// with no proofs. Every tick it visits the resident warps one by one in the
+// policy's order, asks each whether it can issue, retries a stalled warp's
+// load with a real mem.LoadAs, and recomputes the horizon with a full pass
 // over the warps. It shares the SMX's retirement rule (a block retires
-// exactly once) and nothing else.
+// exactly once) and nothing else, so matching it shows every retry the SMX
+// proves would have failed (mem.Rejected, mem.AllRejected) and every
+// horizon it caches is the one a full pass finds.
 
 import (
 	"fmt"
@@ -62,7 +63,7 @@ type modelSMX struct {
 	stats              Stats
 	needSweep          bool
 	nextReady          uint64
-	minRejectGen       uint64
+	horizon            uint64
 	launchStalledWarps int
 	memStalledWarps    int
 	scanShort          bool
@@ -109,7 +110,7 @@ func (s *modelSMX) tick(now uint64) {
 	}
 	s.retiring = keep
 	try := func(w *modelWarp) bool {
-		return w.canIssue(now) && (len(w.pending) == 0 || !s.retryRejected(w, now)) && s.issue(w, now)
+		return w.canIssue(now) && s.issue(w, now)
 	}
 	issued := 0
 	switch s.policy {
@@ -168,16 +169,27 @@ func (s *modelSMX) tick(now uint64) {
 	for _, b := range s.retiring {
 		next = min(next, b.retireAt)
 	}
-	s.nextReady, s.minRejectGen = next, minGen
+	s.nextReady = next
+	// The horizon: the next cycle, while a scan that stopped short left
+	// stalled warps; else the earliest issuable warp or retirement, lowered
+	// to the MSHR stall wake when loads are stalled.
+	after := now + 1
+	switch {
+	case (s.memStalledWarps > 0 || s.launchStalledWarps > 0) && s.scanShort:
+		s.horizon = after
+	case s.memStalledWarps > 0:
+		s.horizon = max(min(next, s.mem.NextStallWake(s.id, after, minGen)), after)
+	default:
+		s.horizon = max(next, after)
+	}
 }
 
-func (s *modelSMX) retryRejected(w *modelWarp, now uint64) bool {
-	if !s.mem.StillRejected(s.id, uint64(w.pending[0])*config.LineSize, &w.rejectGen, now) {
-		return false
+// nextEvent is SMX.NextEvent on the model's horizon.
+func (s *modelSMX) nextEvent(next uint64) uint64 {
+	if len(s.warps) == 0 {
+		return ^uint64(0)
 	}
-	w.readyAt = now + 1
-	s.stats.MemStallEvents++
-	return true
+	return max(s.horizon, next)
 }
 
 func (s *modelSMX) issue(w *modelWarp, now uint64) bool {
@@ -244,7 +256,7 @@ func (s *modelSMX) issueMem(w *modelWarp, in *isa.Inst, now uint64) bool {
 				if !wasStalled {
 					s.memStalledWarps++
 				}
-				w.rejectGen = s.mem.MSHRGen(s.id)
+				_, w.rejectGen = s.mem.MSHRState(s.id, now)
 				w.readyAt = now + 1
 				s.stats.MemStallEvents++
 				return false
@@ -343,17 +355,16 @@ func (e *eventLog) BlockDone(smxID int, b *Block, now uint64) {
 }
 
 // compareWithModel reports the first difference between the SMX and the
-// model after a tick: statistics, wake bound, scan-short flag, policy
-// cursors, and every resident warp's execution state. A stalled warp's
-// readyAt is not compared: the SMX no longer rewrites it on each failed
+// model after a tick at cycle now: statistics, horizon, scan-short flag,
+// policy cursors, and every resident warp's execution state. A stalled
+// warp's readyAt is not compared: the SMX does not rewrite it on each failed
 // retry.
-func compareWithModel(s *SMX, m *modelSMX) error {
+func compareWithModel(s *SMX, m *modelSMX, now uint64) error {
 	if s.stats != m.stats {
 		return fmt.Errorf("stats %+v, model %+v", s.stats, m.stats)
 	}
-	if s.nextReady != m.nextReady || s.minRejectGen != m.minRejectGen || s.scanShort != m.scanShort {
-		return fmt.Errorf("nextReady %d minRejectGen %d scanShort %t, model %d %d %t",
-			s.nextReady, s.minRejectGen, s.scanShort, m.nextReady, m.minRejectGen, m.scanShort)
+	if h, mh := s.NextEvent(now+1), m.nextEvent(now+1); h != mh || s.scanShort != m.scanShort {
+		return fmt.Errorf("horizon %d scanShort %t, model %d %t", h, s.scanShort, mh, m.scanShort)
 	}
 	if s.memStalledWarps != m.memStalledWarps || s.launchStalledWarps != m.launchStalledWarps {
 		return fmt.Errorf("stalled warps (mem %d, launch %d), model (%d, %d)",
@@ -444,17 +455,22 @@ func FuzzIssueScanMatchesModel(f *testing.F) {
 			for i, s := range smxs {
 				s.Tick(now)
 				models[i].tick(now)
-				if err := compareWithModel(s, models[i]); err != nil {
+				if err := compareWithModel(s, models[i], now); err != nil {
 					t.Fatalf("%s cycle %d smx %d: %v", policy, now, i, err)
 				}
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatalf("%s cycle %d: %v", policy, now, err)
 				}
-				if s.mem.MSHRGen(i) != models[i].mem.MSHRGen(i) || s.mem.L1Stats(i) != models[i].mem.L1Stats(i) {
+				_, gen := sysS.MSHRState(i, now)
+				_, mgen := sysM.MSHRState(i, now)
+				if gen != mgen || sysS.L1Stats(i) != sysM.L1Stats(i) {
 					t.Fatalf("%s cycle %d smx %d: MSHR gen %d, L1 %v; model %d, %v", policy, now, i,
-						s.mem.MSHRGen(i), s.mem.L1Stats(i), models[i].mem.MSHRGen(i), models[i].mem.L1Stats(i))
+						gen, sysS.L1Stats(i), mgen, sysM.L1Stats(i))
 				}
 				idle = idle && s.Idle()
+			}
+			if err := checkStalls(smxs); err != nil {
+				t.Fatalf("%s cycle %d: %v", policy, now, err)
 			}
 			if sysS.L2Total() != sysM.L2Total() || sysS.DRAMTransactions() != sysM.DRAMTransactions() || sysS.StoreCount() != sysM.StoreCount() {
 				t.Fatalf("%s cycle %d: L2 %v, DRAM %d, stores %d; model %v, %d, %d", policy, now,

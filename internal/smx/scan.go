@@ -14,25 +14,22 @@ package smx
 // bits, in the order the warp policy dictates, so its cost follows the warps
 // that can act rather than the resident ones.
 //
-// An MSHR-stalled warp's blocked line and the MSHR generation at which it
-// was last rejected (its effective generation) live in per-position arrays,
-// so proving a retry fails again reads no warp record. After a scan that
-// visited every stalled warp, all of them have observed the table's current
-// generation — each visit found the table full, and a full table admits no
-// add for the rest of the cycle — so one per-SMX stallGen stands for all of
-// them (stallShared). Whenever the table is full during the next scan — at
-// its start, or once the retries that claim freed slots have refilled it —
-// and none of the adds since stallGen falls in a line bucket some stalled
-// warp is blocked on (mem.StallsProved), every remaining stalled warp's
-// retry provably fails again: the scan then skips their bits and counts the
-// stall events of the ones it passes in bulk. A scan that stops short of a
-// stalled warp writes each stalled warp's own generation back to the array.
+// An MSHR-stalled warp's blocked line lives in a per-position array, so
+// proving a retry fails again reads no warp record, and the MSHR table
+// watches its bucket. After a scan that visited every stalled warp, all of
+// them have observed the table's current generation — each visit found the
+// table full, and a full table admits no add for the rest of the cycle — and
+// it becomes stallGen; a short scan leaves stallGen as it was, which every
+// stalled warp has still observed (generations only grow). A retry fails
+// again while the table is full and no add since stallGen fell in its line's
+// bucket (mem.Rejected). Whenever the table is full during a scan — at its
+// start, or once the retries that claim freed slots have refilled it — and
+// no add since stallGen fell in a bucket any stalled warp of the table waits
+// on (mem.AllRejected), every remaining stalled warp's retry provably fails
+// again: the scan then skips their bits and counts the stall events of the
+// ones it passes in bulk.
 
-import (
-	"math/bits"
-
-	"laperm/internal/config"
-)
+import "math/bits"
 
 // bitset is a set of warp positions.
 type bitset []uint64
@@ -238,31 +235,22 @@ func (s *SMX) visit(p int, now uint64) bool {
 // the last tick), the retries that claim the free slots run one by one; the
 // proof is tried as soon as the table is full again.
 func (s *SMX) tryBulk(now uint64) {
-	if s.full && s.stallShared && s.memStalledWarps > 0 {
+	if s.full && s.memStalledWarps > 0 {
 		s.bulkTried = true
-		s.bulk = s.mem.StallsProved(s.ID, s.stallGen, &s.stallCounts, now)
+		s.bulk = s.mem.AllRejected(s.ID, s.stallGen, now)
 	}
 }
 
-// retry is an MSHR-stalled warp's visit. Under a bulk proof it only counts
-// the stall. Otherwise, when the table is full and the warp has observed its
-// current generation — or mem.StillRejected shows that no add since was its
-// blocked line — the retry fails again: it counts one stall cycle and the
-// warp observes the current generation. Only a retry that may succeed reads
-// the warp record and reissues the load.
+// retry is an MSHR-stalled warp's visit. Under a bulk proof, or when the
+// table is full and no add since stallGen fell in the bucket of the warp's
+// blocked line (mem.Rejected), the retry fails again and only counts one
+// stall cycle. Only a retry that may succeed reads the warp record and
+// reissues the load.
 func (s *SMX) retry(p int, now uint64) bool {
 	if !s.bulkTried {
 		s.tryBulk(now)
 	}
-	if s.bulk {
-		s.stats.MemStallEvents++
-		return false
-	}
-	g := &s.rejGen[p]
-	if s.stallShared {
-		*g = s.stallGen
-	}
-	if s.full && (*g == s.gen || s.mem.StillRejected(s.ID, uint64(s.stallLine[p])*config.LineSize, g, now)) {
+	if s.bulk || s.full && s.mem.Rejected(s.ID, s.stallLine[p], s.stallGen, now) {
 		s.stats.MemStallEvents++
 		return false
 	}
@@ -272,11 +260,9 @@ func (s *SMX) retry(p int, now uint64) bool {
 // settle runs after the scan, before any sweep. It returns the earliest
 // readyAt of a ready warp the scan did not visit (a scan that stops at the
 // issue width leaves such warps; launch-stalled ones wake on a launch-queue
-// release instead and are excluded), and brings the stalled warps'
-// generations up to date: when every stalled warp was visited they all
-// observed the table's current generation, which becomes the shared
-// stallGen; otherwise each stalled warp's own generation is written back —
-// the current one if it was visited, its previous one if not.
+// release instead and are excluded), and when the scan visited every
+// stalled warp, advances stallGen to the generation they all observed: the
+// table's as of the scan's last load.
 func (s *SMX) settle() (next uint64) {
 	next = ^uint64(0)
 	short := false
@@ -289,26 +275,7 @@ func (s *SMX) settle() (next uint64) {
 		short = short || s.stalled[wi]&^s.seen[wi] != 0
 	}
 	if !short {
-		s.stallShared, s.stallGen = true, s.gen
-		s.minRejectGen = ^uint64(0)
-		if s.memStalledWarps > 0 {
-			s.minRejectGen = s.gen
-		}
-		return next
+		s.stallGen = s.gen
 	}
-	s.minRejectGen = ^uint64(0)
-	for wi, st := range s.stalled {
-		for x := st; x != 0; x &= x - 1 {
-			p := wi<<6 | bits.TrailingZeros64(x)
-			switch {
-			case s.seen.has(p):
-				s.rejGen[p] = s.gen
-			case s.stallShared:
-				s.rejGen[p] = s.stallGen
-			}
-			s.minRejectGen = min(s.minRejectGen, s.rejGen[p])
-		}
-	}
-	s.stallShared = false
 	return next
 }

@@ -8,13 +8,15 @@
 // One issue scan serves every warp policy (scan.go). It visits only warps
 // that can act: ready and stalled warps are bits over the age-ordered warp
 // list, warps waiting out a latency sit in a min-heap on their wake cycle,
-// and the MSHR-stalled warps' retries are proved to fail again per warp in
-// O(1) or, when the table is full and no add since they last looked can be
-// any of their lines, all at once.
+// and the MSHR-stalled warps' retries are proved to fail again by the MSHR
+// table's one rejection rule, per warp (mem.Rejected) or all at once
+// (mem.AllRejected). Each Tick leaves behind the SMX's horizon, which the
+// engine's fast-forward clock reads without recomputing it.
 package smx
 
 import (
 	"fmt"
+	"math/bits"
 
 	"laperm/internal/config"
 	"laperm/internal/isa"
@@ -175,18 +177,16 @@ type SMX struct {
 	ready, stalled, seen bitset
 	wake                 wakeHeap
 	tickEnd              uint64
-	// stallLine and rejGen hold, per position, an MSHR-stalled warp's
-	// blocked line ID (its pending[0]) and the MSHR generation it last
-	// observed — unless stallShared, when every stalled warp observed
-	// stallGen. stallCounts counts the blocked lines per mem line bucket.
-	stallLine   []uint32
-	rejGen      []uint64
-	stallGen    uint64
-	stallShared bool
-	stallCounts mem.StallCounts
+	// stallLine holds, per position, an MSHR-stalled warp's blocked line
+	// ID (its pending[0]), whose bucket the MSHR table watches (mem.Stall).
+	// stallGen is the table's generation after the last scan that visited
+	// every stalled warp: every stalled warp has observed a generation at
+	// or after it, so a retry proved against it is exact.
+	stallLine []uint32
+	stallGen  uint64
 	// full and gen are the MSHR table's state as of the scan's last load;
 	// bulk records that every stalled warp the scan has yet to visit was
-	// proved to fail its retry (mem.StallsProved), and bulkTried that the
+	// proved to fail its retry (mem.AllRejected), and bulkTried that the
 	// proof was attempted on the full table.
 	full, bulk, bulkTried bool
 	gen                   uint64
@@ -204,10 +204,6 @@ type SMX struct {
 	// retiring holds blocks whose warps have all finished issuing but
 	// whose final instructions are still in flight.
 	retiring []*Block
-	// nextReady is a conservative lower bound on the next cycle any
-	// non-stalled resident warp can issue or a pending block can retire;
-	// Tick returns immediately before it when no warp is stalled.
-	nextReady uint64
 	// launchStalledWarps / memStalledWarps count warps blocked on a full
 	// launch queue / MSHR table. Each such warp retries exactly once per
 	// cycle (a failed attempt sets readyAt past the current cycle), so
@@ -220,24 +216,19 @@ type SMX struct {
 	// every warp: a stalled warp may have been starved of its retry, its
 	// last observation of the blocking queue or MSHR table is stale, and
 	// the stall-wake horizons cannot be trusted until a full scan runs —
-	// NextEvent pins the next cycle while this holds.
+	// Tick pins the horizon to the next cycle while this holds.
 	scanShort bool
 	// launchSeen is the Events.LaunchFrees count at the last full Tick
 	// that left warps launch-stalled: while it is unchanged, their retries
 	// provably fail again and TickFF may elide them.
 	launchSeen uint64
-	// minRejectGen is the oldest MSHR generation an MSHR-stalled warp last
-	// observed, after the last full Tick (see NextStallWake).
-	minRejectGen uint64
-	// horizon/horizonAt cache the last NextEvent answer: the SMX provably
-	// cannot act on any cycle in [horizonAt, horizon), because nothing an
-	// SMX observes changes inside the window — its warps, retiring blocks,
-	// and (private) MSHR table only move when it ticks or the engine
-	// dispatches onto it, and AddBlockAttr invalidates the cache. TickFF
-	// uses the window to elide whole per-cycle ticks on processed cycles
-	// that some other component pinned.
-	horizon   uint64
-	horizonAt uint64
+	// horizon is the earliest cycle the SMX can act on its own, set at
+	// the end of each Tick and lowered by AddBlockAttr. Nothing the SMX
+	// observes changes before it: its warps only move when it ticks or the
+	// engine dispatches onto it, and while it has stalled warps its MSHR
+	// table, full at the tick, admits no add by any SMX of its cluster
+	// before the first fill completes, which bounds the horizon.
+	horizon uint64
 	// freeBlocks / freeWarps recycle retired Block and warp records so
 	// steady-state dispatch allocates nothing: sweep pushes a dead block's
 	// records here and AddBlockAttr pops (and fully reinitializes) them.
@@ -258,7 +249,7 @@ func New(id int, cfg *config.GPU, m *mem.System, ev Events, policy Policy, nextS
 	b := make(bitset, 3*words)
 	return &SMX{ID: id, cfg: cfg, mem: m, events: ev, policy: policy, nextSeq: nextSeq,
 		ready: b[:words:words], stalled: b[words : 2*words : 2*words], seen: b[2*words:],
-		wake: make(wakeHeap, 0, n), stallLine: make([]uint32, 0, n), rejGen: make([]uint64, 0, n)}
+		wake: make(wakeHeap, 0, n), stallLine: make([]uint32, 0, n)}
 }
 
 // CanFit reports whether the block's resource demands fit in the SMX's
@@ -285,10 +276,7 @@ func (s *SMX) AddBlockAttr(tb *isa.TB, owner any, tbIndex int, tag mem.Accessor,
 	if !s.CanFit(tb) {
 		panic(fmt.Sprintf("smx %d: AddBlock without resources for %d threads", s.ID, tb.Threads))
 	}
-	if now < s.nextReady {
-		s.nextReady = now
-	}
-	s.horizon = 0 // new warps can issue this very cycle
+	s.horizon = now // new warps can issue this very cycle
 	b := s.newBlock()
 	b.Prog, b.Owner, b.Seq, b.DispatchCycle, b.TBIndex, b.Tag = tb, owner, *s.nextSeq, now, tbIndex, tag
 	*s.nextSeq++
@@ -330,65 +318,27 @@ func (s *SMX) Idle() bool { return len(s.warps) == 0 }
 func (s *SMX) Stats() Stats { return s.stats }
 
 // NextEvent returns the earliest cycle >= next at which the SMX can make
-// progress on its own: the cached nextReady horizon (the earliest issuable
-// non-stalled warp or pending block retirement), lowered to the MSHR stall
-// wake-up bound when warps are blocked on a full MSHR table — a stalled
-// retry can only advance when the table frees a slot at a known
-// fill-completion cycle or, if some stalled warp has not yet observed the
-// table's latest add, the cycle after it (mem.NextStallWake covers both).
-// Warps stalled on a full launch queue contribute nothing: the queue only
-// frees through KMU or TB dispatch, which run on processed cycles of their
-// own phases, and TickFF retries the stalled warps on the first processed
-// cycle after such a release. It returns ^uint64(0) when the SMX holds no
-// work at all, so the engine's fast-forward clock may skip it entirely until
-// a dispatch makes it actionable again. Engine-driven changes (AddBlockAttr)
-// lower nextReady themselves, so the bound stays valid across skipped spans.
-//
-// All of this presumes every stalled warp retried on the last processed
-// cycle; when the issue scan stopped short (scanShort), a starved warp's
-// view of the blocking resource is stale and the next cycle is pinned until
-// a full scan restores the invariant.
+// progress on its own — the horizon — or ^uint64(0) when it holds no work,
+// so the engine's fast-forward clock may skip it until a dispatch.
 func (s *SMX) NextEvent(next uint64) uint64 {
-	h := s.nextEvent(next)
-	s.horizonAt, s.horizon = next, h
-	return h
-}
-
-func (s *SMX) nextEvent(next uint64) uint64 {
 	if len(s.warps) == 0 {
 		return ^uint64(0)
 	}
-	if (s.memStalledWarps > 0 || s.launchStalledWarps > 0) && s.scanShort {
-		return next
-	}
-	h := s.nextReady
-	if s.memStalledWarps > 0 {
-		if r := s.mem.NextStallWake(s.ID, next, s.minRejectGen); r < h {
-			h = r
-		}
-	}
-	if h < next {
-		return next
-	}
-	return h
+	return max(s.horizon, next)
 }
 
-// TickFF is Tick under the fast-forward clock: when the cached NextEvent
-// window proves the SMX cannot act at cycle now, the whole tick — including
-// the per-cycle issue scan a stalled SMX would otherwise pay — is replaced
-// by a one-cycle SkipIdle, whose elided launch retries it returns for the
-// engine's launch-backpressure counter (0 after a real Tick, whose retries
-// reach the engine through Launch). This is the engine's span-skip argument
-// applied to a single SMX on a cycle some other component pinned: inside
-// [horizonAt, horizon) the SMX's warps, retiring blocks, and MSHR table
-// cannot change except through its own tick or an engine dispatch (which
-// invalidates the cache), so every elided MSHR retry would have failed. A
-// launch queue can free on this very cycle through the engine's KMU or TB
-// dispatch, which the window does not see; but every release bumps
-// Events.LaunchFrees, so while it still reads the count of the last full
-// Tick, every elided launch retry would have failed too.
+// TickFF is Tick under the fast-forward clock: before the horizon, on a
+// cycle some other component pinned, the whole tick — including the issue
+// scan a stalled SMX would otherwise pay — is replaced by a one-cycle
+// SkipIdle, whose elided launch retries it returns for the engine's
+// launch-backpressure counter (0 after a real Tick, whose retries reach the
+// engine through Launch). Every elided MSHR retry would have failed, since
+// nothing the SMX observes changes before the horizon. A launch queue can
+// free on this very cycle through the engine's KMU or TB dispatch, but
+// every release bumps Events.LaunchFrees, so while it still reads the count
+// of the last full Tick, every elided launch retry would have failed too.
 func (s *SMX) TickFF(now uint64) (launchRetries uint64) {
-	if s.horizonAt <= now && now < s.horizon &&
+	if now < s.horizon &&
 		(s.launchStalledWarps == 0 || s.events.LaunchFrees() == s.launchSeen) {
 		return s.SkipIdle(1)
 	}
@@ -424,8 +374,8 @@ func (s *SMX) Tick(now uint64) {
 	s.stats.ResidentCycles++
 	s.tickEnd = now + 1
 	// Stalled warps retry (and re-fail) every cycle regardless of the
-	// ready horizon, so the early return applies only to stall-free SMXs.
-	if now < s.nextReady && s.launchStalledWarps == 0 && s.memStalledWarps == 0 {
+	// horizon, so the early return applies only to stall-free SMXs.
+	if now < s.horizon && s.launchStalledWarps == 0 && s.memStalledWarps == 0 {
 		return
 	}
 	// Retire blocks whose last in-flight instruction has completed.
@@ -457,8 +407,12 @@ func (s *SMX) Tick(now uint64) {
 	// The next cycle anything can happen: the earliest issuable warp (one
 	// the scan left ready, or the wake heap's first) or the earliest
 	// pending block retirement. Warps at a barrier wake inside the tick in
-	// which the last live warp arrives; stalled warps wake on the blocking
-	// resource, which NextEvent accounts for.
+	// which the last live warp arrives; MSHR-stalled warps wake when the
+	// table frees a slot or, if one of them may have missed an add, the
+	// cycle after it (mem.NextStallWake). Launch-stalled warps wake on a
+	// release, which TickFF watches. A scan that stopped short of a stalled
+	// warp leaves its view of the blocking resource stale, so the horizon
+	// is then the next cycle.
 	next := s.settle()
 	if s.needSweep {
 		s.sweep()
@@ -474,7 +428,13 @@ func (s *SMX) Tick(now uint64) {
 			next = b.retireAt
 		}
 	}
-	s.nextReady = next
+	switch {
+	case (s.memStalledWarps > 0 || s.launchStalledWarps > 0) && s.scanShort:
+		next = now + 1
+	case s.memStalledWarps > 0:
+		next = min(next, s.mem.NextStallWake(s.ID, now+1, s.stallGen))
+	}
+	s.horizon = max(next, now+1)
 }
 
 // issue executes warp w's next instruction and reports whether it issued.
@@ -523,7 +483,9 @@ func (s *SMX) issue(w *warp, now uint64) bool {
 // issueMem issues the (possibly resumed) transactions of a memory
 // instruction. in is nil when resuming a stalled instruction — always a
 // load, since stores never stall — whose retry could not prove the load
-// fails again: it may succeed.
+// fails again: it may succeed. A resumed load leaves the MSHR table's watch
+// before it reloads, and a load joins it only once rejected, so a warp's own
+// accepted miss never spoils the next bulk proof (mem.AllRejected).
 func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	wasStalled := in == nil // resuming implies a prior MSHR rejection
 	isStore := false
@@ -531,6 +493,8 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 		w.pending = w.block.Prog.LinesOf(in)
 		w.pendingMax = 0
 		isStore = in.Kind == isa.OpStore
+	} else {
+		s.mem.Unstall(s.ID, s.stallLine[w.pos])
 	}
 	for len(w.pending) > 0 {
 		line := uint64(w.pending[0]) * config.LineSize
@@ -546,16 +510,13 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 			if !ok {
 				// MSHRs full: retry remaining transactions
 				// next cycle.
-				if wasStalled {
-					s.stallCounts.Remove(s.stallLine[w.pos])
-				} else {
+				if !wasStalled {
 					s.memStalledWarps++
 					s.stalled.set(w.pos)
 				}
 				s.stallLine[w.pos] = w.pending[0]
-				s.stallCounts.Add(w.pending[0])
-				s.full, s.gen = true, s.mem.MSHRGen(s.ID)
-				s.rejGen[w.pos] = s.gen
+				s.mem.Stall(s.ID, w.pending[0])
+				s.full, s.gen = s.mem.MSHRState(s.ID, now)
 				s.stats.MemStallEvents++
 				return false
 			}
@@ -568,7 +529,6 @@ func (s *SMX) issueMem(w *warp, in *isa.Inst, now uint64) bool {
 	if wasStalled {
 		s.memStalledWarps--
 		s.stalled.unset(w.pos)
-		s.stallCounts.Remove(s.stallLine[w.pos])
 	}
 	w.readyAt = w.pendingMax
 	if isStore {
@@ -719,11 +679,12 @@ func (s *SMX) CheckInvariants() error {
 // checkScan recomputes the issue-scan state from warp state: each warp's
 // position, its ready and stalled bits, its wake-heap membership (exactly
 // the waiting warps, each once, keyed on its readyAt, in heap order), each
-// stalled warp's blocked line and bucket count, and the stall generations —
-// none ahead of the table's, and their minimum the wake bound's.
+// stalled warp's blocked line, and the stall generation, which may not be
+// ahead of the table's. The MSHR table's watch counts span a cluster's SMXs
+// and are checked against StalledLines by mem.CheckMSHRs.
 func (s *SMX) checkScan() error {
 	n := len(s.warps)
-	if len(s.ready) < (n+63)>>6 || len(s.stalled) != len(s.ready) || len(s.seen) != len(s.ready) || len(s.stallLine) < n || len(s.rejGen) < n {
+	if len(s.ready) < (n+63)>>6 || len(s.stalled) != len(s.ready) || len(s.seen) != len(s.ready) || len(s.stallLine) < n {
 		return fmt.Errorf("smx %d: scan state sized for fewer than its %d warps", s.ID, n)
 	}
 	inHeap := make([]int, n)
@@ -739,8 +700,9 @@ func (s *SMX) checkScan() error {
 		}
 		inHeap[e.w.pos]++
 	}
-	var counts mem.StallCounts
-	gen, minGen := s.mem.MSHRGen(s.ID), ^uint64(0)
+	if _, gen := s.mem.MSHRState(s.ID, s.tickEnd); s.stallGen > gen {
+		return fmt.Errorf("smx %d: stalled warps observed MSHR generation %d, the table is at %d", s.ID, s.stallGen, gen)
+	}
 	for p, w := range s.warps {
 		if w.pos != p {
 			return fmt.Errorf("smx %d: warp at position %d records position %d", s.ID, p, w.pos)
@@ -760,34 +722,29 @@ func (s *SMX) checkScan() error {
 				"%d heap entries; want %t, %t, waiting %t", s.ID, p, w.done, w.atBarrier, len(w.pending), w.launchStalled, w.readyAt,
 				s.ready.has(p), s.stalled.has(p), inHeap[p], ready, stalled, waiting)
 		}
-		if !stalled {
-			continue
-		}
-		if s.stallLine[p] != w.pending[0] {
+		if stalled && s.stallLine[p] != w.pending[0] {
 			return fmt.Errorf("smx %d: stalled warp %d records blocked line %d, its load is blocked on %d", s.ID, p, s.stallLine[p], w.pending[0])
 		}
-		counts.Add(s.stallLine[p])
-		g := s.rejGen[p]
-		if s.stallShared {
-			g = s.stallGen
-		}
-		if g > gen {
-			return fmt.Errorf("smx %d: stalled warp %d observed MSHR generation %d, the table is at %d", s.ID, p, g, gen)
-		}
-		minGen = min(minGen, g)
 	}
 	for i := n; i < len(s.ready)<<6; i++ {
 		if s.ready.has(i) || s.stalled.has(i) {
 			return fmt.Errorf("smx %d: scan bit set at position %d past its %d warps", s.ID, i, n)
 		}
 	}
-	if counts != s.stallCounts {
-		return fmt.Errorf("smx %d: stall bucket counts do not match the stalled warps' blocked lines", s.ID)
-	}
-	if s.memStalledWarps > 0 && s.minRejectGen != minGen {
-		return fmt.Errorf("smx %d: wake bound's stall generation %d, stalled warps' oldest is %d", s.ID, s.minRejectGen, minGen)
-	}
 	return nil
+}
+
+// StalledLines returns the line IDs the SMX's MSHR-stalled warps are blocked
+// on, one per stalled warp, for the engine's audit of the MSHR tables' watch
+// counts (mem.CheckMSHRs).
+func (s *SMX) StalledLines() []uint32 {
+	var lines []uint32
+	for wi, st := range s.stalled {
+		for x := st; x != 0; x &= x - 1 {
+			lines = append(lines, s.stallLine[wi<<6|bits.TrailingZeros64(x)])
+		}
+	}
+	return lines
 }
 
 // newBlock pops a recycled Block record or allocates a fresh one. All
@@ -826,7 +783,6 @@ func (s *SMX) grow() {
 	n := len(s.warps)
 	for len(s.stallLine) < n {
 		s.stallLine = append(s.stallLine, 0)
-		s.rejGen = append(s.rejGen, 0)
 	}
 	for words := (n + 63) >> 6; len(s.ready) < words; {
 		s.ready = append(s.ready, 0)
@@ -855,7 +811,7 @@ func (s *SMX) sweep() {
 		w.pos = j
 		s.ready.put(j, s.ready.has(i))
 		s.stalled.put(j, s.stalled.has(i))
-		s.stallLine[j], s.rejGen[j] = s.stallLine[i], s.rejGen[i]
+		s.stallLine[j] = s.stallLine[i]
 	}
 	for i := len(warps); i < len(s.warps); i++ {
 		s.warps[i] = nil

@@ -575,10 +575,11 @@ func TestBarrierLastBlockRetiresOnce(t *testing.T) {
 }
 
 // TestCheckInvariantsDetectsScanCorruption corrupts, one at a time, each
-// piece of issue-scan state CheckInvariants recomputes from warp state — a
-// ready bit, a stalled bit, wake-heap membership and order, a stalled warp's
-// blocked line, the per-bucket stall counts, and the stall generations —
-// and expects each corruption reported.
+// piece of issue-scan state the audit recomputes from warp state — a ready
+// bit, a stalled bit, wake-heap membership and order, a stalled warp's
+// blocked line, the stall generation (CheckInvariants), and the MSHR
+// table's per-bucket watch counts (mem.CheckMSHRs) — and expects each
+// corruption reported.
 func TestCheckInvariantsDetectsScanCorruption(t *testing.T) {
 	// setup returns an SMX after a few ticks of four blocks: some warps
 	// waiting out latencies, some MSHR-stalled on a one-entry table.
@@ -598,6 +599,9 @@ func TestCheckInvariantsDetectsScanCorruption(t *testing.T) {
 			s.Tick(now)
 		}
 		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("clean state: %v", err)
+		}
+		if err := checkStalls([]*SMX{s}); err != nil {
 			t.Fatalf("clean state: %v", err)
 		}
 		if s.memStalledWarps < 2 || len(s.wake) < 2 {
@@ -629,15 +633,11 @@ func TestCheckInvariantsDetectsScanCorruption(t *testing.T) {
 			s.wake[0].at = s.wake[0].w.readyAt
 		}},
 		{"blocked line", func(s *SMX) { s.stallLine[firstStalled(s)]++ }},
-		{"bucket counts", func(s *SMX) { s.stallCounts.Add(7) }},
+		{"bucket counts", func(s *SMX) { s.mem.Stall(s.ID, 7) }},
 		{"shared stall generation ahead of the table", func(s *SMX) {
-			s.stallShared, s.stallGen = true, s.mem.MSHRGen(s.ID)+1
+			_, gen := s.mem.MSHRState(s.ID, s.tickEnd)
+			s.stallGen = gen + 1
 		}},
-		{"own stall generation ahead of the table", func(s *SMX) {
-			s.stallShared = false
-			s.rejGen[firstStalled(s)] = s.mem.MSHRGen(s.ID) + 1
-		}},
-		{"wake bound generation", func(s *SMX) { s.minRejectGen++ }},
 		{"warp position", func(s *SMX) { s.warps[1].pos = 0 }},
 	}
 	for _, tc := range cases {
@@ -645,6 +645,9 @@ func TestCheckInvariantsDetectsScanCorruption(t *testing.T) {
 			s := setup(t)
 			tc.corrupt(s)
 			err := s.CheckInvariants()
+			if err == nil {
+				err = checkStalls([]*SMX{s})
+			}
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}

@@ -85,8 +85,9 @@ func TestMSHRStallStatsPinned(t *testing.T) {
 		return Stats{ThreadInsts: 3072, WarpInsts: 96, ResidentCycles: resident,
 			IssueCycles: issue, BlocksCompleted: 4, MemStallEvents: stalls}
 	}
-	// Recorded before stalled retries were short-cut by
-	// mem.StillRejected, which must not move any of them.
+	// Recorded before stalled retries were short-cut by the MSHR table's
+	// rejection proofs (mem.Rejected, mem.AllRejected), which must not
+	// move any of them.
 	cases := []struct {
 		name    string
 		policy  Policy
