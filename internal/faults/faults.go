@@ -49,16 +49,17 @@ type Site string
 // The failpoint catalog. Each constant documents where the site sits and
 // what an injected failure simulates.
 const (
-	// SiteCacheWrite fires per artifact write in the result cache's Put:
-	// error/panic/delay before the write, partial midway through it —
+	// SiteCacheWrite fires on each entry write in the result cache's Put:
+	// error/panic/delay before the write, partial midway through the
+	// entry's temp file, which is then never renamed into place —
 	// disk-full and torn-write failures.
 	SiteCacheWrite Site = "serve.cache.write"
 	// SiteCacheRead fires in ReadArtifact before the file read — a
 	// flaky or dying disk on the serving path.
 	SiteCacheRead Site = "serve.cache.read"
-	// SiteCacheEvict fires before an eviction's RemoveAll; an injected
-	// error skips the removal, leaving an orphaned entry directory the
-	// next OpenCache must absorb.
+	// SiteCacheEvict fires before an eviction's file removal; an injected
+	// error skips the removal, leaving an orphaned entry file the next
+	// OpenCache must absorb.
 	SiteCacheEvict Site = "serve.cache.evict"
 	// SiteSubmit fires in the submit handler before a job is enqueued;
 	// an injected error sheds the submission with 503 — an overloaded or

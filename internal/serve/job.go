@@ -100,7 +100,9 @@ type Job struct {
 
 	// flight is the job's flight recorder: wall-clock spans from submit to
 	// terminal state, served at /v1/runs/{id}/trace. Nil for cached jobs
-	// (nothing executed) — every telemetry field here is nil-safe.
+	// (nothing executed) and, once it is done, for an executed one: the
+	// server's bounded ring holds it then. Written under the server's mu;
+	// every telemetry field here is nil-safe.
 	flight *telemetry.Flight
 	// queueEnd closes the flight's "queue" span when dispatch claims the
 	// job; enqueuedAt feeds the queue-wait histogram.

@@ -818,11 +818,16 @@ func shutdownCause(ctx context.Context) error {
 }
 
 // finishJob marks a job done: counters, flight hand-off into the completed
-// ring, and the lifecycle log line.
+// ring, and the lifecycle log line. The ring keeps the flight from then
+// on: a done job drops its own reference, so the registry of done jobs
+// does not hold every run's spans.
 func (s *Server) finishJob(j *Job) {
 	s.tel.jobsDone.Inc()
 	j.finish()
 	s.flights.Add(j.flight)
+	s.mu.Lock()
+	j.flight = nil
+	s.mu.Unlock()
 	s.logTransition(j, "done")
 }
 
@@ -852,6 +857,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	defer s.tel.running.Dec()
 	if j.queueEnd != nil {
 		j.queueEnd()
+		j.queueEnd = nil // it holds the flight
 	}
 	if !j.enqueuedAt.IsZero() {
 		s.tel.queueWait.Observe(time.Since(j.enqueuedAt).Seconds())
@@ -981,8 +987,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recor
 // attached to it and finished: lapermd's cache entry and the files
 // `lapermsim -out` writes. result.json leaves out the host-timing fields
 // (WallTime, SimCyclesPerSec), so equal specs give byte-identical sets; res
-// itself is not modified. ResultArtifact is included last-by-convention;
-// the cache enforces write ordering itself.
+// itself is not modified.
 func RunArtifacts(sp spec.RunSpec, res *gpu.Result, rec *trace.Recorder) ([]Artifact, error) {
 	canon, err := sp.Canonical()
 	if err != nil {

@@ -607,7 +607,15 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	}
 	ts1.Close()
 	s1.Close()
-	if err := os.WriteFile(filepath.Join(dir, view.ID, ResultArtifact), []byte("{}\n"), 0o644); err != nil {
+	// Flip the entry file's last byte: the end of result.json, the last
+	// artifact written.
+	path := filepath.Join(dir, view.ID)
+	entry, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry[len(entry)-1] ^= 0x01
+	if err := os.WriteFile(path, entry, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

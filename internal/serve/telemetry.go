@@ -247,9 +247,9 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves a job's flight-recorder trace as Perfetto-loadable
-// Chrome trace_event JSON: live jobs render their partial flight, terminal
-// jobs the completed one (also reachable from the bounded ring after the
-// job itself ages out).
+// Chrome trace_event JSON: live and failed jobs render their own flight,
+// done jobs the completed one from the bounded ring of the last
+// flightRingCap terminal jobs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var f *telemetry.Flight

@@ -352,3 +352,40 @@ func TestRetryLifecycleLog(t *testing.T) {
 		t.Fatalf("transitions = %v, want %v", got, want)
 	}
 }
+
+// TestDoneJobFlightMovesToRing: once a job is done its flight lives only in
+// the bounded ring of recent terminal jobs — the job record drops it, so
+// done records do not keep every run's spans alive — and the trace
+// endpoint still serves it from there.
+func TestDoneJobFlightMovesToRing(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.Start()
+	_, view := submit(t, ts, tinySpec)
+	if v := waitTerminal(t, ts, view.ID); v.State != StateDone {
+		t.Fatalf("run failed: %s", v.Error)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		held := s.jobs[view.ID].flight
+		s.mu.Unlock()
+		if held == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("done job still holds its flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if s.flights.Get(view.ID) == nil {
+		t.Fatal("done job's flight is not in the ring")
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs/" + view.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of a done job: status %d, want 200", resp.StatusCode)
+	}
+}

@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"encoding/json"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"laperm/internal/telemetry"
@@ -37,11 +37,12 @@ func WriteFlightPerfetto(w io.Writer, f *telemetry.Flight) error {
 			names = append(names, spans[i].Track)
 		}
 	}
-	sort.Strings(names)
-	out := make([]perfettoEvent, 0, len(spans)+len(names))
+	slices.Sort(names)
+	j := newJSONBuf(w)
+	j.raw(`{"traceEvents":[`)
 	for i, n := range names {
 		trackPid[n] = i + 1
-		out = append(out, meta("process_name", i+1, 0, n))
+		j.meta("process_name", i+1, 0, n, -1)
 	}
 
 	// A span still open when snapshotted ends at the flight's horizon: the
@@ -63,47 +64,52 @@ func WriteFlightPerfetto(w io.Writer, f *telemetry.Flight) error {
 		return 0
 	}
 	// Sort for byte-stable output: by start, then track, then name.
-	ordered := append([]telemetry.Span(nil), spans...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := &ordered[i], &ordered[j]
-		if !a.Start.Equal(b.Start) {
-			return a.Start.Before(b.Start)
+	slices.SortStableFunc(spans, func(a, b telemetry.Span) int {
+		if c := a.Start.Compare(b.Start); c != 0 {
+			return c
 		}
-		if a.Track != b.Track {
-			return a.Track < b.Track
+		if c := cmp.Compare(a.Track, b.Track); c != 0 {
+			return c
 		}
-		return a.Name < b.Name
+		return cmp.Compare(a.Name, b.Name)
 	})
-	for i := range ordered {
-		sp := &ordered[i]
-		pid := trackPid[sp.Track]
-		var args map[string]any
-		if len(sp.Attrs) > 0 {
-			args = make(map[string]any, len(sp.Attrs))
-			for k, v := range sp.Attrs {
-				args[k] = v
-			}
-		}
+	for i := range spans {
+		sp := &spans[i]
+		j.open()
+		j.escaped(sp.Name)
 		if sp.Instant {
-			out = append(out, perfettoEvent{
-				Name: sp.Name, Ph: "i", Cat: "flight", S: "p",
-				Ts: ts(sp.Start), Pid: pid, Tid: 0, Args: args,
-			})
-			continue
+			j.fields("i", "flight", ts(sp.Start), 0, trackPid[sp.Track], 0, 0, "p")
+		} else {
+			end := sp.End
+			if end.IsZero() {
+				end = horizon
+			}
+			dur := ts(end) - ts(sp.Start)
+			if dur == 0 {
+				dur = 1 // zero-length slices are invisible in the UI
+			}
+			j.fields("X", "flight", ts(sp.Start), dur, trackPid[sp.Track], 0, 0, "")
 		}
-		end := sp.End
-		if end.IsZero() {
-			end = horizon
+		if len(sp.Attrs) > 0 {
+			keys := make([]string, 0, len(sp.Attrs))
+			for k := range sp.Attrs {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			j.raw(`,"args":{`)
+			for n, k := range keys {
+				if n > 0 {
+					j.raw(",")
+				}
+				j.str(k)
+				j.raw(":")
+				j.str(sp.Attrs[k])
+			}
+			j.raw("}")
 		}
-		dur := ts(end) - ts(sp.Start)
-		if dur == 0 {
-			dur = 1 // zero-length slices are invisible in the UI
-		}
-		out = append(out, perfettoEvent{
-			Name: sp.Name, Ph: "X", Cat: "flight",
-			Ts: ts(sp.Start), Dur: dur, Pid: pid, Tid: 0, Args: args,
-		})
+		j.raw("}")
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfettoTrace{TraceEvents: out})
+	j.raw("]}\n")
+	j.flush(true)
+	return j.werr
 }

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Perfetto export: the recorded trace rendered in the Chrome trace_event
@@ -21,31 +19,17 @@ import (
 //   - process "Counters" (pid 3): timeline samples become counter ("C")
 //     tracks — IPC, cache hit rates, resident TBs, live kernels, queue
 //     depths, windowed stalls, and the windowed parent-child L1 share.
+//
+// The document is one JSON object {"traceEvents":[...]} followed by a
+// newline. Each trace_event holds, in order, name, ph, cat, ts, dur, pid,
+// tid, id, s and args, with cat, dur, id and s left out when empty and the
+// args keys sorted, so the output is byte-stable.
 
 const (
 	pidSMX      = 1
 	pidKernels  = 2
 	pidCounters = 3
 )
-
-// perfettoEvent is one trace_event entry. Args is a map so json.Marshal
-// emits keys sorted, keeping the output byte-stable.
-type perfettoEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Cat  string         `json:"cat,omitempty"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	ID   int            `json:"id,omitempty"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-type perfettoTrace struct {
-	TraceEvents []perfettoEvent `json:"traceEvents"`
-}
 
 // WritePerfetto renders the recorder's events (FinishRun must have been
 // called) as Chrome trace_event JSON.
@@ -54,127 +38,244 @@ func (r *Recorder) WritePerfetto(w io.Writer) error {
 }
 
 // WritePerfetto renders a cycle-ordered event list as Chrome trace_event
-// JSON loadable in ui.perfetto.dev.
+// JSON loadable in ui.perfetto.dev. The document is written as it is
+// encoded; if an event holds a value JSON cannot encode (a NaN or infinite
+// sample counter) the error is returned and what was written is garbage.
 func WritePerfetto(w io.Writer, events []Event) error {
-	out := metadataEvents(events)
-	for i := range events {
-		out = append(out, convertEvent(&events[i])...)
+	j := newJSONBuf(w)
+	j.raw(`{"traceEvents":[`)
+	j.meta("process_name", pidSMX, 0, "SMXs", -1)
+	j.meta("process_name", pidKernels, 0, "Kernels", -1)
+	j.meta("process_name", pidCounters, 0, "Counters", -1)
+	for _, id := range smxIDs(events) {
+		j.meta("thread_name", pidSMX, id, "SMX ", id)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(perfettoTrace{TraceEvents: out})
+	for i := range events {
+		j.convert(&events[i])
+		if j.err != nil {
+			return j.err
+		}
+		j.flush(false)
+	}
+	j.raw("]}\n")
+	j.flush(true)
+	return j.werr
 }
 
-// metadataEvents names the processes and the per-SMX threads seen in the
-// trace.
-func metadataEvents(events []Event) []perfettoEvent {
-	out := []perfettoEvent{
-		meta("process_name", pidSMX, 0, "SMXs"),
-		meta("process_name", pidKernels, 0, "Kernels"),
-		meta("process_name", pidCounters, 0, "Counters"),
-	}
-	smxs := map[int]bool{}
+// smxIDs lists the distinct SMXs the events name, ascending.
+func smxIDs(events []Event) []int {
+	ids := make([]int, 0, len(events))
 	for i := range events {
 		if events[i].SMX >= 0 {
-			smxs[events[i].SMX] = true
+			ids = append(ids, events[i].SMX)
 		}
 	}
-	ids := make([]int, 0, len(smxs))
-	for id := range smxs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		out = append(out, meta("thread_name", pidSMX, id, fmt.Sprintf("SMX %d", id)))
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
-func meta(kind string, pid, tid int, name string) perfettoEvent {
-	return perfettoEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid,
-		Args: map[string]any{"name": name}}
+// open starts a trace_event up to the opening quote of its name, with the
+// comma that separates it from the one before.
+func (j *jsonBuf) open() {
+	if j.events > 0 {
+		j.raw(",")
+	}
+	j.events++
+	j.raw(`{"name":"`)
 }
 
-func convertEvent(e *Event) []perfettoEvent {
+// fields closes the name and writes the fields from ph to s, leaving out
+// the empty ones as omitempty does.
+func (j *jsonBuf) fields(ph, cat string, ts, dur uint64, pid, tid, id int, s string) {
+	j.raw(`","ph":"`)
+	j.raw(ph)
+	j.raw(`"`)
+	if cat != "" {
+		j.raw(`,"cat":"`)
+		j.raw(cat)
+		j.raw(`"`)
+	}
+	j.raw(`,"ts":`)
+	j.uint(ts)
+	if dur != 0 {
+		j.raw(`,"dur":`)
+		j.uint(dur)
+	}
+	j.raw(`,"pid":`)
+	j.int(pid)
+	j.raw(`,"tid":`)
+	j.int(tid)
+	if id != 0 {
+		j.raw(`,"id":`)
+		j.int(id)
+	}
+	if s != "" {
+		j.raw(`,"s":"`)
+		j.raw(s)
+		j.raw(`"`)
+	}
+}
+
+// meta names a process or thread: the name is label, followed by num when
+// num is not negative.
+func (j *jsonBuf) meta(kind string, pid, tid int, label string, num int) {
+	j.open()
+	j.raw(kind)
+	j.fields("M", "", 0, 0, pid, tid, 0, "")
+	j.raw(`,"args":{"name":"`)
+	j.escaped(label)
+	if num >= 0 {
+		j.int(num)
+	}
+	j.raw(`"}}`)
+}
+
+// convert appends the trace_events of one recorded event.
+func (j *jsonBuf) convert(e *Event) {
 	switch e.Kind {
 	case TBCompleted:
 		dur := e.Dur
 		if dur == 0 {
 			dur = 1 // zero-length slices are invisible in the UI
 		}
-		return []perfettoEvent{{
-			Name: fmt.Sprintf("%s#%d tb%d", e.Name, e.Kernel, e.TB),
-			Ph:   "X", Cat: "tb",
-			Ts: e.Cycle - e.Dur, Dur: dur,
-			Pid: pidSMX, Tid: e.SMX,
-			Args: map[string]any{
-				"kernel": e.Kernel, "tb": e.TB,
-				"priority": e.Priority, "parent": e.Parent,
-			},
-		}}
+		j.open()
+		j.escaped(e.Name)
+		j.raw("#")
+		j.int(e.Kernel)
+		j.raw(" tb")
+		j.int(e.TB)
+		j.fields("X", "tb", e.Cycle-e.Dur, dur, pidSMX, e.SMX, 0, "")
+		j.raw(`,"args":{"kernel":`)
+		j.int(e.Kernel)
+		j.raw(`,"parent":`)
+		j.int(e.Parent)
+		j.raw(`,"priority":`)
+		j.int(e.Priority)
+		j.raw(`,"tb":`)
+		j.int(e.TB)
+		j.raw("}}")
 	case KernelLaunched:
-		return []perfettoEvent{kernelSpan(e, "b")}
+		j.kernelSpan(e, "b")
 	case KernelArrived:
-		return []perfettoEvent{kernelSpan(e, "n")}
+		j.kernelSpan(e, "n")
 	case KernelCompleted:
-		return []perfettoEvent{kernelSpan(e, "e")}
+		j.kernelSpan(e, "e")
 	case LaunchStalled, QueueOverflow:
-		return []perfettoEvent{{
-			Name: fmt.Sprintf("%s %s", string(e.Kind), e.Queue),
-			Ph:   "i", Cat: "stall", S: "t",
-			Ts: e.Cycle, Pid: pidSMX, Tid: e.SMX,
-			Args: map[string]any{"child": e.Name, "parent": e.Parent},
-		}}
+		j.open()
+		j.escaped(string(e.Kind))
+		j.raw(" ")
+		j.escaped(e.Queue)
+		j.fields("i", "stall", e.Cycle, 0, pidSMX, e.SMX, 0, "t")
+		j.raw(`,"args":{"child":`)
+		j.str(e.Name)
+		j.raw(`,"parent":`)
+		j.int(e.Parent)
+		j.raw("}}")
 	case SampleTaken:
-		return sampleCounters(e)
-	case TBDispatched:
-		// Dispatch is already the left edge of the TBCompleted slice.
-		return nil
+		j.sampleCounters(e)
 	}
-	return nil
+	// TBDispatched adds nothing: dispatch is already the left edge of the
+	// TBCompleted slice.
 }
 
-// kernelSpan builds one leg of a kernel instance's async span; the instance
-// ID correlates begin, arrival instant, and end.
-func kernelSpan(e *Event, ph string) perfettoEvent {
-	return perfettoEvent{
-		Name: fmt.Sprintf("%s#%d", e.Name, e.Kernel),
-		Ph:   ph, Cat: "kernel",
-		Ts: e.Cycle, Pid: pidKernels, Tid: 0, ID: e.Kernel + 1,
-		Args: map[string]any{"priority": e.Priority, "parent": e.Parent},
-	}
+// kernelSpan appends one leg of a kernel instance's async span; the
+// instance ID correlates begin, arrival instant, and end.
+func (j *jsonBuf) kernelSpan(e *Event, ph string) {
+	j.open()
+	j.escaped(e.Name)
+	j.raw("#")
+	j.int(e.Kernel)
+	j.fields(ph, "kernel", e.Cycle, 0, pidKernels, 0, e.Kernel+1, "")
+	j.raw(`,"args":{"parent":`)
+	j.int(e.Parent)
+	j.raw(`,"priority":`)
+	j.int(e.Priority)
+	j.raw("}}")
+}
+
+// counter opens one counter ("C") event up to its first args key.
+func (j *jsonBuf) counter(name string, ts uint64) {
+	j.open()
+	j.raw(name)
+	j.fields("C", "", ts, 0, pidCounters, 0, 0, "")
+	j.raw(`,"args":{`)
 }
 
 // sampleCounters fans one timeline sample out into counter tracks.
-func sampleCounters(e *Event) []perfettoEvent {
+func (j *jsonBuf) sampleCounters(e *Event) {
 	s := e.Sample
 	if s == nil {
-		return nil
+		return
 	}
-	counter := func(name string, args map[string]any) perfettoEvent {
-		return perfettoEvent{Name: name, Ph: "C", Ts: e.Cycle,
-			Pid: pidCounters, Tid: 0, Args: args}
+	j.counter("IPC", e.Cycle)
+	j.raw(`"ipc":`)
+	j.float(s.IPC)
+	j.raw("}}")
+	j.counter("cache hit rate", e.Cycle)
+	j.raw(`"l1":`)
+	j.float(s.L1)
+	j.raw(`,"l2":`)
+	j.float(s.L2)
+	j.raw("}}")
+	j.counter("resident TBs", e.Cycle)
+	j.raw(`"tbs":`)
+	j.int(s.ResidentTBs)
+	j.raw("}}")
+	j.counter("live kernels", e.Cycle)
+	j.raw(`"kernels":`)
+	j.int(s.LiveKernels)
+	j.raw("}}")
+	j.counter("launch queues", e.Cycle)
+	j.raw(`"agg":`)
+	j.int(s.AggEntries)
+	j.raw(`,"kdu":`)
+	j.int(s.KDUUsed)
+	j.raw(`,"kmu":`)
+	j.int(s.KMUQueued)
+	j.raw(`,"pending":`)
+	j.int(s.PendingArrivals)
+	j.raw("}}")
+	j.counter("TBs dispatched", e.Cycle)
+	j.raw(`"tbs":`)
+	j.uint(s.TBsDispatched)
+	j.raw("}}")
+	j.counter("stall cycles", e.Cycle)
+	j.raw(`"launch":`)
+	j.int64(s.LaunchStalls)
+	j.raw(`,"mem":`)
+	j.int64(s.MemStalls)
+	j.raw("}}")
+	j.counter("L1 parent-child share", e.Cycle)
+	j.raw(`"share":`)
+	j.float(s.L1ParentChild)
+	j.raw("}}")
+	if len(s.SMXResident) > 0 {
+		j.counter("SMX occupancy", e.Cycle)
+		for id := 0; id < len(s.SMXResident) && id < 100; id++ {
+			j.occupancy(s.SMXResident, id)
+		}
+		j.raw("}}")
 	}
-	occ := map[string]any{}
-	for i, n := range s.SMXResident {
-		occ[fmt.Sprintf("smx%02d", i)] = n
+}
+
+// occupancy appends the "smxNN" key of SMX id (at least two digits), then
+// those of the SMXs whose names extend it, so the keys come out in sorted
+// string order: smx10, smx100, ..., smx109, smx11.
+func (j *jsonBuf) occupancy(resident []int, id int) {
+	if j.b[len(j.b)-1] != '{' {
+		j.raw(",")
 	}
-	out := []perfettoEvent{
-		counter("IPC", map[string]any{"ipc": s.IPC}),
-		counter("cache hit rate", map[string]any{"l1": s.L1, "l2": s.L2}),
-		counter("resident TBs", map[string]any{"tbs": s.ResidentTBs}),
-		counter("live kernels", map[string]any{"kernels": s.LiveKernels}),
-		counter("launch queues", map[string]any{
-			"pending": s.PendingArrivals, "kmu": s.KMUQueued,
-			"kdu": s.KDUUsed, "agg": s.AggEntries,
-		}),
-		counter("TBs dispatched", map[string]any{"tbs": s.TBsDispatched}),
-		counter("stall cycles", map[string]any{
-			"mem": s.MemStalls, "launch": s.LaunchStalls,
-		}),
-		counter("L1 parent-child share", map[string]any{"share": s.L1ParentChild}),
+	j.raw(`"smx`)
+	if id < 10 {
+		j.raw("0")
 	}
-	if len(occ) > 0 {
-		out = append(out, counter("SMX occupancy", occ))
+	j.int(id)
+	j.raw(`":`)
+	j.int(resident[id])
+	if id < 10 {
+		return // smx0N has no longer extension
 	}
-	return out
+	for c := id * 10; c < id*10+10 && c < len(resident); c++ {
+		j.occupancy(resident, c)
+	}
 }

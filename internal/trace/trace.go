@@ -8,10 +8,10 @@
 package trace
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"laperm/internal/gpu"
 )
@@ -222,19 +222,57 @@ func (r *Recorder) FinishRun(sim *gpu.Simulator) {
 			r.events = append(r.events, completed)
 		}
 	}
-	sort.SliceStable(r.events, func(i, j int) bool {
-		a, b := &r.events[i], &r.events[j]
-		if a.Cycle != b.Cycle {
-			return a.Cycle < b.Cycle
+	sortEvents(r.events)
+}
+
+// sortEvents orders events by cycle, lifecycle rank, kernel ID, and TB
+// index, keeping the recorded order among equals. It sorts small keys and
+// then moves each event once, instead of shuffling the wide events through
+// a stable merge.
+func sortEvents(events []Event) {
+	type key struct {
+		cycle      uint64
+		kernel, tb int
+		rank, at   int32
+	}
+	keys := make([]key, len(events))
+	for i := range events {
+		e := &events[i]
+		keys[i] = key{e.Cycle, e.Kernel, e.TB, int32(kindRank(e.Kind)), int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.cycle, b.cycle); c != 0 {
+			return c
 		}
-		if ra, rb := kindRank(a.Kind), kindRank(b.Kind); ra != rb {
-			return ra < rb
+		if c := cmp.Compare(a.rank, b.rank); c != 0 {
+			return c
 		}
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
+		if c := cmp.Compare(a.kernel, b.kernel); c != 0 {
+			return c
 		}
-		return a.TB < b.TB
+		if c := cmp.Compare(a.tb, b.tb); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.at, b.at)
 	})
+	// Apply the permutation in place, one cycle at a time: slot i takes the
+	// event recorded at keys[i].at; a moved slot's key is marked -1.
+	for i := range keys {
+		if keys[i].at < 0 {
+			continue
+		}
+		held := events[i]
+		for j := i; ; {
+			src := int(keys[j].at)
+			keys[j].at = -1
+			if src == i {
+				events[j] = held
+				break
+			}
+			events[j] = events[src]
+			j = src
+		}
+	}
 }
 
 func parentID(ki *gpu.KernelInstance) int {
@@ -250,15 +288,23 @@ func (r *Recorder) Events() []Event { return r.events }
 // Len returns the event count.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// WriteJSONL writes one JSON object per line.
+// WriteJSONL writes one JSON object per line. On an event holding a value
+// JSON cannot encode (a NaN or infinite sample counter) it writes the lines
+// before it and returns an error naming the event.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
+	j := newJSONBuf(w)
 	for i := range r.events {
-		if err := enc.Encode(&r.events[i]); err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
+		line := len(j.b)
+		j.event(&r.events[i])
+		if j.err != nil {
+			j.b = j.b[:line]
+			j.flush(true)
+			return fmt.Errorf("trace: event %d: %w", i, j.err)
 		}
+		j.flush(false)
 	}
-	return nil
+	j.flush(true)
+	return j.werr
 }
 
 // Summary aggregates the trace into per-kernel-name counts, useful for a
