@@ -489,6 +489,9 @@ func (c *Client) streamOnce(ctx context.Context, path string, lastID *uint64, ha
 		return 0, false, nil // transport tear: reconnect
 	}
 	defer resp.Body.Close()
+	if retryableStatus(resp.StatusCode) {
+		return 0, false, nil // refused for now (a transient cache read, say): reconnect
+	}
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		return 0, false, newStatusError(resp.StatusCode, body, resp.Header)

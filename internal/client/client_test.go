@@ -266,20 +266,24 @@ func sseFrame(id uint64, event, data string) string {
 	return fmt.Sprintf("id: %d\nevent: %s\ndata: %s\n\n", id, event, data)
 }
 
-// TestWatchEventsResumesFromLastEventID: the stream tears after two events;
-// the reconnect must carry Last-Event-ID: 2 and the handler must see ids
-// 1..4 exactly once, ending with the terminal state.
+// TestWatchEventsResumesFromLastEventID: the stream tears after two events,
+// and the first reconnect is refused with a retryable 503; the next
+// reconnect must carry Last-Event-ID: 2 and the handler must see ids 1..4
+// exactly once, ending with the terminal state.
 func TestWatchEventsResumesFromLastEventID(t *testing.T) {
 	var conns atomic.Int32
 	var resumeHeader atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/event-stream")
 		switch conns.Add(1) {
 		case 1:
 			// Two events, then a tear (no terminal state).
+			w.Header().Set("Content-Type", "text/event-stream")
 			fmt.Fprint(w, sseFrame(1, "state", `{"state":"running"}`))
 			fmt.Fprint(w, sseFrame(2, "progress", `{"done":0}`))
+		case 2:
+			http.Error(w, `{"kind":"transient","retryable":true}`, http.StatusServiceUnavailable)
 		default:
+			w.Header().Set("Content-Type", "text/event-stream")
 			resumeHeader.Store(r.Header.Get("Last-Event-ID"))
 			fmt.Fprint(w, sseFrame(3, "sample", `{"cycle":512}`))
 			fmt.Fprint(w, sseFrame(4, "state", `{"state":"done"}`))

@@ -96,7 +96,8 @@ type Cache struct {
 
 	mu          sync.Mutex
 	entries     map[string]*cacheEntry
-	clock       uint64 // LRU clock: bumped on every touch
+	ids         []string // the entries' ids, ascending (idsAfter)
+	clock       uint64   // LRU clock: bumped on every touch
 	total       int64
 	evictions   int64
 	corruptions int64
@@ -162,7 +163,9 @@ func OpenCache(dir string, maxBytes int64) (*Cache, error) {
 		c.clock++
 		c.entries[f.id] = &cacheEntry{bytes: f.bytes, lastUsed: c.clock}
 		c.total += f.bytes
+		c.ids = append(c.ids, f.id)
 	}
+	slices.Sort(c.ids)
 	c.mu.Lock()
 	c.evictFor("")
 	c.mu.Unlock()
@@ -324,10 +327,7 @@ func readArtifact(f *os.File, name string) ([]byte, error) {
 // it, and completes the structured error.
 func (c *Cache) discardCorrupt(id string, ce *CorruptEntryError) error {
 	c.mu.Lock()
-	if e, ok := c.entries[id]; ok {
-		c.total -= e.bytes
-		delete(c.entries, id)
-	}
+	c.removeLocked(id)
 	c.corruptions++
 	c.mu.Unlock()
 	os.Remove(filepath.Join(c.dir, id))
@@ -382,8 +382,33 @@ func (c *Cache) Put(id string, artifacts []Artifact) error {
 	c.clock++
 	c.entries[id] = &cacheEntry{bytes: size, lastUsed: c.clock}
 	c.total += size
+	i, _ := slices.BinarySearch(c.ids, id)
+	c.ids = slices.Insert(c.ids, i, id)
 	c.evictFor(id)
 	return nil
+}
+
+// removeLocked drops id, if indexed, from the index. Called with c.mu
+// held.
+func (c *Cache) removeLocked(id string) {
+	if e, ok := c.entries[id]; ok {
+		c.total -= e.bytes
+		delete(c.entries, id)
+		i, _ := slices.BinarySearch(c.ids, id)
+		c.ids = slices.Delete(c.ids, i, i+1)
+	}
+}
+
+// idsAfter returns up to n entry ids above after, in ascending order —
+// runs' and sweeps' alike.
+func (c *Cache) idsAfter(after string, n int) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, found := slices.BinarySearch(c.ids, after)
+	if found {
+		i++
+	}
+	return slices.Clone(c.ids[i:min(i+n, len(c.ids))])
 }
 
 // hashingWriter passes bytes on to w, hashing and counting them.
@@ -477,8 +502,7 @@ func (c *Cache) evictFor(keep string) {
 		if victim == "" {
 			return // only the spared entry remains; it may exceed the budget
 		}
-		c.total -= c.entries[victim].bytes
-		delete(c.entries, victim)
+		c.removeLocked(victim)
 		c.evictions++
 		if err := c.flts.Hit(faults.SiteCacheEvict); err == nil {
 			os.Remove(filepath.Join(c.dir, victim))

@@ -3,8 +3,9 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"laperm/internal/core"
 	"laperm/internal/gpu"
@@ -86,22 +87,21 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, discoveryView[modelView]{Items: items})
 }
 
-// runsListView is the GET /v1/runs payload: one page of jobs in submission
-// order, plus the cursor for the next page ("" when this is the last).
+// runsListView is the GET /v1/runs payload: one page of runs in id order,
+// plus the cursor for the next page ("" when this is the last).
 type runsListView struct {
 	Runs       []jobView `json:"runs"`
 	NextCursor string    `json:"next_cursor,omitempty"`
-	Total      int       `json:"total"`
 }
 
 // maxRunsPage bounds one listing page.
 const maxRunsPage = 500
 
-// handleRunsList serves GET /v1/runs: the in-process job table, ordered by
-// first registration, filtered by ?state= (queued|running|done|failed) and
-// paginated by ?cursor= / ?limit=. The cursor is the last-seen sequence
-// number — stable under concurrent submissions, since sequence numbers only
-// grow and a job's never changes.
+// handleRunsList serves GET /v1/runs: the live and failed jobs and the
+// cache's done runs (earlier processes' too), in id order, filtered by
+// ?state= (queued|running|done|failed) and paginated by ?cursor= /
+// ?limit=. The cursor, the last id listed, is stable under concurrent
+// submissions; a page reads only the cache entries it lists.
 func (s *Server) handleRunsList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var stateFilter State
@@ -124,45 +124,68 @@ func (s *Server) handleRunsList(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = min(n, maxRunsPage)
 	}
-	var cursor uint64
-	if v := q.Get("cursor"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			badRequest(w, fmt.Errorf("serve: bad cursor %q", v))
-			return
-		}
-		cursor = n
+	cursor := q.Get("cursor")
+	if cursor != "" && !validID(cursor) {
+		badRequest(w, fmt.Errorf("serve: bad cursor %q", cursor))
+		return
 	}
-
-	s.mu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
-
-	view := runsListView{Runs: []jobView{}}
-	var lastSeq uint64
-	truncated := false
-	for _, j := range jobs {
-		jv := j.view(nil)
-		if stateFilter != "" && jv.State != stateFilter {
-			continue
-		}
-		view.Total++
-		if j.seq <= cursor {
-			continue
-		}
-		if len(view.Runs) >= limit {
-			truncated = true
-			continue
-		}
-		view.Runs = append(view.Runs, jv)
-		lastSeq = j.seq
-	}
-	if truncated {
-		view.NextCursor = strconv.FormatUint(lastSeq, 10)
+	// One run past the page tells whether another page follows.
+	view := runsListView{Runs: s.listRuns(cursor, stateFilter, limit+1)}
+	if len(view.Runs) > limit {
+		view.Runs = view.Runs[:limit]
+		view.NextCursor = view.Runs[limit-1].ID
 	}
 	writeJSON(w, http.StatusOK, view)
+}
+
+// listRuns returns up to n runs above after in id order, matching filter
+// ("" matches all): the job records merged with the cache's done runs
+// (cachedRun), read a page at a time. A record shadows its id's entry;
+// sweep entries, and ones evicted or discarded meanwhile, are skipped.
+func (s *Server) listRuns(after string, filter State, n int) []jobView {
+	s.mu.Lock()
+	var jobs []*Job
+	for id, j := range s.jobs.m {
+		if id > after {
+			jobs = append(jobs, j)
+		}
+	}
+	s.mu.Unlock()
+	slices.SortFunc(jobs, func(a, b *Job) int { return strings.Compare(a.ID, b.ID) })
+
+	runs := []jobView{}
+	var ids []string
+	withCache := filter == "" || filter == StateDone
+	for len(runs) < n {
+		if len(ids) == 0 && withCache {
+			if ids = s.cache.idsAfter(after, n); len(ids) == 0 {
+				withCache = false
+			} else {
+				after = ids[len(ids)-1]
+			}
+		}
+		var v jobView
+		switch {
+		case len(jobs) > 0 && (len(ids) == 0 || jobs[0].ID <= ids[0]):
+			if len(ids) > 0 && ids[0] == jobs[0].ID {
+				ids = ids[1:]
+			}
+			v, jobs = jobs[0].view(), jobs[1:]
+		case len(ids) > 0:
+			cv, err := s.cachedRun(ids[0])
+			ids = ids[1:]
+			if err != nil {
+				continue
+			}
+			// Listings carry no results; GET /v1/runs/{id} has them.
+			v = cv
+			v.Result, v.Artifacts = nil, nil
+		default:
+			return runs
+		}
+		if filter == "" || v.State == filter {
+			runs = append(runs, v)
+		}
+	}
+	return runs
 }

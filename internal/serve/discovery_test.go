@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"testing"
 
 	"laperm/internal/spec"
@@ -66,8 +67,9 @@ func TestDiscoveryEndpoints(t *testing.T) {
 	}
 }
 
-// TestRunsList: GET /v1/runs pages through the job table in submission
-// order with state filtering and cursor pagination.
+// TestRunsList: GET /v1/runs pages through the runs — done ones from the
+// cache — in id order with state filtering and cursor pagination, and
+// lists no sweep.
 func TestRunsList(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 	s.Start()
@@ -82,6 +84,14 @@ func TestRunsList(t *testing.T) {
 		_, view := submit(t, ts, sp)
 		ids = append(ids, view.ID)
 		waitTerminal(t, ts, view.ID)
+	}
+	slices.Sort(ids)
+	// A one-cell sweep over the first run: its entry sits in the cache
+	// beside the runs' entries.
+	_, sw := submitSweep(t, ts, `{"base": {"scale": "tiny", "sample_every": 256},
+		"axes": [{"field": "workload", "values": ["amr"]}]}`)
+	if v := waitSweepTerminal(t, ts, sw.ID); v.State != StateDone {
+		t.Fatalf("sweep = %s, want done", v.State)
 	}
 
 	list := func(query string) runsListView {
@@ -102,20 +112,20 @@ func TestRunsList(t *testing.T) {
 	}
 
 	all := list("")
-	if all.Total != 3 || len(all.Runs) != 3 {
-		t.Fatalf("list = %d runs of %d total, want 3 of 3", len(all.Runs), all.Total)
+	if len(all.Runs) != 3 || all.NextCursor != "" {
+		t.Fatalf("list = %d runs, next cursor %q; want 3 on one page", len(all.Runs), all.NextCursor)
 	}
 	for i, id := range ids {
 		if all.Runs[i].ID != id {
-			t.Fatalf("listing out of submission order: got %s at %d, want %s", all.Runs[i].ID, i, id)
+			t.Fatalf("listing out of id order: got %s at %d, want %s", all.Runs[i].ID, i, id)
 		}
 	}
 
 	done := list("state=" + url.QueryEscape(string(StateDone)))
-	if done.Total != 3 {
-		t.Fatalf("done filter total = %d, want 3", done.Total)
+	if len(done.Runs) != 3 {
+		t.Fatalf("done filter listed %d runs, want 3", len(done.Runs))
 	}
-	if failed := list("state=failed"); failed.Total != 0 || len(failed.Runs) != 0 {
+	if failed := list("state=failed"); len(failed.Runs) != 0 {
 		t.Fatalf("failed filter = %+v, want empty", failed)
 	}
 
@@ -137,12 +147,14 @@ func TestRunsList(t *testing.T) {
 		t.Fatalf("paged ids = %v, want %v", paged, ids)
 	}
 
-	if resp, err := http.Get(ts.URL + "/v1/runs?state=bogus"); err != nil {
-		t.Fatal(err)
-	} else {
+	for _, query := range []string{"state=bogus", "cursor=../x"} {
+		resp, err := http.Get(ts.URL + "/v1/runs?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bogus state filter returned %d, want 400", resp.StatusCode)
+			t.Fatalf("GET /v1/runs?%s returned %d, want 400", query, resp.StatusCode)
 		}
 	}
 }

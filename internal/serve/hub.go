@@ -56,9 +56,10 @@ type subscription struct {
 	ch chan Event
 	// snap is the stream's wire view at subscribe time (jobView or
 	// sweepView) and lastID the newest event id assigned so far (0 if
-	// none).
+	// none); ended says the stream was terminal then.
 	snap   any
 	lastID uint64
+	ended  bool
 	// cancel unsubscribes.
 	cancel func()
 }
@@ -70,30 +71,38 @@ type subscription struct {
 // never both and never neither. If the stream is already terminal the
 // channel comes back closed: backlog plus snapshot is all there is.
 func (h *hub) subscribeLocked(afterID uint64, snap any, terminal bool) subscription {
-	sub := subscription{ch: make(chan Event, 64), snap: snap, lastID: h.lastID}
+	var backlog []Event
 	if afterID > 0 {
 		for _, ev := range h.history {
 			if ev.ID > afterID {
-				sub.backlog = append(sub.backlog, ev)
+				backlog = append(backlog, ev)
 			}
 		}
 	}
 	if terminal {
-		close(sub.ch)
-		sub.cancel = func() {}
+		sub := doneSubscription(snap, h.lastID)
+		sub.backlog = backlog
 		return sub
 	}
-	ch := sub.ch
+	ch := make(chan Event, 64)
 	h.subs[ch] = struct{}{}
-	sub.cancel = func() {
+	return subscription{backlog: backlog, ch: ch, snap: snap, lastID: h.lastID, cancel: func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		if _, ok := h.subs[ch]; ok {
 			delete(h.subs, ch)
 			close(ch)
 		}
-	}
-	return sub
+	}}
+}
+
+// doneSubscription is an ended stream's subscription: snap at lastID and
+// a closed channel, no backlog. A done run or sweep has no record, so its
+// subscribers get its cache entry's view at their own Last-Event-ID.
+func doneSubscription(snap any, lastID uint64) subscription {
+	ch := make(chan Event)
+	close(ch)
+	return subscription{ch: ch, snap: snap, lastID: lastID, ended: true, cancel: func() {}}
 }
 
 // publishLocked assigns the next event id, records the event in the replay

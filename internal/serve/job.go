@@ -95,14 +95,11 @@ type Job struct {
 	// flow is the fair-share flow the job was queued on: its tenant plus
 	// the sweep that first scheduled it ("" for direct submissions).
 	flow flowKey
-	// seq orders jobs by first registration — the /v1/runs listing cursor.
-	seq uint64
 
 	// flight is the job's flight recorder: wall-clock spans from submit to
-	// terminal state, served at /v1/runs/{id}/trace. Nil for cached jobs
-	// (nothing executed) and, once it is done, for an executed one: the
-	// server's bounded ring holds it then. Written under the server's mu;
-	// every telemetry field here is nil-safe.
+	// terminal state, served at /v1/runs/{id}/trace (from the server's ring
+	// of terminal flights once the job has no record). Set once, before the
+	// job is registered; every telemetry field here is nil-safe.
 	flight *telemetry.Flight
 	// queueEnd closes the flight's "queue" span when dispatch claims the
 	// job; enqueuedAt feeds the queue-wait histogram.
@@ -113,7 +110,6 @@ type Job struct {
 	state   State
 	errMsg  string
 	errKind string
-	cached  bool // result served from the cache without executing
 	// singleton records that at least one direct /v1/runs submission wants
 	// this job; owners records the sweeps sharing it. A job with singleton
 	// set or more than one owner is "shared": sweep cancellation must not
@@ -131,18 +127,6 @@ func newJob(id string, sp spec.RunSpec) *Job {
 	return &Job{ID: id, Spec: sp, state: StateQueued, hub: newHub()}
 }
 
-// newCachedJob materializes a job for a disk-cache hit: born terminal.
-func newCachedJob(id string, sp spec.RunSpec) *Job {
-	return &Job{ID: id, Spec: sp, state: StateDone, cached: true, hub: newHub()}
-}
-
-// snapshot returns the job's current externally visible state.
-func (j *Job) snapshot() (State, string, string, bool, int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state, j.errMsg, j.errKind, j.cached, j.coalesced
-}
-
 // State returns the current state.
 func (j *Job) State() State {
 	j.mu.Lock()
@@ -152,20 +136,16 @@ func (j *Job) State() State {
 
 func (j *Job) terminalLocked() bool { return j.state == StateDone || j.state == StateFailed }
 
-// noteCoalesced counts a submission that attached to this in-flight job.
-func (j *Job) noteCoalesced() {
+// claim records a direct submission's claim on the job — it is no longer
+// exclusively owned by sweeps, so no sweep cancellation may release it —
+// counting it as coalesced when it attached to the job in flight.
+func (j *Job) claim(coalesced bool) {
 	j.mu.Lock()
-	j.coalesced++
-	j.mu.Unlock()
-}
-
-// noteSingleton records a direct submission's claim on the job: it is no
-// longer exclusively owned by sweeps, so no sweep cancellation may release
-// it.
-func (j *Job) noteSingleton() {
-	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.singleton = true
-	j.mu.Unlock()
+	if coalesced {
+		j.coalesced++
+	}
 }
 
 // addOwner records a sweep's claim on the job and reports whether the job
@@ -212,55 +192,31 @@ func (j *Job) addTerminalHook(fn func(*Job)) {
 	j.mu.Unlock()
 }
 
-// takeHooksLocked claims the terminal hooks for the caller to run after
-// releasing the lock.
-func (j *Job) takeHooksLocked() []func(*Job) {
-	hooks := j.onTerminal
-	j.onTerminal = nil
-	return hooks
-}
-
-func (j *Job) runHooks(hooks []func(*Job)) {
-	for _, fn := range hooks {
-		fn(j)
-	}
-}
-
 // setRunning transitions queued -> running and notifies subscribers.
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.state = StateRunning
-	view := j.viewLocked(nil)
-	j.publishLocked(Event{Type: "state", Data: view})
+	j.publishLocked(Event{Type: "state", Data: j.viewLocked()})
 	j.mu.Unlock()
 }
 
-// finish transitions to done, notifies subscribers, closes their channels,
-// and fires the terminal hooks.
-func (j *Job) finish() {
+// end moves the job to its terminal state — failed with kind and err, or
+// done when err is nil — notifies subscribers, closes their channels, and
+// fires the terminal hooks outside the lock.
+func (j *Job) end(kind string, err error) {
 	j.mu.Lock()
 	j.state = StateDone
-	view := j.viewLocked(nil)
-	j.publishLocked(Event{Type: "state", Data: view})
+	if err != nil {
+		j.state, j.errKind, j.errMsg = StateFailed, kind, err.Error()
+	}
+	j.publishLocked(Event{Type: "state", Data: j.viewLocked()})
 	j.closeSubsLocked()
-	hooks := j.takeHooksLocked()
+	hooks := j.onTerminal
+	j.onTerminal = nil
 	j.mu.Unlock()
-	j.runHooks(hooks)
-}
-
-// fail transitions to failed with a classified error, notifies subscribers,
-// closes their channels, and fires the terminal hooks.
-func (j *Job) fail(kind string, err error) {
-	j.mu.Lock()
-	j.state = StateFailed
-	j.errKind = kind
-	j.errMsg = err.Error()
-	view := j.viewLocked(nil)
-	j.publishLocked(Event{Type: "state", Data: view})
-	j.closeSubsLocked()
-	hooks := j.takeHooksLocked()
-	j.mu.Unlock()
-	j.runHooks(hooks)
+	for _, fn := range hooks {
+		fn(j)
+	}
 }
 
 // noteRetry counts one transparent re-execution after a transient failure.
@@ -276,7 +232,7 @@ func (j *Job) noteRetry() {
 func (j *Job) subscribeSince(afterID uint64) subscription {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.subscribeLocked(afterID, j.viewLocked(nil), j.terminalLocked())
+	return j.subscribeLocked(afterID, j.viewLocked(), j.terminalLocked())
 }
 
 // publish delivers an event to all subscribers, dropping it for any whose
@@ -287,8 +243,10 @@ func (j *Job) publish(ev Event) {
 	j.mu.Unlock()
 }
 
-// jobView is the wire representation of a job returned by the submit and
-// status endpoints and carried in "state" SSE events.
+// jobView is the wire representation of a run returned by the submit and
+// status endpoints and carried in "state" SSE events: a job's own view
+// (viewLocked) while it has a record, a done run's from its cache entry
+// (doneRunView) after.
 type jobView struct {
 	ID        string          `json:"id"`
 	State     State           `json:"state"`
@@ -302,26 +260,23 @@ type jobView struct {
 	Artifacts []string        `json:"artifacts,omitempty"`
 }
 
-// viewLocked builds the wire view. result, when non-nil, is the cached
-// result.json body to embed; callers outside job.go attach it for terminal
-// done jobs.
-func (j *Job) viewLocked(result json.RawMessage) jobView {
+// viewLocked builds the job's wire view: no result, which a done run's
+// view takes from the cache.
+func (j *Job) viewLocked() jobView {
 	return jobView{
 		ID:        j.ID,
 		State:     j.state,
-		Cached:    j.cached,
 		Coalesced: j.coalesced,
 		Retries:   j.retries,
 		Error:     j.errMsg,
 		ErrorKind: j.errKind,
 		Spec:      j.Spec,
-		Result:    result,
 	}
 }
 
 // view is viewLocked under the lock.
-func (j *Job) view(result json.RawMessage) jobView {
+func (j *Job) view() jobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.viewLocked(result)
+	return j.viewLocked()
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"laperm/internal/exp"
 	"laperm/internal/faults"
 )
 
@@ -61,7 +63,15 @@ func readSSE(t *testing.T, body io.Reader) []sseEvent {
 // from a Last-Event-ID.
 func getEvents(t *testing.T, ts *httptest.Server, id string, lastEventID uint64) []sseEvent {
 	t.Helper()
-	req, err := http.NewRequest("GET", ts.URL+"/v1/runs/"+id+"/events", nil)
+	return readSSE(t, openEvents(t, ts.URL+"/v1/runs/"+id+"/events", lastEventID).Body)
+}
+
+// openEvents attaches to an event stream (the subscription exists once it
+// returns), optionally resuming from a Last-Event-ID; the caller reads the
+// body. Closed at test cleanup.
+func openEvents(t *testing.T, url string, lastEventID uint64) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest("GET", url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +82,31 @@ func getEvents(t *testing.T, ts *httptest.Server, id string, lastEventID uint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	t.Cleanup(func() { resp.Body.Close() })
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("events stream: status %d", resp.StatusCode)
 	}
-	return readSSE(t, resp.Body)
+	return resp
+}
+
+// watchRun submits body to s, whose dispatcher must not be started yet,
+// attaches to the run's event stream, starts the dispatcher, and returns
+// the view on the stream's terminal "state" event. A done run's record is
+// gone by the time a GET could ask, so that event is where its coalesced
+// and retries counts are told.
+func watchRun(t *testing.T, s *Server, ts *httptest.Server, body string) jobView {
+	t.Helper()
+	_, view := submit(t, ts, body)
+	resp := openEvents(t, ts.URL+"/v1/runs/"+view.ID+"/events", 0)
+	s.Start()
+	evs := readSSE(t, resp.Body)
+	var v jobView
+	if len(evs) == 0 || evs[len(evs)-1].event != "state" ||
+		json.Unmarshal([]byte(evs[len(evs)-1].data), &v) != nil ||
+		(v.State != StateDone && v.State != StateFailed) {
+		t.Fatalf("event stream %+v did not end with a terminal state", evs)
+	}
+	return v
 }
 
 // mustParse arms a registry for server fault tests.
@@ -90,30 +120,32 @@ func mustParse(t *testing.T, spec string, seed uint64) *faults.Registry {
 }
 
 // TestSSEEventIDsMonotonicAndResume: every published event carries a
-// strictly increasing id, and a reconnect with Last-Event-ID replays
-// exactly the missed suffix (here: everything after the first event),
-// ending with the terminal state.
+// strictly increasing id, and a reconnect with Last-Event-ID while the job
+// is live replays exactly the missed suffix (here: everything after the
+// first event), ending with the terminal state. Once the run is done its
+// record and ring are gone: a later subscriber — fresh, resumed, or caught
+// up — gets the terminal snapshot alone, at its own position.
 func TestSSEEventIDsMonotonicAndResume(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
+	held := make(chan struct{})
+	release := make(chan struct{})
+	s.testBeforeRun = func(*Job) {
+		close(held)
+		<-release
+	}
 	s.Start()
 	_, view := submit(t, ts, tinySpec)
-	waitTerminal(t, ts, view.ID)
-
-	// Live history now holds at least the running and done transitions.
-	fresh := getEvents(t, ts, view.ID, 0)
-	if len(fresh) != 1 || fresh[0].event != "state" || !strings.Contains(fresh[0].data, `"done"`) {
-		t.Fatalf("fresh attach to a terminal job = %+v, want one done snapshot", fresh)
+	<-held
+	// The running transition was event 1; two batch progress ticks are
+	// events 2 and 3, published while the job is held.
+	for done := range 2 {
+		s.batchProgress(exp.Progress{Done: done, Total: 2})
 	}
-	snapID := fresh[0].id
-	if snapID < 2 {
-		t.Fatalf("terminal snapshot id = %d, want >= 2 (running + done were published)", snapID)
-	}
-
-	// Resume after the first event: the replayed suffix must be ids
-	// 2..snapID in order, terminal state last.
-	resumed := getEvents(t, ts, view.ID, 1)
-	if len(resumed) == 0 {
-		t.Fatal("resume replayed nothing")
+	resp := openEvents(t, ts.URL+"/v1/runs/"+view.ID+"/events", 1)
+	close(release)
+	resumed := readSSE(t, resp.Body)
+	if len(resumed) < 3 || resumed[0].id != 2 || resumed[0].event != "progress" || resumed[1].id != 3 {
+		t.Fatalf("resume from id 1 = %+v, want the progress events 2 and 3 first", resumed)
 	}
 	prev := uint64(1)
 	for _, ev := range resumed {
@@ -126,15 +158,15 @@ func TestSSEEventIDsMonotonicAndResume(t *testing.T) {
 	if last.event != "state" || !strings.Contains(last.data, `"done"`) {
 		t.Fatalf("resume did not end with the terminal state: %+v", last)
 	}
-	if last.id != snapID {
-		t.Fatalf("resume ended at id %d, snapshot says history ends at %d", last.id, snapID)
-	}
 
-	// Resuming from the very end: nothing was missed; the handler restates
-	// the terminal snapshot so the client still learns the outcome.
-	caughtUp := getEvents(t, ts, view.ID, snapID)
-	if len(caughtUp) != 1 || !strings.Contains(caughtUp[0].data, `"done"`) {
-		t.Fatalf("caught-up resume = %+v, want the terminal snapshot", caughtUp)
+	waitDropped(t, s, view.ID)
+	// Fresh and resumed subscribers (checkDoneRunServed), and one caught up
+	// to the very end: the handler states the terminal snapshot so the
+	// client still learns the outcome.
+	checkDoneRunServed(t, ts, view.ID, true)
+	caughtUp := getEvents(t, ts, view.ID, last.id)
+	if len(caughtUp) != 1 || caughtUp[0].id != last.id || !strings.Contains(caughtUp[0].data, `"done"`) {
+		t.Fatalf("caught-up resume = %+v, want the terminal snapshot at id %d", caughtUp, last.id)
 	}
 }
 
@@ -142,7 +174,7 @@ func TestSSEEventIDsMonotonicAndResume(t *testing.T) {
 // write — a site every attempt must pass; the engine's own poll site is
 // exercised in the gpu package, whose workloads are big enough to cross the
 // poll throttle) is retried transparently; the job completes, the retry is
-// visible in the job view and /metrics, and the artifacts are
+// visible on the job's terminal event and in /metrics, and the artifacts are
 // byte-identical to a fault-free run of the same spec.
 func TestServerRetriesTransientFault(t *testing.T) {
 	clean, cleanTS := newTestServer(t, Config{Workers: 1})
@@ -157,9 +189,7 @@ func TestServerRetriesTransientFault(t *testing.T) {
 		Workers: 1,
 		Faults:  mustParse(t, "serve.cache.write=error:n=1", 1),
 	})
-	s.Start()
-	_, view := submit(t, ts, tinySpec)
-	final := waitTerminal(t, ts, view.ID)
+	final := watchRun(t, s, ts, tinySpec)
 	if final.State != StateDone {
 		t.Fatalf("faulted run did not recover: %+v", final)
 	}
@@ -169,7 +199,7 @@ func TestServerRetriesTransientFault(t *testing.T) {
 	if m := getMetrics(t, ts); m.Retries != 1 || m.JobsFailed != 0 || m.JobsDone != 1 {
 		t.Errorf("metrics = retries %d, failed %d, done %d; want 1, 0, 1", m.Retries, m.JobsFailed, m.JobsDone)
 	}
-	if got := getArtifact(t, ts, view.ID, ResultArtifact); !bytes.Equal(got, baseline) {
+	if got := getArtifact(t, ts, final.ID, ResultArtifact); !bytes.Equal(got, baseline) {
 		t.Error("result after a retried transient differs from the fault-free baseline")
 	}
 }
@@ -183,9 +213,7 @@ func TestServerContainsInjectedPanic(t *testing.T) {
 		Workers: 1,
 		Faults:  mustParse(t, "serve.cache.write=panic:n=1", 1),
 	})
-	s.Start()
-	_, view := submit(t, ts, tinySpec)
-	final := waitTerminal(t, ts, view.ID)
+	final := watchRun(t, s, ts, tinySpec)
 	if final.State != StateDone {
 		t.Fatalf("run did not recover from injected panic: %+v", final)
 	}
@@ -202,9 +230,7 @@ func TestServerRetriesCacheWriteFault(t *testing.T) {
 		Workers: 1,
 		Faults:  mustParse(t, "serve.cache.write=error:n=1", 1),
 	})
-	s.Start()
-	_, view := submit(t, ts, tinySpec)
-	final := waitTerminal(t, ts, view.ID)
+	final := watchRun(t, s, ts, tinySpec)
 	if final.State != StateDone {
 		t.Fatalf("run did not recover from cache-write fault: %+v", final)
 	}

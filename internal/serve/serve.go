@@ -136,8 +136,9 @@ func (c Config) retryLimit() int {
 	return c.RetryLimit
 }
 
-// Server is the lapermd service: handlers, job registry, dispatcher, and
-// cache. Create with New, start the dispatcher with Start, mount Handler,
+// Server is the lapermd service: handlers, the registries of live and
+// failed jobs and sweeps, dispatcher, and cache (which holds every done run
+// and sweep). Create with New, start the dispatcher with Start, mount Handler,
 // and stop with Drain (graceful) or Close (immediate).
 type Server struct {
 	cfg     Config
@@ -151,9 +152,8 @@ type Server struct {
 	reqSeq  atomic.Uint64
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	sweeps   map[string]*Sweep
-	jobSeq   uint64 // listing-order sequence; next value, guarded by mu
+	jobs     registry[*Job]
+	sweeps   registry[*Sweep]
 	draining bool
 	fq       *fairQueue
 	limits   *rateLimits
@@ -169,6 +169,43 @@ type Server struct {
 	// running and before the simulator starts — a test gate for
 	// deterministic coalescing and cancellation scenarios.
 	testBeforeRun func(*Job)
+}
+
+// failedRecordCap bounds the failed records each registry keeps: failures
+// are never cached, so the last failedRecordCap stay answerable here.
+const failedRecordCap = 256
+
+// registry holds one kind of record (jobs or sweeps) by id: the live ones
+// and the last failedRecordCap failed ones. A done record leaves at once:
+// its verified cache entry answers for it. Guarded by the server's mu.
+type registry[T interface {
+	comparable
+	State() State
+}] struct {
+	m         map[string]T
+	failed    [failedRecordCap]T // the last failed records, oldest at next
+	failedIDs [failedRecordCap]string
+	next      int
+}
+
+// retire ends rec, id's terminal record, once its terminal hooks have run
+// (and a done one's cache entry is written): a done record is dropped, a
+// failed one displaces the oldest failed record. A record no longer
+// registered under id (superseded, or never registered) is left alone.
+func (r *registry[T]) retire(id string, rec T) {
+	if r.m[id] != rec {
+		return
+	}
+	if rec.State() != StateFailed {
+		delete(r.m, id)
+		return
+	}
+	old, oldID := r.failed[r.next], r.failedIDs[r.next]
+	r.failed[r.next], r.failedIDs[r.next] = rec, id
+	r.next = (r.next + 1) % failedRecordCap
+	if oldID != "" && r.m[oldID] == old {
+		delete(r.m, oldID)
+	}
 }
 
 // New builds a Server (opening or creating its cache) without starting the
@@ -204,8 +241,8 @@ func New(cfg Config) (*Server, error) {
 		started:        time.Now(),
 		log:            logger,
 		flights:        telemetry.NewFlightRing(flightRingCap),
-		jobs:           make(map[string]*Job),
-		sweeps:         make(map[string]*Sweep),
+		jobs:           registry[*Job]{m: make(map[string]*Job)},
+		sweeps:         registry[*Sweep]{m: make(map[string]*Sweep)},
 		fq:             newFairQueue(depth),
 		limits:         newRateLimits(cfg.SweepRPS, cfg.SweepBurst),
 		baseCtx:        ctx,
@@ -440,7 +477,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	j, how, result, err := s.resolveLocked(id, sp, flowKey{tenant: tenantOf(r)}, 1)
+	j, fresh, result, err := s.resolveLocked(id, sp, flowKey{tenant: tenantOf(r)}, 1)
 	if err != nil {
 		s.mu.Unlock()
 		s.tel.cacheMisses.Inc()
@@ -456,59 +493,52 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: launch queue full (%d queued), retry later", s.tel.queueDepth.Value()))
 		return
 	}
-	// The job now carries a direct claim: a sweep that also owns it may no
-	// longer release it on cancellation.
-	j.noteSingleton()
 	status := http.StatusOK
-	switch how {
-	case resolvedAttach:
-		s.tel.coalesced.Inc()
-		j.noteCoalesced()
-	case resolvedCached:
+	switch {
+	case j == nil:
 		s.tel.cacheHits.Inc()
-	case resolvedScheduled:
+		s.mu.Unlock()
+		writeJSON(w, status, doneRunView(id, sp, result))
+		return
+	case fresh:
 		s.tel.cacheMisses.Inc()
 		status = http.StatusAccepted
+	default:
+		s.tel.coalesced.Inc()
 	}
+	j.claim(!fresh)
 	s.mu.Unlock()
-	s.respondJob(w, status, j, result)
+	_, v, err := s.lookupRun(id) // the job's view, or its entry's if it is done already
+	if err != nil {
+		missing(w, err, fmt.Errorf("serve: no run %q", id))
+		return
+	}
+	writeJSON(w, status, v)
 }
-
-// resolution is the case resolveLocked applied to a run id.
-type resolution int
-
-const (
-	resolvedAttach    resolution = iota // a live queued or running job
-	resolvedCached                      // the run is done: its result verifies on disk
-	resolvedScheduled                   // a fresh execution was queued
-)
 
 // resolveLocked is the one place a run id becomes a job, for direct
 // submissions and sweep cells alike. Called with s.mu held, so no two
 // requests can resolve the same id concurrently. In order, it
 //
 //   - attaches to a live queued or running job;
-//   - answers from the cache when the run is done (see doneLocked),
-//     reusing the done record or registering a cached one;
+//   - answers from the cache when the run is done: its result.json
+//     verifies, and that entry is all there is of the run;
 //   - otherwise queues a fresh execution on flow with the given fair-share
-//     weight, superseding any failed or unverifiable record.
+//     weight, superseding any failed record.
 //
-// It returns the job, the case, and for resolvedCached the verified
-// result.json. When the fair queue rejects the job (draining or full) the
-// error is returned with the unregistered job.
-func (s *Server) resolveLocked(id string, sp spec.RunSpec, flow flowKey, weight int) (*Job, resolution, []byte, error) {
-	if j := s.jobs[id]; j != nil {
+// It returns the job and whether this call queued it, or, for a done run,
+// no job and the verified result.json. When the fair queue rejects the job
+// (draining or full) the error is returned.
+func (s *Server) resolveLocked(id string, sp spec.RunSpec, flow flowKey, weight int) (*Job, bool, []byte, error) {
+	if j := s.jobs.m[id]; j != nil {
 		if st := j.State(); st == StateQueued || st == StateRunning {
-			return j, resolvedAttach, nil, nil
+			return j, false, nil, nil
 		}
 	}
-	j, result, err := doneLocked(s.cache, s.jobs, id, func() (*Job, error) {
-		return s.registerLocked(newCachedJob(id, sp)), nil
-	})
-	if err == nil {
-		return j, resolvedCached, result, nil
+	if result, err := s.cache.ReadArtifact(id, ResultArtifact); err == nil {
+		return nil, false, result, nil
 	}
-	j = newJob(id, sp)
+	j := newJob(id, sp)
 	j.flow = flow
 	j.sseEvents, j.sseDropped = s.tel.sseEvents, s.tel.sseDropped
 	j.flight = telemetry.NewFlight(id)
@@ -520,99 +550,63 @@ func (s *Server) resolveLocked(id string, sp spec.RunSpec, flow flowKey, weight 
 	j.enqueuedAt = time.Now()
 	j.queueEnd = j.flight.Start("job", "queue")
 	if err := s.fq.Push(j, weight); err != nil {
-		return j, resolvedScheduled, nil, err
+		return nil, false, nil, err
 	}
-	s.registerLocked(j)
+	s.jobs.m[id] = j
 	s.tel.queueDepth.Inc()
 	s.logTransition(j, "queued")
-	return j, resolvedScheduled, nil, nil
+	return j, true, nil, nil
 }
 
-// doneLocked applies the rule that a run or sweep is done only if its
-// result.json verifies on disk. It returns the verified bytes with id's
-// done record in reg, or, when reg holds none, the cached record register
-// builds and registers. A done record whose entry is absent or corrupt
-// (verification discards corrupt entries) is dropped from reg. A transient
-// (injected) read failure is no evidence against a done record: it is
-// returned, unverified, with the error. Called with s.mu held.
-func doneLocked[T interface{ State() State }](c *Cache, reg map[string]T, id string, register func() (T, error)) (T, []byte, error) {
-	var none T
-	rec, ok := reg[id]
-	done := ok && rec.State() == StateDone
-	result, err := c.ReadArtifact(id, ResultArtifact)
-	switch {
-	case err != nil && done && faults.IsInjected(err):
-		return rec, nil, err
-	case err != nil:
-		if done {
-			delete(reg, id)
-		}
-		return none, nil, err
-	case done:
-		return rec, result, nil
-	}
-	if rec, err = register(); err != nil {
-		return none, nil, err
-	}
-	return rec, result, nil
-}
-
-// registerLocked adds j to the registry under s.mu, assigning its listing
-// sequence number and superseding whatever record held the id.
-func (s *Server) registerLocked(j *Job) *Job {
-	s.jobSeq++
-	j.seq = s.jobSeq
-	s.jobs[j.ID] = j
-	return j
-}
-
-// lookupJob resolves id to a job for the read-only endpoints under the
-// same rule as resolveLocked: a live or failed record stands as is, a done
-// one only while its result verifies, and a disk-only entry left by a
-// previous process is materialized only when its result and spec both
-// verify. It returns the verified result for done jobs; a nil job comes
-// with the read error that explains the miss.
-func (s *Server) lookupJob(id string) (*Job, []byte, error) {
+// lookupRun resolves id for the read-only endpoints: its live or failed
+// job with that job's view or, for a done run, a nil job with its cache
+// entry's view (cachedRun). A miss comes with the error that explains it.
+func (s *Server) lookupRun(id string) (*Job, jobView, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j := s.jobs[id]; j != nil && j.State() != StateDone {
-		return j, nil, nil
+	j := s.jobs.m[id]
+	s.mu.Unlock()
+	if j != nil {
+		if v := j.view(); v.State != StateDone {
+			return j, v, nil
+		}
 	}
-	return doneLocked(s.cache, s.jobs, id, func() (*Job, error) {
-		raw, err := s.cache.ReadArtifact(id, SpecArtifact)
-		if err != nil {
-			return nil, err
-		}
-		sp, err := spec.Parse(raw)
-		if err != nil {
-			return nil, err
-		}
-		return s.registerLocked(newCachedJob(id, sp.Normalized())), nil
-	})
+	v, err := s.cachedRun(id)
+	return nil, v, err
 }
 
-// respondJob writes a job view, embedding the verified result and the
-// artifact list for completed jobs. A done job without a result is one
-// that finished after it was resolved; its result is read now.
-func (s *Server) respondJob(w http.ResponseWriter, status int, j *Job, result []byte) {
-	view := j.view(result)
-	if view.State == StateDone {
-		if view.Result == nil {
-			view.Result, _ = s.cache.ReadArtifact(j.ID, ResultArtifact)
-		}
-		view.Artifacts = ArtifactNames
+// cachedRun answers a done run from its cache entry: the verified
+// result.json and the spec. A run is done only while its result verifies,
+// so an evicted or corrupt entry is a miss here, like an unknown id.
+func (s *Server) cachedRun(id string) (jobView, error) {
+	result, err := s.cache.ReadArtifact(id, ResultArtifact)
+	if err != nil {
+		return jobView{}, err
 	}
-	writeJSON(w, status, view)
+	raw, err := s.cache.ReadArtifact(id, SpecArtifact)
+	if err != nil {
+		return jobView{}, err
+	}
+	sp, err := spec.Parse(raw)
+	if err != nil {
+		return jobView{}, err
+	}
+	return doneRunView(id, sp.Normalized(), result), nil
+}
+
+// doneRunView is the wire view of a done run: its cache entry's result and
+// artifact list.
+func doneRunView(id string, sp spec.RunSpec, result []byte) jobView {
+	return jobView{ID: id, State: StateDone, Cached: true, Spec: sp, Result: result, Artifacts: ArtifactNames}
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, result, err := s.lookupJob(id)
-	if j == nil {
+	_, v, err := s.lookupRun(id)
+	if err != nil {
 		missing(w, err, fmt.Errorf("serve: no run %q", id))
 		return
 	}
-	s.respondJob(w, http.StatusOK, j, result)
+	writeJSON(w, http.StatusOK, v)
 }
 
 // handleArtifact serves one artifact of a completed run or sweep, accepting
@@ -639,15 +633,21 @@ func (s *Server) handleArtifact(names []string) http.HandlerFunc {
 // "progress" ticks, and timeline "sample" events until the job reaches a
 // terminal state. Every published event carries a job-scoped monotonic
 // `id:`; a client reconnecting with Last-Event-ID replays everything it
-// missed from the job's ring before rejoining the live stream.
+// missed from the job's ring before rejoining the live stream. A done run
+// has no ring: it streams its terminal snapshot alone.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, _, err := s.lookupJob(id)
-	if j == nil {
+	j, v, err := s.lookupRun(id)
+	switch {
+	case err != nil:
 		missing(w, err, fmt.Errorf("serve: no run %q", id))
-		return
+	case j != nil:
+		s.streamSSE(w, r, j.subscribeSince)
+	default:
+		// State events carry no result; GET /v1/runs/{id} has it.
+		v.Result, v.Artifacts = nil, nil
+		s.streamSSE(w, r, func(afterID uint64) subscription { return doneSubscription(v, afterID) })
 	}
-	s.streamSSE(w, r, j.subscribeSince)
 }
 
 // streamSSE runs the SSE protocol over any stream (job or sweep): snapshot
@@ -684,32 +684,18 @@ func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, subscribe fun
 		flusher.Flush()
 		return true
 	}
-	// A fresh attach opens with a snapshot. A resume replays the backlog
-	// instead — unless the ring has dropped events past afterID, in which
-	// case a snapshot bridges the gap before the backlog.
-	gap := afterID > 0 && len(sub.backlog) > 0 && sub.backlog[0].ID > afterID+1
-	if afterID == 0 || gap {
+	// A fresh attach opens with a snapshot, and so does a resume of an
+	// ended stream that missed nothing, so the client still learns the
+	// outcome. Any other resume replays the backlog — after a snapshot
+	// bridging the gap if the ring has dropped events past afterID.
+	gap := len(sub.backlog) > 0 && sub.backlog[0].ID > afterID+1
+	if afterID == 0 || gap || (sub.ended && len(sub.backlog) == 0) {
 		snapID := sub.lastID
 		if len(sub.backlog) > 0 {
 			snapID = sub.backlog[0].ID - 1
 		}
 		if !flush(Event{ID: snapID, Type: "state", Data: sub.snap}) {
 			return
-		}
-	} else if afterID > 0 && len(sub.backlog) == 0 {
-		// Nothing missed; if the job is already terminal the closed
-		// channel would end the stream with no bytes at all, so restate
-		// the terminal snapshot for the client's benefit.
-		select {
-		case ev, open := <-sub.ch:
-			if !open {
-				flush(Event{ID: sub.lastID, Type: "state", Data: sub.snap})
-				return
-			}
-			if !flush(ev) { // a live event raced in; deliver it
-				return
-			}
-		default:
 		}
 	}
 	for _, ev := range sub.backlog {
@@ -818,24 +804,33 @@ func shutdownCause(ctx context.Context) error {
 }
 
 // finishJob marks a job done: counters, flight hand-off into the completed
-// ring, and the lifecycle log line. The ring keeps the flight from then
-// on: a done job drops its own reference, so the registry of done jobs
-// does not hold every run's spans.
+// ring, the lifecycle log line, and the end of its record — its cache entry
+// answers for the run from now on. Called without s.mu.
 func (s *Server) finishJob(j *Job) {
 	s.tel.jobsDone.Inc()
-	j.finish()
+	j.end("", nil)
 	s.flights.Add(j.flight)
 	s.mu.Lock()
-	j.flight = nil
+	s.jobs.retire(j.ID, j)
 	s.mu.Unlock()
 	s.logTransition(j, "done")
 }
 
-// failJob marks a job failed with a classified error: counters, flight
-// hand-off, and the lifecycle log line carrying kind and error.
+// failJob marks a job failed and moves its record into the failed ring.
+// Called without s.mu: the job's terminal hooks may finalize a sweep, which
+// takes it.
 func (s *Server) failJob(j *Job, kind string, err error) {
+	s.markFailed(j, kind, err)
+	s.mu.Lock()
+	s.jobs.retire(j.ID, j)
+	s.mu.Unlock()
+}
+
+// markFailed fails a job with a classified error: counters, flight
+// hand-off, and the lifecycle log line carrying kind and error.
+func (s *Server) markFailed(j *Job, kind string, err error) {
 	s.tel.jobsFailed.Inc()
-	j.fail(kind, err)
+	j.end(kind, err)
 	j.flight.Instant("job", "fail", map[string]string{"kind": kind, "error": err.Error()})
 	s.flights.Add(j.flight)
 	transition := "failed"
@@ -855,13 +850,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.tel.queueDepth.Dec()
 	s.tel.running.Inc()
 	defer s.tel.running.Dec()
-	if j.queueEnd != nil {
-		j.queueEnd()
-		j.queueEnd = nil // it holds the flight
-	}
-	if !j.enqueuedAt.IsZero() {
-		s.tel.queueWait.Observe(time.Since(j.enqueuedAt).Seconds())
-	}
+	j.queueEnd()
+	s.tel.queueWait.Observe(time.Since(j.enqueuedAt).Seconds())
 	runEnd := j.flight.Start("job", "run")
 	defer runEnd()
 	runStart := time.Now()
@@ -956,12 +946,10 @@ func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recor
 		if s.cfg.MaxCycles > 0 && (g.MaxCycles == 0 || g.MaxCycles > s.cfg.MaxCycles) {
 			g.MaxCycles = s.cfg.MaxCycles
 		}
-		if j.flight != nil {
-			// Engine run phases (simulate loop, result assembly) land on
-			// the flight's "engine" track alongside build and artifacts.
-			g.TraceSpan = func(name string, start, end time.Time) {
-				j.flight.Add("engine", name, start, end)
-			}
+		// Engine run phases (simulate loop, result assembly) land on the
+		// flight's "engine" track alongside build and artifacts.
+		g.TraceSpan = func(name string, start, end time.Time) {
+			j.flight.Add("engine", name, start, end)
 		}
 		rec.Attach(g)
 		recordSample := g.TraceSample

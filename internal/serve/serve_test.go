@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -97,6 +98,70 @@ func getArtifact(t *testing.T, ts *httptest.Server, id, name string) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// waitDropped waits for a done run's job record to be retired, after
+// which only its cache entry answers for it.
+func waitDropped(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		j := s.jobs.m[id]
+		s.mu.Unlock()
+		if j == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s still has a job record (state %s)", id, j.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkDoneRunServed asserts that a done run with no job record answers on
+// every read endpoint from its cache entry: status (cached, with the
+// result), a fresh and a resumed event stream (the terminal snapshot at the
+// subscriber's own position, then a closed stream), every artifact, and the
+// done listing. trace says whether its flight is still in this process's
+// ring: a restarted server has no trace of a run it did not execute.
+func checkDoneRunServed(t *testing.T, ts *httptest.Server, id string, trace bool) {
+	t.Helper()
+	if v := getStatus(t, ts, id); v.State != StateDone || !v.Cached || len(v.Result) == 0 {
+		t.Fatalf("status of a done run = %s, cached %v, %d result bytes; want done, cached, with a result",
+			v.State, v.Cached, len(v.Result))
+	}
+	for _, after := range []uint64{0, 7} {
+		evs := getEvents(t, ts, id, after)
+		if len(evs) != 1 || evs[0].event != "state" || evs[0].id != after ||
+			!strings.Contains(evs[0].data, `"state":"done"`) {
+			t.Fatalf("events after id %d = %+v, want the done snapshot alone, at id %d", after, evs, after)
+		}
+	}
+	for _, name := range ArtifactNames {
+		getArtifact(t, ts, id, name)
+	}
+	resp, err := http.Get(ts.URL + "/v1/runs?state=done&limit=500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list runsListView
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(list.Runs, func(v jobView) bool { return v.ID == id && v.State == StateDone }) {
+		t.Fatalf("done listing %+v lacks run %s", list.Runs, id)
+	}
+	resp, err = http.Get(ts.URL + "/v1/runs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if want := map[bool]int{true: http.StatusOK, false: http.StatusNotFound}[trace]; resp.StatusCode != want {
+		t.Fatalf("trace of a done run: status %d, want %d", resp.StatusCode, want)
+	}
 }
 
 // metricsSnapshot is the slice of the /metrics exposition the tests assert
@@ -534,7 +599,8 @@ func TestCloseCancelsRunningJob(t *testing.T) {
 }
 
 // TestCacheSurvivesRestart: a second server over the same cache directory
-// answers the same spec without executing.
+// serves the run left by the first one and answers the same spec without
+// executing.
 func TestCacheSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
@@ -546,6 +612,8 @@ func TestCacheSurvivesRestart(t *testing.T) {
 
 	s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	s2.Start()
+	// A run left by the earlier process answers everywhere but /trace.
+	checkDoneRunServed(t, ts2, view.ID, false)
 	code, view2 := submit(t, ts2, tinySpec)
 	if code != http.StatusOK || view2.State != StateDone || !view2.Cached {
 		t.Fatalf("restart submit: status %d, view %+v; want a cached done answer", code, view2)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"laperm/internal/exp"
 	"laperm/internal/gpu"
@@ -32,8 +31,8 @@ const (
 	// CellSourceDedupe attached to work another request already owns — a
 	// concurrent sweep's cell or an in-flight singleton run.
 	CellSourceDedupe = "dedupe"
-	// CellSourceCache was answered from a completed job or the disk cache
-	// without executing anything.
+	// CellSourceCache was answered from the cache without executing
+	// anything.
 	CellSourceCache = "cache"
 )
 
@@ -47,10 +46,11 @@ type sweepCell struct {
 	state  State
 	errKind,
 	errMsg string
-	job *Job // the job the cell resolved to
+	job *Job // the job the cell resolved to, until the cell settles
 }
 
-// Sweep is one submitted parameter sweep, keyed by its SweepSpec hash. All
+// Sweep is one submitted parameter sweep, keyed by its SweepSpec hash,
+// while it runs or once it has failed; a done sweep is its cache entry. All
 // mutable fields are guarded by the embedded hub's mutex (promoted as
 // sw.mu).
 type Sweep struct {
@@ -68,7 +68,6 @@ type Sweep struct {
 	state     State
 	errMsg    string
 	errKind   string
-	cached    bool // sweep artifacts served from the disk cache
 	canceled  bool
 	coalesced int64
 	cells     []*sweepCell
@@ -77,7 +76,6 @@ type Sweep struct {
 	deduped   int // cells attached to work another request owns
 	fromCache int // cells answered without executing
 	scheduled int // cells freshly scheduled by this sweep
-	doneAt    time.Time
 }
 
 func newSweep(id string, sp spec.SweepSpec) *Sweep {
@@ -86,14 +84,6 @@ func newSweep(id string, sp spec.SweepSpec) *Sweep {
 		axes[i] = ax.Field
 	}
 	return &Sweep{ID: id, Spec: sp, Axes: axes, state: StateRunning, hub: newHub()}
-}
-
-// newCachedSweep materializes a sweep for a disk-cache hit: born terminal,
-// no cell table (the cell detail lives in the cached cells.csv).
-func newCachedSweep(id string, sp spec.SweepSpec) *Sweep {
-	sw := newSweep(id, sp)
-	sw.state, sw.cached = StateDone, true
-	return sw
 }
 
 // State returns the current state.
@@ -124,7 +114,8 @@ type sweepCellView struct {
 
 // sweepView is the wire representation of a sweep returned by the submit
 // and status endpoints and carried in "state" SSE events (without the cell
-// table — state events stay small; GET /v1/sweeps/{id} has it).
+// table — state events stay small; GET /v1/sweeps/{id} has it). A done
+// sweep's view is its cache entry's result.json summary (cachedSweep).
 type sweepView struct {
 	ID        string          `json:"id"`
 	State     State           `json:"state"`
@@ -153,7 +144,6 @@ func (sw *Sweep) viewLocked(withCells bool) sweepView {
 		State:     sw.state,
 		Tenant:    sw.Spec.Tenant,
 		Priority:  sw.Spec.Priority,
-		Cached:    sw.cached,
 		Canceled:  sw.canceled,
 		Coalesced: sw.coalesced,
 		Axes:      sw.Axes,
@@ -166,12 +156,6 @@ func (sw *Sweep) viewLocked(withCells bool) sweepView {
 		Error:     sw.errMsg,
 		ErrorKind: sw.errKind,
 		Spec:      sw.Spec,
-	}
-	if sw.cached {
-		// A disk-materialized sweep has no in-process cell records; its
-		// counts live in the cached result.json.
-		v.Cells = sw.Spec.CellCount()
-		v.Done = v.Cells
 	}
 	if sw.state == StateDone {
 		v.Artifacts = SweepArtifactNames
@@ -238,19 +222,22 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.tel.sweepSubmissions.Inc()
 
+	// Resubmitting a running sweep coalesces and a done one is answered
+	// from its cache entry, exactly like runs; a failed record is
+	// superseded below. These answers bypass the rate limiter — they
+	// schedule nothing.
 	s.mu.Lock()
-	prev := s.sweeps[id]
-	sw, err := s.sweepLocked(id, func() (spec.SweepSpec, error) { return sp, nil })
-	if err == nil && sw.State() != StateFailed {
-		// Running, or done and verified on disk. Resubmitting a sweep this
-		// process holds coalesces, exactly like runs. These answers bypass
-		// the rate limiter — they schedule nothing.
-		if sw == prev {
-			sw.noteCoalesced()
-			s.tel.sweepsCoalesced.Inc()
-		}
+	if sw := s.sweeps.m[id]; sw != nil && sw.State() == StateRunning {
+		sw.noteCoalesced()
+		s.tel.sweepsCoalesced.Inc()
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, sw.view(false))
+		return
+	}
+	if v, err := s.cachedSweep(id); err == nil {
+		s.mu.Unlock()
+		v.CellTable = nil
+		writeJSON(w, http.StatusOK, v)
 		return
 	}
 	if s.draining {
@@ -269,7 +256,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sw = newSweep(id, sp)
+	sw := newSweep(id, sp)
 	sw.sseEvents, sw.sseDropped = s.tel.sseEvents, s.tel.sseDropped
 	sw.flight = telemetry.NewFlight(id)
 	sw.flight.Instant("sweep", "submit", map[string]string{
@@ -281,64 +268,74 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, c := range cells {
 		sw.cells[i] = &sweepCell{index: c.Index, runID: c.Hash, values: c.Values, state: StateQueued}
 	}
-	s.sweeps[id] = sw
+	s.sweeps.m[id] = sw
 	s.tel.sweepsActive.Inc()
 	s.tel.sweepCellsExpanded.Add(uint64(len(cells)))
 	s.log.Info("sweep submitted", "sweep", id, "tenant", sp.Tenant, "cells", len(cells))
 
 	// Resolve every cell under s.mu, each on this sweep's fair-share flow:
 	// nothing can race a concurrent sweep's resolution of the same run IDs.
+	// Cells settle after s.mu is released: the last finalizes the sweep.
+	var settle []func()
 	flow := flowKey{tenant: sp.Tenant, sweep: id}
 	for i, c := range cells {
 		cell := sw.cells[i]
-		j, how, result, err := s.resolveLocked(c.Hash, c.Spec, flow, sp.Priority)
-		if err != nil {
+		j, fresh, result, err := s.resolveLocked(c.Hash, c.Spec, flow, sp.Priority)
+		switch {
+		case err != nil:
 			// Unreachable by construction (closeQueue also takes s.mu and
 			// sweep flows have no depth bound), but never let a cell
 			// silently wedge the sweep if the invariant ever breaks.
-			s.failJob(j, KindError, err)
-		}
-		cell.job = j
-		shared := j.addOwner(id)
-		switch how {
-		case resolvedCached:
+			failed := jobView{State: StateFailed, ErrorKind: KindError, Error: err.Error()}
+			settle = append(settle, func() { s.cellDone(sw, cell, failed, nil) })
+			continue
+		case j == nil:
 			cell.source = CellSourceCache
 			sw.fromCache++
 			s.tel.sweepCellsCached.Inc()
-			s.cellDone(sw, cell, j, result)
+			settle = append(settle, func() { s.cellDone(sw, cell, jobView{State: StateDone}, result) })
 			continue
-		case resolvedAttach:
+		}
+		cell.job = j
+		shared := j.addOwner(id)
+		if fresh {
+			cell.source = CellSourceRun
+			sw.scheduled++
+			s.tel.sweepCellsScheduled.Inc()
+		} else {
 			cell.source = CellSourceDedupe
 			sw.deduped++
 			if shared {
 				s.tel.sweepCellsDeduped.Inc()
 			}
-		case resolvedScheduled:
-			cell.source = CellSourceRun
-			sw.scheduled++
-			s.tel.sweepCellsScheduled.Inc()
 		}
-		j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j, nil) })
+		settle = append(settle, func() {
+			j.addTerminalHook(func(j *Job) { s.cellDone(sw, cell, j.view(), nil) })
+		})
 	}
 	scheduleEnd()
 	s.mu.Unlock()
+	for _, f := range settle {
+		f()
+	}
 	writeJSON(w, http.StatusAccepted, sw.view(false))
 }
 
-// cellDone records one cell's terminal outcome on its sweep, publishes the
-// "cell" SSE event, and finalizes the sweep when the last cell lands. Runs
-// either inline during resolution (cached cells, with their verified
-// result) or as a job terminal hook on the dispatcher's goroutine.
-func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job, result []byte) {
-	state, errMsg, errKind, _, _ := j.snapshot()
+// cellDone records one cell's terminal outcome (the state and error of
+// out) on its sweep, publishes the "cell" SSE event, and finalizes the
+// sweep when the last cell lands. Runs after resolution (cached cells,
+// with their verified result) or as a job terminal hook, never under s.mu
+// — but for a canceled sweep's released jobs, whose cells are settled
+// already.
+func (s *Server) cellDone(sw *Sweep, cell *sweepCell, out jobView, result []byte) {
 	data := map[string]any{
 		"index":  cell.index,
 		"run_id": cell.runID,
 		"values": cell.values,
 		"source": cell.source,
-		"state":  state,
+		"state":  out.State,
 	}
-	if state == StateDone {
+	if out.State == StateDone {
 		// Best-effort partial result: headline numbers straight from the
 		// cached result so sweep watchers can plot without fetching every
 		// cell artifact.
@@ -354,8 +351,8 @@ func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job, result []byte) {
 			data["ipc"] = head.IPC
 		}
 	} else {
-		data["error"] = errMsg
-		data["error_kind"] = errKind
+		data["error"] = out.Error
+		data["error_kind"] = out.ErrorKind
 	}
 
 	sw.mu.Lock()
@@ -364,10 +361,11 @@ func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job, result []byte) {
 		sw.mu.Unlock()
 		return
 	}
-	cell.state = state
-	cell.errMsg, cell.errKind = errMsg, errKind
+	cell.state = out.State
+	cell.errMsg, cell.errKind = out.Error, out.ErrorKind
+	cell.job = nil
 	sw.remaining--
-	if state == StateFailed {
+	if out.State == StateFailed {
 		sw.failed++
 	}
 	sw.publishLocked(Event{Type: "cell", Data: data})
@@ -379,7 +377,8 @@ func (s *Server) cellDone(sw *Sweep, cell *sweepCell, j *Job, result []byte) {
 }
 
 // finalizeSweep transitions a fully-settled sweep to its terminal state,
-// writing the sweep-level artifacts on full success.
+// writing the sweep-level artifacts on full success, and retires its
+// record: a done sweep's cache entry answers for it. Called without s.mu.
 func (s *Server) finalizeSweep(sw *Sweep) {
 	sw.mu.Lock()
 	if sw.terminalLocked() {
@@ -401,19 +400,10 @@ func (s *Server) finalizeSweep(sw *Sweep) {
 
 	sw.mu.Lock()
 	if finalErr != nil {
-		sw.state = StateFailed
-		sw.errKind = KindError
-		if sw.canceled {
-			sw.errKind = KindCanceled
-		}
-		sw.errMsg = finalErr.Error()
+		sw.endLocked(StateFailed, KindError, finalErr.Error())
 	} else {
-		sw.state = StateDone
-		sw.doneAt = time.Now()
+		sw.endLocked(StateDone, "", "")
 	}
-	view := sw.viewLocked(false)
-	sw.publishLocked(Event{Type: "state", Data: view})
-	sw.closeSubsLocked()
 	sw.mu.Unlock()
 
 	s.tel.sweepsActive.Dec()
@@ -426,6 +416,9 @@ func (s *Server) finalizeSweep(sw *Sweep) {
 		s.log.Info("sweep done", "sweep", sw.ID)
 	}
 	s.flights.Add(sw.flight)
+	s.mu.Lock()
+	s.sweeps.retire(sw.ID, sw)
+	s.mu.Unlock()
 }
 
 // writeSweepArtifacts assembles and commits the sweep's cache entry: the
@@ -471,129 +464,94 @@ func (s *Server) writeSweepArtifacts(sw *Sweep, cells []*sweepCell) error {
 	})
 }
 
-// sweepLocked resolves id to its standing sweep under the run rule
-// (doneLocked): a running or failed record stands as is, a done one only
-// while its result.json verifies on disk, and with no record a verified
-// entry materializes a cached sweep whose spec load supplies. A nil sweep
-// comes with the read error that explains the miss. Called with s.mu held.
-func (s *Server) sweepLocked(id string, load func() (spec.SweepSpec, error)) (*Sweep, error) {
-	if sw := s.sweeps[id]; sw != nil && sw.State() != StateDone {
-		return sw, nil
+// cachedSweep answers a done sweep from its cache entry: the verified
+// result.json summary, cell table included. A run's entry is a miss.
+func (s *Server) cachedSweep(id string) (sweepView, error) {
+	raw, err := s.cache.ReadArtifact(id, ResultArtifact)
+	if err != nil {
+		return sweepView{}, err
 	}
-	sw, _, err := doneLocked(s.cache, s.sweeps, id, func() (*Sweep, error) {
-		sp, err := load()
-		if err != nil {
-			return nil, err
-		}
-		sw := newCachedSweep(id, sp)
-		s.sweeps[id] = sw
-		return sw, nil
-	})
-	return sw, err
+	var v sweepView
+	if err := json.Unmarshal(raw, &v); err != nil || v.ID != id {
+		return sweepView{}, fmt.Errorf("serve: cache entry %q is not a sweep", id)
+	}
+	v.Cached = true
+	return v, nil
 }
 
-// lookupSweep resolves id to a sweep for the read-only endpoints,
-// materializing disk-only entries left by a previous process from their
-// verified sweep.json.
-func (s *Server) lookupSweep(id string) (*Sweep, error) {
+// lookupSweep resolves id for the read-only endpoints: its running or
+// failed sweep with that sweep's view or, for a done sweep, a nil sweep
+// with its cache entry's view. A miss comes with the error explaining it.
+func (s *Server) lookupSweep(id string, withCells bool) (*Sweep, sweepView, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sweepLocked(id, func() (spec.SweepSpec, error) {
-		raw, err := s.cache.ReadArtifact(id, SweepSpecArtifact)
-		if err != nil {
-			return spec.SweepSpec{}, err
+	sw := s.sweeps.m[id]
+	s.mu.Unlock()
+	if sw != nil {
+		if v := sw.view(withCells); v.State != StateDone {
+			return sw, v, nil
 		}
-		sp, err := spec.ParseSweep(raw)
-		return sp.Normalized(), err
-	})
+	}
+	v, err := s.cachedSweep(id)
+	if !withCells {
+		v.CellTable = nil
+	}
+	return nil, v, err
+}
+
+// respondSweep writes id's sweep view (see lookupSweep).
+func (s *Server) respondSweep(w http.ResponseWriter, id string, withCells bool) {
+	_, v, err := s.lookupSweep(id, withCells)
+	if err != nil {
+		missing(w, err, fmt.Errorf("serve: no sweep %q", id))
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
 }
 
 // handleSweepStatus serves GET /v1/sweeps/{id}: full status with the cell
 // table and dedupe/cache-hit counts.
 func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	sw, err := s.lookupSweep(id)
-	if sw == nil {
-		missing(w, err, fmt.Errorf("serve: no sweep %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, sw.view(true))
+	s.respondSweep(w, r.PathValue("id"), true)
 }
 
 // handleSweepEvents streams a sweep's lifecycle over SSE: a "state"
 // snapshot, then per-cell "cell" completion events and the terminal "state"
 // transition, with the same monotonic-id / Last-Event-ID resume contract as
-// run streams.
+// run streams (a done sweep streams its terminal snapshot alone).
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sw, err := s.lookupSweep(id)
-	if sw == nil {
+	sw, v, err := s.lookupSweep(id, false)
+	switch {
+	case err != nil:
 		missing(w, err, fmt.Errorf("serve: no sweep %q", id))
-		return
+	case sw != nil:
+		s.streamSSE(w, r, sw.subscribeSince)
+	default:
+		s.streamSSE(w, r, func(afterID uint64) subscription { return doneSubscription(v, afterID) })
 	}
-	s.streamSSE(w, r, sw.subscribeSince)
 }
 
 // handleSweepCancel implements POST /v1/sweeps/{id}/cancel: queued cells
 // owned only by this sweep are released (removed from the fair queue and
 // failed with kind "canceled"); cells shared with other sweeps or direct
 // submissions, and cells already running, are left to finish — their
-// results stay cacheable and their other owners unaffected.
+// results stay cacheable and their other owners unaffected. A sweep that is
+// already terminal answers with its view, as GET does.
 func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	sw := s.sweeps[id]
-	if sw == nil {
-		s.mu.Unlock()
-		notFound(w, fmt.Errorf("serve: no sweep %q", id))
-		return
-	}
-	if sw.State() == StateDone || sw.State() == StateFailed {
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, sw.view(false))
-		return
-	}
-
-	// Collect the exclusively-owned queued cells, then release them. The
-	// failJob calls fire this sweep's terminal hooks, which find the cells
-	// already settled below and no-op.
+	sw := s.sweeps.m[id]
 	var release []*Job
-	sw.mu.Lock()
-	sw.canceled = true
-	for _, cell := range sw.cells {
-		if cell.state != StateQueued && cell.state != StateRunning {
-			continue
-		}
-		j := cell.job
-		if j != nil && j.State() == StateQueued && !j.sharedBeyond(id) && s.fq.Remove(j) {
-			release = append(release, j)
-			cell.state = StateFailed
-			cell.errKind = KindCanceled
-			cell.errMsg = "serve: sweep canceled"
-			sw.remaining--
-			sw.failed++
-			continue
-		}
-		// Running or shared: the job finishes on its own; the terminal
-		// hook settles the cell later (the sweep is already terminal by
-		// then, so the hook's publish is a no-op).
-		cell.state = StateFailed
-		cell.errKind = KindCanceled
-		cell.errMsg = "serve: sweep canceled (cell left to finish)"
-		sw.remaining--
-		sw.failed++
+	if sw == nil || !sw.cancel(s.fq, &release) {
+		s.mu.Unlock()
+		s.respondSweep(w, id, false)
+		return
 	}
-	sw.state = StateFailed
-	sw.errKind = KindCanceled
-	sw.errMsg = "serve: sweep canceled"
-	view := sw.viewLocked(false)
-	sw.publishLocked(Event{Type: "state", Data: view})
-	sw.closeSubsLocked()
-	sw.mu.Unlock()
-
+	// The released jobs' terminal hooks find their cells already settled.
 	for _, j := range release {
 		s.tel.queueDepth.Dec()
-		s.failJob(j, KindCanceled, errors.New("serve: sweep canceled"))
+		s.markFailed(j, KindCanceled, errors.New("serve: sweep canceled"))
+		s.jobs.retire(j.ID, j)
 	}
 	s.tel.sweepsActive.Dec()
 	s.tel.sweepsCanceled.Inc()
@@ -601,7 +559,47 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		"released": fmt.Sprint(len(release)),
 	})
 	s.flights.Add(sw.flight)
+	s.sweeps.retire(id, sw)
 	s.log.Info("sweep canceled", "sweep", id, "released", len(release))
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, sw.view(false))
+}
+
+// cancel fails a running sweep, settling its open cells as canceled, and
+// appends to release the queued jobs only it owned, removed from q for the
+// caller to fail under the same s.mu, so no submission attaches to them.
+// It reports false, changing nothing, once the sweep is terminal or every
+// cell has settled (it is being finalized).
+func (sw *Sweep) cancel(q *fairQueue, release *[]*Job) bool {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.terminalLocked() || sw.remaining == 0 {
+		return false
+	}
+	sw.canceled = true
+	for _, cell := range sw.cells {
+		if cell.state != StateQueued && cell.state != StateRunning {
+			continue
+		}
+		// A running or shared job finishes on its own, and so does a cell
+		// not settled yet (cached, with no job); either finds it settled.
+		cell.errMsg = "serve: sweep canceled (cell left to finish)"
+		if j := cell.job; j != nil && j.State() == StateQueued && !j.sharedBeyond(sw.ID) && q.Remove(j) {
+			*release = append(*release, j)
+			cell.errMsg = "serve: sweep canceled"
+		}
+		cell.state, cell.errKind, cell.job = StateFailed, KindCanceled, nil
+		sw.remaining--
+		sw.failed++
+	}
+	sw.endLocked(StateFailed, KindCanceled, "serve: sweep canceled")
+	return true
+}
+
+// endLocked moves the sweep to its terminal state, publishes it, and
+// closes the subscribers' channels.
+func (sw *Sweep) endLocked(state State, errKind, errMsg string) {
+	sw.state, sw.errKind, sw.errMsg = state, errKind, errMsg
+	sw.publishLocked(Event{Type: "state", Data: sw.viewLocked(false)})
+	sw.closeSubsLocked()
 }

@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,6 +88,56 @@ func getSweepArtifact(t *testing.T, ts *httptest.Server, id, name string) []byte
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// waitSweepDropped waits for a done sweep's record to be retired, after
+// which only its cache entry answers for it.
+func waitSweepDropped(t *testing.T, s *Server, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		sw := s.sweeps.m[id]
+		s.mu.Unlock()
+		if sw == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s still has a record (state %s)", id, sw.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkDoneSweepServed asserts that a done sweep with no record answers
+// from its cache entry: status (cached, with its cells), a fresh and a
+// resumed event stream (the terminal snapshot alone), cancel (a no-op
+// answering the done view), and every artifact.
+func checkDoneSweepServed(t *testing.T, ts *httptest.Server, id string, cells int) {
+	t.Helper()
+	if v := getSweep(t, ts, id); v.State != StateDone || !v.Cached || len(v.CellTable) != cells || v.Done != cells {
+		t.Fatalf("status of a done sweep = %+v, want done, cached, %d cells", v, cells)
+	}
+	for _, after := range []uint64{0, 3} {
+		evs := readSSE(t, openEvents(t, ts.URL+"/v1/sweeps/"+id+"/events", after).Body)
+		if len(evs) != 1 || evs[0].event != "state" || evs[0].id != after ||
+			!strings.Contains(evs[0].data, `"state":"done"`) {
+			t.Fatalf("sweep events after id %d = %+v, want the done snapshot alone, at id %d", after, evs, after)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps/"+id+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cv sweepView
+	err = json.NewDecoder(resp.Body).Decode(&cv)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || cv.State != StateDone || cv.Canceled {
+		t.Fatalf("cancel of a done sweep: status %d, view %+v (%v); want 200 and the done view", resp.StatusCode, cv, err)
+	}
+	for _, name := range SweepArtifactNames {
+		getSweepArtifact(t, ts, id, name)
+	}
 }
 
 // TestSweepEndToEnd: submit, expand, execute, aggregate. The sweep's
@@ -294,19 +347,14 @@ func TestSweepDedupesInFlightSingleton(t *testing.T) {
 }
 
 // TestSweepCoalesceAndCache: resubmitting an identical sweep coalesces
-// while in flight and answers from the cache when done — and the cached
-// answer survives a process restart on the same cache directory.
+// while it runs and, once it is done, is answered from its cache entry —
+// the done sweep's only record — in the same process and after a restart
+// on the same cache directory.
 func TestSweepCoalesceAndCache(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir})
-	s.Start()
-
+	// Not started: the sweep runs until the dispatcher starts.
 	_, v1 := submitSweep(t, ts, tinySweep)
-	final := waitSweepTerminal(t, ts, v1.ID)
-	if final.State != StateDone {
-		t.Fatalf("sweep failed: %s", final.Error)
-	}
-
 	code, v2 := submitSweep(t, ts, tinySweep)
 	if code != http.StatusOK {
 		t.Fatalf("resubmit: status %d, want 200", code)
@@ -314,16 +362,31 @@ func TestSweepCoalesceAndCache(t *testing.T) {
 	if v2.ID != v1.ID {
 		t.Fatalf("identical sweeps got different ids: %s vs %s", v1.ID, v2.ID)
 	}
-	m := getMetrics(t, ts)
-	if m.Sweeps.Coalesced != 1 {
+	if m := getMetrics(t, ts); m.Sweeps.Coalesced != 1 {
 		t.Fatalf("sweeps coalesced = %d, want 1", m.Sweeps.Coalesced)
 	}
+	s.Start()
+	final := waitSweepTerminal(t, ts, v1.ID)
+	if final.State != StateDone {
+		t.Fatalf("sweep failed: %s", final.Error)
+	}
+	waitSweepDropped(t, s, v1.ID)
+	code, v2 = submitSweep(t, ts, tinySweep)
+	if code != http.StatusOK || v2.State != StateDone || !v2.Cached {
+		t.Fatalf("resubmit of a done sweep: status %d, view %+v; want 200 cached done", code, v2)
+	}
+	if m := getMetrics(t, ts); m.Sweeps.Coalesced != 1 || m.Sweeps.CellsScheduled != 4 {
+		t.Fatalf("sweeps coalesced = %d, cells scheduled %d; want 1 and 4 (a cache answer schedules nothing)",
+			m.Sweeps.Coalesced, m.Sweeps.CellsScheduled)
+	}
+	checkDoneSweepServed(t, ts, v1.ID, 4)
 	csv1 := getSweepArtifact(t, ts, v1.ID, SweepCellsArtifact)
 
 	// Restart on the same cache dir: the sweep answers from disk without
 	// executing anything, artifacts intact.
 	s2, ts2 := newTestServer(t, Config{Workers: 1, CacheDir: dir})
 	s2.Start()
+	checkDoneSweepServed(t, ts2, v1.ID, 4)
 	code3, v3 := submitSweep(t, ts2, tinySweep)
 	if code3 != http.StatusOK || !v3.Cached {
 		t.Fatalf("restart resubmit: status %d cached %v, want 200 cached", code3, v3.Cached)
@@ -461,6 +524,15 @@ func TestSweepCancel(t *testing.T) {
 	if m.JobsDone != 2 {
 		t.Fatalf("jobs done = %d, want 2 (released cell must not execute)", m.JobsDone)
 	}
+
+	// A cell resolved but not settled yet (a cached cell, settled once the
+	// submission releases the server lock) has no job: cancel leaves it.
+	pending := newSweep(strings.Repeat("0", 64), spec.SweepSpec{})
+	pending.cells, pending.remaining = []*sweepCell{{state: StateQueued}}, 1
+	var release []*Job
+	if !pending.cancel(newFairQueue(1), &release) || len(release) != 0 || pending.cells[0].state != StateFailed {
+		t.Fatalf("cancel with a jobless open cell: released %d, cell %s", len(release), pending.cells[0].state)
+	}
 }
 
 // TestSweepRateLimit: per-tenant sweep token bucket answers 429 with
@@ -563,46 +635,56 @@ func TestSweepServerCellBoundFirst(t *testing.T) {
 }
 
 // TestSweepEvents: a live SSE subscriber sees every per-cell completion and
-// the terminal state with monotonic ids, and a reconnect with Last-Event-ID
-// replays exactly the missed suffix.
+// the terminal state with monotonic ids, a reconnect with Last-Event-ID
+// while the sweep runs replays exactly the missed suffix, and once the
+// sweep is done any subscriber gets its terminal snapshot.
 func TestSweepEvents(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
+	// Hold the last of the four cells to start, so the sweep is still
+	// running when the stream resumes below.
+	release := make(chan struct{})
+	var started atomic.Int32
+	s.testBeforeRun = func(*Job) {
+		if started.Add(1) == 4 {
+			<-release
+		}
+	}
 
 	// Submit while the dispatcher is stopped, attach the stream, then
 	// start: every cell event is delivered live.
 	_, view := submitSweep(t, ts, tinySweep)
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + view.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	url := ts.URL + "/v1/sweeps/" + view.ID + "/events"
+	live := bufio.NewReader(openEvents(t, url, 0).Body)
 	s.Start()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.String()
-	if n := strings.Count(stream, "event: cell"); n != 4 {
-		t.Fatalf("stream has %d cell events, want 4:\n%s", n, stream)
-	}
-	if !strings.Contains(stream, `"state":"done"`) {
-		t.Fatalf("stream missing terminal done state:\n%s", stream)
+	var stream strings.Builder
+	for cells := 0; cells < 3; {
+		line, err := live.ReadString('\n')
+		if err != nil {
+			t.Fatalf("live stream ended after:\n%s", stream.String())
+		}
+		stream.WriteString(line)
+		if line == "event: cell\n" {
+			cells++
+		}
 	}
 
 	// Resume after the first event: the replay must hold the remaining
 	// cell events and the terminal state, nothing before the cursor.
-	req, err := http.NewRequest("GET", ts.URL+"/v1/sweeps/"+view.ID+"/events", nil)
+	resumedResp := openEvents(t, url, 1)
+	close(release)
+	rest, err := io.ReadAll(live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Last-Event-ID", "1")
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	stream.Write(rest)
+	if n := strings.Count(stream.String(), "event: cell"); n != 4 {
+		t.Fatalf("stream has %d cell events, want 4:\n%s", n, stream.String())
 	}
-	defer resp2.Body.Close()
+	if !strings.Contains(stream.String(), `"state":"done"`) {
+		t.Fatalf("stream missing terminal done state:\n%s", stream.String())
+	}
 	var buf2 bytes.Buffer
-	if _, err := buf2.ReadFrom(resp2.Body); err != nil {
+	if _, err := buf2.ReadFrom(resumedResp.Body); err != nil {
 		t.Fatal(err)
 	}
 	resumed := buf2.String()
@@ -615,4 +697,7 @@ func TestSweepEvents(t *testing.T) {
 	if !strings.Contains(resumed, `"state":"done"`) {
 		t.Fatalf("resume missing terminal state:\n%s", resumed)
 	}
+
+	waitSweepDropped(t, s, view.ID)
+	checkDoneSweepServed(t, ts, view.ID, 4)
 }

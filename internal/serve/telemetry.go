@@ -247,14 +247,14 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves a job's flight-recorder trace as Perfetto-loadable
-// Chrome trace_event JSON: live and failed jobs render their own flight,
-// done jobs the completed one from the bounded ring of the last
-// flightRingCap terminal jobs.
+// Chrome trace_event JSON: a job with a record renders its own flight, a
+// done run (which has none) the completed one from the bounded ring of the
+// last flightRingCap terminal jobs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var f *telemetry.Flight
 	s.mu.Lock()
-	if j := s.jobs[id]; j != nil {
+	if j := s.jobs.m[id]; j != nil {
 		f = j.flight
 	}
 	s.mu.Unlock()

@@ -222,10 +222,8 @@ func TestFaultAndRetryCountersExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, Faults: reg})
-	s.Start()
 
-	_, view := submit(t, ts, tinySpec)
-	final := waitTerminal(t, ts, view.ID)
+	final := watchRun(t, s, ts, tinySpec)
 	if final.State != StateDone {
 		t.Fatalf("run failed: %s (%s)", final.Error, final.ErrorKind)
 	}
@@ -353,10 +351,10 @@ func TestRetryLifecycleLog(t *testing.T) {
 	}
 }
 
-// TestDoneJobFlightMovesToRing: once a job is done its flight lives only in
-// the bounded ring of recent terminal jobs — the job record drops it, so
-// done records do not keep every run's spans alive — and the trace
-// endpoint still serves it from there.
+// TestDoneJobFlightMovesToRing: once a job is done its record is gone —
+// its cache entry answers for the run — and its flight lives only in the
+// bounded ring of recent terminal jobs, from which the trace endpoint
+// still serves it.
 func TestDoneJobFlightMovesToRing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	s.Start()
@@ -364,28 +362,9 @@ func TestDoneJobFlightMovesToRing(t *testing.T) {
 	if v := waitTerminal(t, ts, view.ID); v.State != StateDone {
 		t.Fatalf("run failed: %s", v.Error)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s.mu.Lock()
-		held := s.jobs[view.ID].flight
-		s.mu.Unlock()
-		if held == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("done job still holds its flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitDropped(t, s, view.ID)
 	if s.flights.Get(view.ID) == nil {
 		t.Fatal("done job's flight is not in the ring")
 	}
-	resp, err := http.Get(ts.URL + "/v1/runs/" + view.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace of a done job: status %d, want 200", resp.StatusCode)
-	}
+	checkDoneRunServed(t, ts, view.ID, true)
 }
