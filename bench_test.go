@@ -230,7 +230,7 @@ func BenchmarkFigC_PriorityLevels(b *testing.B) {
 		cfg := benchConfig()
 		cfg.MaxPriorityLevels = levels
 		opt := exp.Options{Scale: kernels.ScaleTiny, Config: cfg}
-		res, err := exp.RunOne(exp.NestedWorkload(), gpu.DTBL, "tb-pri", opt)
+		res, err := exp.RunOne(kernels.Nested(), gpu.DTBL, "tb-pri", opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -27,6 +27,7 @@ import (
 	"laperm/internal/exp"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
+	"laperm/internal/spec"
 	"laperm/internal/trace"
 )
 
@@ -119,14 +120,16 @@ func validateWorkload(w kernels.Workload, sc kernels.Scale, traceDir string) (st
 			continue
 		}
 		violations := 0
-		_, _, err := exp.RunCell(w, gpu.DTBL, info.Name, exp.Options{Scale: sc, Config: &cfg},
-			func(g *gpu.Options) {
-				g.TraceDispatch = func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
-					if ki.Parent != nil && cfg.ClusterOf(smxID) != cfg.ClusterOf(ki.BoundSMX) {
-						violations++
-					}
+		sim, _, err := cell(w, sc, gpu.DTBL, info.Name).BuildOn(&cfg, func(g *gpu.Options) {
+			g.TraceDispatch = func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
+				if ki.Parent != nil && cfg.ClusterOf(smxID) != cfg.ClusterOf(ki.BoundSMX) {
+					violations++
 				}
-			})
+			}
+		})
+		if err == nil {
+			_, err = sim.Run()
+		}
 		if err != nil {
 			fmt.Fprintf(&buf, "FAIL %-14s %s trace run: %v\n", w.Name, info.Name, err)
 			ok = false
@@ -139,15 +142,19 @@ func validateWorkload(w kernels.Workload, sc kernels.Scale, traceDir string) (st
 	return buf.String(), ok
 }
 
+// cell is the RunSpec of one validated cell.
+func cell(w kernels.Workload, sc kernels.Scale, model gpu.Model, sched string) spec.RunSpec {
+	return spec.RunSpec{Workload: w.Name, Scale: sc.String(), Model: model.String(), Scheduler: sched}
+}
+
 // dumpTrace re-runs one failing cell with the event recorder attached and
 // writes its JSONL trace into dir, returning a parenthesised note for the
 // failure line. The run's own error is irrelevant here — the trace of the
 // failure is the point — and the recorder captures events up to the error.
 func dumpTrace(dir string, w kernels.Workload, sc kernels.Scale, cfg *config.GPU, model gpu.Model, sched string) string {
 	rec := trace.NewRecorder()
-	cp := cfg.Clone()
-	_, sim, _ := exp.RunCell(w, model, sched, exp.Options{Scale: sc, Config: &cp}, rec.Attach)
-	if sim != nil {
+	if sim, _, err := cell(w, sc, model, sched).BuildOn(cfg, rec.Attach); err == nil {
+		sim.Run()
 		rec.FinishRun(sim)
 	}
 	path := filepath.Join(dir, fmt.Sprintf("%s_%s_%s.jsonl", w.Name, model, sched))

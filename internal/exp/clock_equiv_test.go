@@ -9,6 +9,7 @@ import (
 	"laperm/internal/config"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
+	"laperm/internal/spec"
 	"laperm/internal/trace"
 )
 
@@ -26,23 +27,21 @@ type clockCellArtifacts struct {
 func runClockCell(t *testing.T, workload string, model gpu.Model, sched string,
 	scale kernels.Scale, dense bool) clockCellArtifacts {
 	t.Helper()
-	w, ok := kernels.ByName(workload)
-	if !ok {
-		t.Fatalf("unknown workload %s", workload)
-	}
 	g := config.SmallTest()
-	o := Options{
-		Scale:       scale,
-		Config:      &g,
-		Attribution: true,
-		SampleEvery: 256,
-		DenseClock:  dense,
+	s := spec.RunSpec{
+		Workload: workload, Scale: scale.String(), Model: model.String(), Scheduler: sched,
+		Attribution: true, SampleEvery: 256, DenseClock: dense,
 	}
 	rec := trace.NewRecorder()
-	res, sim, err := RunCell(w, model, sched, o, rec.Attach)
+	sim, _, err := s.BuildOn(&g, rec.Attach)
 	if err != nil {
 		t.Fatalf("%s/%v/%s dense=%v: %v", workload, model, sched, dense, err)
 	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatalf("%s/%v/%s dense=%v: %v", workload, model, sched, dense, err)
+	}
+	res.WallTime, res.SimCyclesPerSec = 0, 0
 	rec.FinishRun(sim)
 
 	a := clockCellArtifacts{res: res}
@@ -112,8 +111,9 @@ func TestClockEquivalenceCells(t *testing.T) {
 
 // TestClockEquivalenceExperiments: every experiment report is byte-equal
 // under the dense clock and the event-horizon fast-forward. It is the only
-// oracle that runs the ablation schedulers the registry does not build —
-// Throttled and the free-backup bank — through the engine's idle-replay path.
+// oracle that runs the schedulers the registry does not build — the
+// assembler's Throttled cap and free-backup bank — through the engine's
+// idle-replay path.
 func TestClockEquivalenceExperiments(t *testing.T) {
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {

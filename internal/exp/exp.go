@@ -30,7 +30,8 @@ type Options struct {
 	// Workloads restricts the workload set (default: all of Table II for
 	// the figures, a per-study set for the sensitivity studies).
 	Workloads []string
-	// Config overrides the GPU configuration (default: Table I K20c).
+	// Config is the base machine every point's RunSpec overrides apply to
+	// (default: Table I K20c). It is never modified.
 	Config *config.GPU
 	// WarpPolicy selects the warp scheduler (default GTO, per Table I).
 	WarpPolicy smx.Policy
@@ -62,22 +63,9 @@ type Options struct {
 	Meter *Meter
 
 	// memo, when non-nil, holds the outcome of every point simulated so
-	// far, so a run of several experiments (RunAll) simulates each
-	// distinct point once.
-	memo map[point]outcome
-}
-
-// config returns a private copy of the effective GPU configuration. Every
-// caller gets its own copy so sweep cells that tweak parameters (launch
-// latency, cluster size, priority levels) can never alias the caller's
-// struct or race with a concurrent cell reading it.
-func (o Options) config() *config.GPU {
-	if o.Config != nil {
-		g := o.Config.Clone()
-		return &g
-	}
-	g := config.KeplerK20c()
-	return &g
+	// far by its RunSpec hash, so a run of several experiments (RunAll)
+	// simulates each distinct point once.
+	memo map[string]outcome
 }
 
 // workloads resolves o.Workloads; when it is empty, the named defaults;

@@ -8,11 +8,10 @@ import (
 	"testing"
 
 	"laperm/internal/config"
-	"laperm/internal/core"
 	"laperm/internal/gpu"
-	"laperm/internal/isa"
 	"laperm/internal/kernels"
 	"laperm/internal/smx"
+	"laperm/internal/spec"
 )
 
 // fastOptions runs experiments on a reduced machine with tiny workloads so
@@ -43,18 +42,20 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestNewSchedulerNames: every scheduler the studies sweep assembles
+// through spec into a scheduler reporting that name.
 func TestNewSchedulerNames(t *testing.T) {
 	cfg := config.SmallTest()
 	for _, name := range SchedulerNames {
-		s, err := core.NewSchedulerFor(name, &cfg)
+		g, _, err := spec.RunSpec{Workload: "amr", Scheduler: name}.Options(&cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if s.Name() != name {
-			t.Errorf("scheduler %q reports name %q", name, s.Name())
+		if g.Scheduler.Name() != name {
+			t.Errorf("scheduler %q reports name %q", name, g.Scheduler.Name())
 		}
 	}
-	if _, err := core.NewSchedulerFor("bogus", &cfg); err == nil {
+	if _, _, err := (spec.RunSpec{Workload: "amr", Scheduler: "bogus"}).Options(&cfg); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 }
@@ -238,41 +239,6 @@ func TestThrottleAndBackupKeepCallerOptions(t *testing.T) {
 	}
 }
 
-func TestNestedWorkloadValidates(t *testing.T) {
-	k := NestedWorkload().Build(kernels.ScaleTiny)
-	if err := k.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Depth-4 nesting: each TB launches two children for 4 generations,
-	// so each of the 16 tiny-scale roots yields 2+4+8+16 = 30 descendant
-	// grids.
-	grids := 0
-	k.Walk(func(parent, child *isa.Kernel) {
-		if parent != nil {
-			grids++
-		}
-	})
-	if want := 16 * 30; grids != want {
-		t.Errorf("descendant grids = %d, want %d", grids, want)
-	}
-}
-
-// TestNestedWorkloadMemoized: NestedWorkload builds its program once per
-// scale, like the Table II programs, and every later Build (one per levels
-// cell and sweep point) returns that shared tree.
-func TestNestedWorkloadMemoized(t *testing.T) {
-	tiny := NestedWorkload().Build(kernels.ScaleTiny)
-	if again := NestedWorkload().Build(kernels.ScaleTiny); again != tiny {
-		t.Error("second ScaleTiny build returned a new program")
-	}
-	if NestedWorkload().Build(kernels.ScaleSmall) == tiny {
-		t.Error("ScaleSmall build returned the ScaleTiny program")
-	}
-	if allocs := testing.AllocsPerRun(10, func() { NestedWorkload().Build(kernels.ScaleTiny) }); allocs != 0 {
-		t.Errorf("memoized Build: %.1f allocs, want 0", allocs)
-	}
-}
-
 func TestRunOneErrorsOnUnknownScheduler(t *testing.T) {
 	w, _ := kernels.ByName("amr")
 	if _, err := RunOne(w, gpu.DTBL, "bogus", fastOptions()); err == nil {
@@ -393,10 +359,10 @@ func TestRunAllSimulatesEachPointOnce(t *testing.T) {
 		t.Skip("RunAll executes every experiment")
 	}
 	o := fastOptions("amr", "join-uniform", "bfs-citation")
-	union := make(map[point]outcome)
+	union := make(map[string]outcome)
 	for _, e := range All() {
 		solo := o
-		solo.memo = make(map[point]outcome)
+		solo.memo = make(map[string]outcome)
 		if err := e.Run(solo, io.Discard); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

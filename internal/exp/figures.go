@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"laperm/internal/config"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
 	"laperm/internal/metrics"
@@ -12,7 +13,10 @@ import (
 
 // runTable1 prints the architectural configuration (Table I).
 func runTable1(o Options, w io.Writer) error {
-	cfg := o.config()
+	cfg := config.KeplerK20c()
+	if o.Config != nil {
+		cfg = *o.Config
+	}
 	t := newTable("parameter", "value")
 	t.row("Clock Freq. (SMX)", fmt.Sprintf("%d MHz", cfg.CoreClockMHz))
 	t.row("Clock Freq. (Memory)", fmt.Sprintf("%d MHz", cfg.MemClockMHz))

@@ -14,7 +14,7 @@ import (
 // when every experiment succeeds, so an error mid-matrix never emits a
 // truncated report.
 func RunAll(o Options, w io.Writer) error {
-	o.memo = make(map[point]outcome)
+	o.memo = make(map[string]outcome)
 	return writeAtomic(w, func(w io.Writer) error {
 		for _, e := range All() {
 			fmt.Fprintf(w, "=== %s: %s", e.ID, e.Title)

@@ -5,7 +5,9 @@ import (
 	"io"
 
 	"laperm/internal/gpu"
+	"laperm/internal/kernels"
 	"laperm/internal/smx"
+	"laperm/internal/spec"
 )
 
 // LatencySweepPoints are the child launch latencies (cycles) swept by the
@@ -13,7 +15,7 @@ import (
 var LatencySweepPoints = []int{10, 100, 500, 1000, 2500, 5000, 10000, 20000}
 
 // speedups renders, for each (RR, scheduler) pair of a row built with
-// under("rr", ...), the scheduler's IPC normalised to RR.
+// under(p, "rr", ...), the scheduler's IPC normalised to RR.
 func speedups(row []outcome) []string {
 	var cells []string
 	for i := 1; i < len(row); i += 2 {
@@ -30,13 +32,13 @@ func runLatency(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := o.basePoint(gpu.DTBL)
-	rows := make([][]point, len(LatencySweepPoints))
+	p := o.runSpec(gpu.DTBL)
+	rows := make([][]spec.RunSpec, len(LatencySweepPoints))
 	for i, lat := range LatencySweepPoints {
-		p.cfg.DTBLLaunchLatency = lat
+		p.DTBLLaunchLatency = lat
 		for _, wk := range wks {
-			p.workload = wk.Name
-			rows[i] = append(rows[i], p.under("rr", "adaptive-bind")...)
+			p.Workload = wk.Name
+			rows[i] = append(rows[i], under(p, "rr", "adaptive-bind")...)
 		}
 	}
 	out, err := o.simulate(rows)
@@ -62,11 +64,11 @@ func runBalance(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := o.basePoint(gpu.DTBL)
-	rows := make([][]point, len(wks))
+	p := o.runSpec(gpu.DTBL)
+	rows := make([][]spec.RunSpec, len(wks))
 	for i, wk := range wks {
-		p.workload = wk.Name
-		rows[i] = p.under("rr", "smx-bind", "adaptive-bind")
+		p.Workload = wk.Name
+		rows[i] = under(p, "rr", "smx-bind", "adaptive-bind")
 	}
 	out, err := o.simulate(rows)
 	if err != nil {
@@ -88,12 +90,12 @@ func runBalance(o Options, w io.Writer) error {
 // lets deeper descendants pre-empt earlier generations.
 func runLevels(o Options, w io.Writer) error {
 	levels := []int{1, 2, 4, 8}
-	p := o.basePoint(gpu.DTBL)
-	p.workload = NestedWorkload().Name
-	rows := make([][]point, len(levels))
+	p := o.runSpec(gpu.DTBL)
+	p.Workload = kernels.Nested().Name
+	rows := make([][]spec.RunSpec, len(levels))
 	for i, l := range levels {
-		p.cfg.MaxPriorityLevels = l
-		rows[i] = p.under("rr", "tb-pri", "adaptive-bind")
+		p.SchedulerParams = &spec.SchedulerParams{MaxLevels: l}
+		rows[i] = under(p, "rr", "tb-pri", "adaptive-bind")
 	}
 	out, err := o.simulate(rows)
 	if err != nil {
@@ -119,14 +121,14 @@ func runClusters(o Options, w io.Writer) error {
 		return err
 	}
 	sizes := []int{1, 2, 4}
-	p := o.basePoint(gpu.DTBL)
-	p.cfg.NumSMX = 12 // divisible by every swept cluster size
-	var rows [][]point
+	p := o.runSpec(gpu.DTBL)
+	p.NumSMX = 12 // divisible by every swept cluster size
+	var rows [][]spec.RunSpec
 	for _, wk := range wks {
-		p.workload = wk.Name
+		p.Workload = wk.Name
 		for _, size := range sizes {
-			p.cfg.SMXsPerCluster = size
-			rows = append(rows, p.under("rr", "adaptive-bind"))
+			p.SchedulerParams = &spec.SchedulerParams{ClusterSize: size}
+			rows = append(rows, under(p, "rr", "adaptive-bind"))
 		}
 	}
 	out, err := o.simulate(rows)
@@ -151,13 +153,13 @@ func runWarp(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := o.basePoint(gpu.DTBL)
-	rows := make([][]point, len(wks))
+	p := o.runSpec(gpu.DTBL)
+	rows := make([][]spec.RunSpec, len(wks))
 	for i, wk := range wks {
-		p.workload = wk.Name
+		p.Workload = wk.Name
 		for _, policy := range []smx.Policy{smx.GTO, smx.LRR, smx.TwoLevel} {
-			p.warp = policy
-			rows[i] = append(rows[i], p.under("rr", "adaptive-bind")...)
+			p.WarpPolicy = policy.String()
+			rows[i] = append(rows[i], under(p, "rr", "adaptive-bind")...)
 		}
 	}
 	out, err := o.simulate(rows)
@@ -181,15 +183,17 @@ func runThrottle(o Options, w io.Writer) error {
 		return err
 	}
 	caps := []int{16, 12, 8, 4}
-	p := o.basePoint(gpu.DTBL)
-	p.sched = "adaptive-bind"
-	var rows [][]point
+	p := o.runSpec(gpu.DTBL)
+	p.Scheduler = "adaptive-bind"
+	var rows [][]spec.RunSpec
 	for _, wk := range wks {
-		p.workload = wk.Name
+		p.Workload = wk.Name
 		for _, c := range caps {
 			base, capped := p, p
-			base.cap, capped.cap = caps[0], c // cap 16 is the uncapped baseline
-			rows = append(rows, []point{base, capped})
+			// Cap 16 is the uncapped baseline.
+			base.SchedulerParams = &spec.SchedulerParams{TBCap: caps[0]}
+			capped.SchedulerParams = &spec.SchedulerParams{TBCap: c}
+			rows = append(rows, []spec.RunSpec{base, capped})
 		}
 	}
 	out, err := o.simulate(rows)
@@ -213,13 +217,13 @@ func runBackup(o Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	p := o.basePoint(gpu.DTBL)
-	rows := make([][]point, len(wks))
+	p := o.runSpec(gpu.DTBL)
+	rows := make([][]spec.RunSpec, len(wks))
 	for i, wk := range wks {
-		p.workload = wk.Name
+		p.Workload = wk.Name
 		// The RR baseline, sticky backup, free backup.
-		rows[i] = p.under("rr", "adaptive-bind", "adaptive-bind")
-		rows[i][2].freeBackup = true
+		rows[i] = under(p, "rr", "adaptive-bind", "adaptive-bind")
+		rows[i][2].SchedulerParams = &spec.SchedulerParams{Backup: spec.BackupFree}
 	}
 	out, err := o.simulate(rows)
 	if err != nil {

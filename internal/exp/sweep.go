@@ -3,115 +3,78 @@ package exp
 import (
 	"fmt"
 
-	"laperm/internal/config"
 	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
-	"laperm/internal/smx"
+	"laperm/internal/spec"
 )
 
 // RunOne simulates one workload under one (model, scheduler) pair.
 func RunOne(w kernels.Workload, model gpu.Model, sched string, o Options) (*gpu.Result, error) {
-	res, _, err := RunCell(w, model, sched, o, nil)
-	return res, err
+	s := o.runSpec(model)
+	s.Workload, s.Scheduler = w.Name, sched
+	out, err := o.run(s)
+	return out.res, err
 }
 
-// RunCell is RunOne exposing the engine: customize, when non-nil, edits the
-// assembled gpu.Options before the simulator is built (trace hooks, sampling
-// overrides), and the simulator is returned alongside the result so callers
-// can read kernel-instance timestamps afterwards. On a Run error the
-// simulator is still returned for post-mortem inspection (nil only when
-// construction itself failed).
-func RunCell(w kernels.Workload, model gpu.Model, sched string, o Options,
-	customize func(*gpu.Options)) (*gpu.Result, *gpu.Simulator, error) {
-	cfg := o.config()
-	s, err := core.NewSchedulerFor(sched, cfg)
-	if err != nil {
-		return nil, nil, err
+// runSpec returns the RunSpec o describes for model, with no workload or
+// scheduler chosen: the run options every point of o shares. The base
+// machine, o.Config, is not part of it, so within one run equal specs are
+// the same simulation. Studies vary copies of it.
+func (o Options) runSpec(model gpu.Model) spec.RunSpec {
+	return spec.RunSpec{
+		Scale: o.Scale.String(), Model: model.String(), WarpPolicy: o.WarpPolicy.String(),
+		SampleEvery: o.SampleEvery, Attribution: o.Attribution, DenseClock: o.DenseClock,
 	}
-	gopts := gpu.Options{
-		Config: cfg, Scheduler: s, Model: model, WarpPolicy: o.WarpPolicy,
-		Attribution: o.Attribution, SampleEvery: o.SampleEvery,
-		DenseClock: o.DenseClock,
-	}
-	if customize != nil {
-		customize(&gopts)
-	}
-	sim, err := gpu.New(gopts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exp: %s/%v/%s: %w", w.Name, model, sched, err)
-	}
-	if err := sim.LaunchHost(w.Build(o.Scale)); err != nil {
-		return nil, sim, fmt.Errorf("exp: %s/%v/%s: %w", w.Name, model, sched, err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		return nil, sim, fmt.Errorf("exp: %s/%v/%s: %w", w.Name, model, sched, err)
-	}
-	o.meterResult(res)
-	return res, sim, nil
 }
 
-// point is one simulation of the evaluation: a workload (Table II or
-// NestedWorkload) under a launch model and a registered TB scheduler, on a
-// GPU configuration and warp policy, optionally with a TB residency cap
-// (cap > 0 wraps the scheduler in core.NewThrottled) or the free stage-3
-// backup ablation of Adaptive-Bind. The Options every point of a run shares
-// (scale, clock, attribution, sampling) are not part of it, so within one
-// run equal points are the same simulation.
-type point struct {
-	workload   string
-	model      gpu.Model
-	sched      string
-	cfg        config.GPU
-	warp       smx.Policy
-	cap        int
-	freeBackup bool
-}
-
-// basePoint returns o's point for model with no workload or scheduler chosen.
-// Studies resolve it once and vary copies, so the configuration is built
-// once per study rather than once per point.
-func (o Options) basePoint(model gpu.Model) point {
-	return point{model: model, cfg: *o.config(), warp: o.WarpPolicy}
-}
-
-// under lists p once under each of the named schedulers.
-func (p point) under(scheds ...string) []point {
-	pts := make([]point, len(scheds))
+// under lists s once under each of the named schedulers.
+func under(s spec.RunSpec, scheds ...string) []spec.RunSpec {
+	out := make([]spec.RunSpec, len(scheds))
 	for i, sched := range scheds {
-		pts[i] = p
-		pts[i].sched = sched
+		out[i] = s
+		out[i].Scheduler = sched
 	}
-	return pts
+	return out
 }
 
-// outcome is one simulated point: its result and, for the bound-bank
-// schedulers, the stage-3 steal count (core.AdaptiveBind.Steals). The
-// scheduler itself is not kept: its queues reference the finished run's
-// kernels, and holding them would keep every simulated point's memory
-// alive until the experiment renders.
+// outcome is one simulated point: its spec, its result and, for an
+// uncapped bound-bank scheduler, the stage-3 steal count
+// (core.AdaptiveBind.Steals). The scheduler itself is not kept: its queues
+// reference the finished run's kernels, and holding them would keep every
+// simulated point's memory alive until the experiment renders.
 type outcome struct {
+	spec   spec.RunSpec
 	res    *gpu.Result
 	steals int64
 }
 
 // simulate is the experiment executor. It runs every distinct point of
 // rows that o's memo does not already hold exactly once, on o's pool, and
-// returns the outcomes laid out like rows. Points are claimed in the order
-// they are first listed, so an error is the one a serial loop would return.
-func (o Options) simulate(rows [][]point) ([][]outcome, error) {
+// returns the outcomes laid out like rows. Points are told apart by their
+// content hash, and claimed in the order they are first listed, so an
+// error is the one a serial loop would return.
+func (o Options) simulate(rows [][]spec.RunSpec) ([][]outcome, error) {
 	done := o.memo
 	if done == nil {
-		done = make(map[point]outcome)
+		done = make(map[string]outcome)
 	}
-	var todo []point
-	queued := make(map[point]bool)
-	for _, row := range rows {
-		for _, p := range row {
-			if _, ok := done[p]; !ok && !queued[p] {
-				queued[p] = true
-				todo = append(todo, p)
+	keys := make([][]string, len(rows))
+	var todo []spec.RunSpec
+	var todoKeys []string
+	queued := make(map[string]bool)
+	for i, row := range rows {
+		keys[i] = make([]string, len(row))
+		for j, s := range row {
+			h, err := s.Hash()
+			if err != nil {
+				return nil, fmt.Errorf("exp: %w", err)
+			}
+			keys[i][j] = h
+			if _, ok := done[h]; !ok && !queued[h] {
+				queued[h] = true
+				todo = append(todo, s)
+				todoKeys = append(todoKeys, h)
 			}
 		}
 	}
@@ -119,46 +82,36 @@ func (o Options) simulate(rows [][]point) ([][]outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range todo {
-		done[p] = results[i]
+	for i, h := range todoKeys {
+		done[h] = results[i]
 	}
 	out := make([][]outcome, len(rows))
-	for i, row := range rows {
+	for i, row := range keys {
 		out[i] = make([]outcome, len(row))
-		for j, p := range row {
-			out[i][j] = done[p]
+		for j, h := range row {
+			out[i][j] = done[h]
 		}
 	}
 	return out, nil
 }
 
-// run simulates one point through RunCell, applying its backup ablation
-// and residency cap to the scheduler the registry built.
-func (o Options) run(p point) (outcome, error) {
-	w := NestedWorkload()
-	if p.workload != w.Name {
-		var err error
-		if w, err = kernels.Lookup(p.workload); err != nil {
-			return outcome{}, err
-		}
-	}
-	o.Config, o.WarpPolicy = &p.cfg, p.warp
+// run simulates one point, built by spec's assembler on o's base machine.
+func (o Options) run(s spec.RunSpec) (outcome, error) {
 	var bind *core.AdaptiveBind
-	res, _, err := RunCell(w, p.model, p.sched, o, func(g *gpu.Options) {
-		if p.freeBackup {
-			c := g.Config
-			g.Scheduler = core.NewBindClusters(c.NumSMX, c.SMXsPerCluster, c.MaxPriorityLevels, core.BackupFree)
-		}
-		bind, _ = g.Scheduler.(*core.AdaptiveBind)
-		if p.cap > 0 {
-			g.Scheduler = core.NewThrottled(g.Scheduler, p.cap)
-		}
-	})
-	out := outcome{res: res}
+	sim, _, err := s.BuildOn(o.Config, func(g *gpu.Options) { bind, _ = g.Scheduler.(*core.AdaptiveBind) })
+	if err != nil {
+		return outcome{}, fmt.Errorf("exp: %s/%s/%s: %w", s.Workload, s.Model, s.Scheduler, err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		return outcome{}, fmt.Errorf("exp: %s/%s/%s: %w", s.Workload, s.Model, s.Scheduler, err)
+	}
+	o.meterResult(res)
+	out := outcome{spec: s, res: res}
 	if bind != nil {
 		out.steals = bind.Steals
 	}
-	return out, err
+	return out, nil
 }
 
 // meterResult folds a finished cell's simulated cycles into the Options'
@@ -202,22 +155,22 @@ func runMatrix(o Options, models []gpu.Model) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := o.basePoint(0) // the model is set per cell below
-	pts := make([]point, 0, len(ws)*len(models)*len(SchedulerNames))
+	pts := make([]spec.RunSpec, 0, len(ws)*len(models)*len(SchedulerNames))
 	for _, w := range ws {
-		p.workload = w.Name
 		for _, model := range models {
-			p.model = model
-			pts = append(pts, p.under(SchedulerNames...)...)
+			p := o.runSpec(model)
+			p.Workload = w.Name
+			pts = append(pts, under(p, SchedulerNames...)...)
 		}
 	}
-	out, err := o.simulate([][]point{pts})
+	out, err := o.simulate([][]spec.RunSpec{pts})
 	if err != nil {
 		return nil, err
 	}
 	m := &Matrix{Workloads: ws, Results: make(map[Cell]*gpu.Result, len(pts))}
 	for i, p := range pts {
-		m.Results[Cell{p.workload, p.model, p.sched}] = out[0][i].res
+		model, _ := gpu.ModelByName(p.Model)
+		m.Results[Cell{p.Workload, model, p.Scheduler}] = out[0][i].res
 	}
 	return m, nil
 }

@@ -60,7 +60,7 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, discoveryView[workloadView]{
 		Items:      items,
 		Scales:     []string{"tiny", "small", "medium"},
-		WarpPolicy: []string{"gto", "lrr"},
+		WarpPolicy: spec.WarpPolicyNames(),
 		AxisFields: spec.AxisFields(),
 	})
 }

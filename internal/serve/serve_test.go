@@ -442,6 +442,37 @@ func TestSubmitRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsInvalidMachine: a spec whose overrides give an invalid
+// machine or exceed a size bound is a structured 400 at submission, not a
+// job that panics or allocates without limit once it runs.
+func TestSubmitRejectsInvalidMachine(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.Start()
+	for body, field := range map[string]string{
+		`{"workload":"amr","scale":"tiny","scheduler_params":{"cluster_size":2}}`:                 "SMXsPerCluster",
+		`{"workload":"amr","scale":"tiny","scheduler_params":{"max_levels":100000}}`:              "max_levels",
+		`{"workload":"amr","scale":"tiny","num_smx":100000000}`:                                   "num_smx",
+		`{"workload":"amr","scale":"tiny","scheduler":"rr","scheduler_params":{"backup":"free"}}`: "backup",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("submit(%s): decode error body: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Kind != ErrKindBadRequest || !strings.Contains(e.Message, field) {
+			t.Errorf("submit(%s): status %d, %+v; want a bad-request 400 naming %s", body, resp.StatusCode, e, field)
+		}
+	}
+	if m := getMetrics(t, ts); m.Submissions != 0 {
+		t.Errorf("%d rejected specs counted as submissions", m.Submissions)
+	}
+}
+
 func TestStatusUnknownRun(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.Start()

@@ -41,6 +41,9 @@ const (
 	TwoLevel
 )
 
+// Policies lists every warp policy in declaration order.
+func Policies() []Policy { return []Policy{GTO, LRR, TwoLevel} }
+
 // TwoLevelGroupSize is the fetch-group width of the TwoLevel policy.
 const TwoLevelGroupSize = 8
 

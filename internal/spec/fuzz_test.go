@@ -7,8 +7,10 @@ import (
 )
 
 // FuzzRunSpec drives the untrusted RunSpec surface: whatever Parse accepts,
-// Validate must not panic, and Parse → Canonical → Parse → Canonical must be
-// idempotent (the canonical form is a fixed point, so its hash is stable).
+// Validate must not panic, Parse → Canonical → Parse → Canonical must be
+// idempotent (the canonical form is a fixed point, so its hash is stable),
+// and a spec that validates must assemble — machine and scheduler, no
+// program build — without error or panic.
 func FuzzRunSpec(f *testing.F) {
 	for _, seed := range []string{
 		goldenCanonical,
@@ -19,6 +21,11 @@ func FuzzRunSpec(f *testing.F) {
 		`{"spec_version":2,"workload":"amr"}`,
 		`{"workload":"amr","scael":"tiny"}`,
 		`{"workload":"amr"}{"workload":"bht"}`,
+		goldenNewFieldsCanonical,
+		`{"workload":"bht","scheduler":"smx-bind","num_smx":12,"scheduler_params":{"max_levels":2,"cluster_size":2}}`,
+		`{"workload":"amr","num_smx":256,"scheduler":"work-steal","scheduler_params":{"max_levels":64,"tb_cap":64}}`,
+		`{"workload":"amr","scheduler":"rr","scheduler_params":{"backup":"free"}}`,
+		`{"workload":"amr","scheduler_params":{"backup":"sticky","max_levels":100000}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -43,6 +50,9 @@ func FuzzRunSpec(f *testing.F) {
 		if !bytes.Equal(c1, c2) {
 			t.Fatalf("canonical form not idempotent:\n%s\n%s", c1, c2)
 		}
+		if _, _, err := s.Options(nil); err != nil {
+			t.Fatalf("valid spec %s does not assemble: %v", c1, err)
+		}
 	})
 }
 
@@ -60,6 +70,9 @@ func FuzzSweepSpec(f *testing.F) {
 		`{"base":{"workload":"amr"},"axes":[{"field":"dense_clock","values":[true,false]},{"field":"warp_policy","values":["gto","lrr"]}]}`,
 		`{"base":{"workload":"amr"},"axes":[{"field":"max_cycles","values":[{}]}]}`,
 		`{"base":{"workload":"amr"},"axes":[]}`,
+		`{"base":{"workload":"bfs-citation","scale":"tiny"},"axes":[{"field":"dtbl_launch_latency","values":[10,5000]},{"field":"scheduler","values":["rr","adaptive-bind"]}]}`,
+		`{"base":{"workload":"amr","num_smx":12,"scheduler":"adaptive-bind"},"axes":[{"field":"scheduler_params.cluster_size","values":[1,2,4]},{"field":"scheduler_params.backup","values":["sticky","free"]},{"field":"scheduler_params.tb_cap","values":[0,8]}]}`,
+		`{"base":{"workload":"nested-4"},"axes":[{"field":"warp_policy","values":["gto","two-level"]},{"field":"num_smx","values":[0,12,257]}]}`,
 	}
 	for _, seed := range seeds {
 		f.Add([]byte(seed))

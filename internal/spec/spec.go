@@ -1,10 +1,16 @@
 // Package spec defines RunSpec: a versioned, JSON-serializable description
 // of one simulation run — workload, scale, launch model, scheduler (name plus
-// parameters), and simulation options (sampling, attribution, auditing,
-// clocking). It is the single request type shared by the command-line tools,
-// the experiment harness's scheduler factory, and the lapermd simulation
-// service: everything needed to rebuild a run from bytes, and nothing that
-// cannot be serialized.
+// parameters: priority levels, SMX clusters, a TB residency cap, the
+// stage-3 backup), warp policy, the machine settings the sensitivity studies
+// vary (SMX count, DTBL launch latency), and simulation options (sampling,
+// attribution, auditing, clocking). It is the one description of a
+// simulation: the command-line tools, every point of every experiment in
+// internal/exp, and the lapermd simulation service all describe runs as
+// RunSpecs and build them through one assembler, RunSpec.Options. A RunSpec
+// holds everything needed to rebuild a run from bytes, and nothing that
+// cannot be serialized; the base machine its overrides apply to is Table I
+// unless a caller (the experiment harness on a reduced test machine) passes
+// another.
 //
 // A RunSpec has three derived forms:
 //
@@ -30,6 +36,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"laperm/internal/config"
 	"laperm/internal/core"
@@ -50,8 +57,31 @@ const (
 	DefaultWarpPolicy = "gto"
 )
 
-// SchedulerParams tunes the named scheduler. Zero values mean the Table I
-// configuration's defaults.
+// Stage-3 backup names for SchedulerParams.Backup (Figure 6).
+const (
+	// BackupSticky records one backup bank per SMX and drains it: the
+	// Adaptive-Bind default, normalized to the empty string.
+	BackupSticky = "sticky"
+	// BackupFree re-scans for any non-empty bank every slot: the
+	// ablation of the sticky-backup study.
+	BackupFree = "free"
+)
+
+// Upper bounds on the sizes a spec may ask for. Each bounds what one
+// untrusted submission can make the assembler allocate: the schedulers keep
+// a queue per SMX and priority level, and the engine a pipeline and L1 per
+// SMX.
+const (
+	// MaxSchedulerLevels bounds scheduler_params.max_levels.
+	MaxSchedulerLevels = 64
+	// MaxNumSMX bounds num_smx.
+	MaxNumSMX = 256
+	// MaxTBCap bounds scheduler_params.tb_cap.
+	MaxTBCap = 64
+)
+
+// SchedulerParams tunes the named scheduler. Zero values mean the base
+// machine's defaults and the registry's scheduler as is.
 type SchedulerParams struct {
 	// MaxLevels overrides the maximum priority level L (Section IV-A);
 	// 0 keeps the configuration's MaxPriorityLevels.
@@ -60,6 +90,14 @@ type SchedulerParams struct {
 	// schedulers (Section IV-B); 0 keeps the configuration's
 	// SMXsPerCluster.
 	ClusterSize int `json:"cluster_size,omitempty"`
+	// TBCap caps the thread blocks resident on one SMX, wrapping the
+	// scheduler in core.Throttled (Section IV-F's contention-aware
+	// throttling); 0 means no cap. Any positive cap is a distinct run
+	// from no cap, even one at or above the machine's TBsPerSMX.
+	TBCap int `json:"tb_cap,omitempty"`
+	// Backup is Adaptive-Bind's stage-3 backup (Figure 6): "sticky"
+	// (the default) or "free". Only adaptive-bind has a stage 3.
+	Backup string `json:"backup,omitempty"`
 }
 
 // RunSpec describes one simulation run. The zero value of every optional
@@ -81,8 +119,15 @@ type RunSpec struct {
 	Scheduler string `json:"scheduler,omitempty"`
 	// SchedulerParams tunes the scheduler; nil means all defaults.
 	SchedulerParams *SchedulerParams `json:"scheduler_params,omitempty"`
-	// WarpPolicy is the warp scheduler: "gto" (default) or "lrr".
+	// WarpPolicy is the warp scheduler: "gto" (default), "lrr" or
+	// "two-level" (smx.Policy's names).
 	WarpPolicy string `json:"warp_policy,omitempty"`
+	// NumSMX overrides the machine's SMX count; 0 keeps the base
+	// machine's.
+	NumSMX int `json:"num_smx,omitempty"`
+	// DTBLLaunchLatency overrides the DTBL child launch latency in cycles
+	// (Section IV-D); 0 keeps the base machine's.
+	DTBLLaunchLatency int `json:"dtbl_launch_latency,omitempty"`
 	// MaxCycles bounds the run; 0 means the engine's safety net
 	// (gpu.DefaultMaxCycles).
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
@@ -100,8 +145,10 @@ type RunSpec struct {
 }
 
 // Normalized returns a copy with every defaulted field filled in: the
-// canonical form specs are compared, marshaled, and hashed in. A nil or
-// all-zero SchedulerParams normalizes to nil.
+// canonical form specs are compared, marshaled, and hashed in. The fields
+// added after version 1 shipped normalize their defaults away instead, so
+// a spec that omits them keeps its canonical form: a "sticky" backup
+// becomes "", and a nil or all-zero SchedulerParams normalizes to nil.
 func (s RunSpec) Normalized() RunSpec {
 	if s.SpecVersion == 0 {
 		s.SpecVersion = CurrentVersion
@@ -119,20 +166,50 @@ func (s RunSpec) Normalized() RunSpec {
 		s.WarpPolicy = DefaultWarpPolicy
 	}
 	if s.SchedulerParams != nil {
-		if (*s.SchedulerParams == SchedulerParams{}) {
+		p := *s.SchedulerParams // never alias the caller's struct
+		if p.Backup == BackupSticky {
+			p.Backup = ""
+		}
+		if (p == SchedulerParams{}) {
 			s.SchedulerParams = nil
 		} else {
-			p := *s.SchedulerParams // never alias the caller's struct
 			s.SchedulerParams = &p
 		}
 	}
 	return s
 }
 
+// machine returns a private copy of base (Table I when nil) with the
+// normalized spec's overrides applied.
+func (n RunSpec) machine(base *config.GPU) config.GPU {
+	cfg := config.KeplerK20c()
+	if base != nil {
+		cfg = base.Clone()
+	}
+	if n.NumSMX > 0 {
+		cfg.NumSMX = n.NumSMX
+	}
+	if n.DTBLLaunchLatency > 0 {
+		cfg.DTBLLaunchLatency = n.DTBLLaunchLatency
+	}
+	if p := n.SchedulerParams; p != nil {
+		if p.MaxLevels > 0 {
+			cfg.MaxPriorityLevels = p.MaxLevels
+		}
+		if p.ClusterSize > 0 {
+			cfg.SMXsPerCluster = p.ClusterSize
+		}
+	}
+	return cfg
+}
+
 // Validate checks the normalized spec: a supported version, a known
 // workload (an unknown one yields a *kernels.UnknownWorkloadError listing
-// the valid names), and recognized scale / model / scheduler / warp-policy
-// names. It does not build anything.
+// the valid names), recognized scale / model / scheduler / warp-policy /
+// backup names, sizes within their named bounds, and a valid machine: the
+// overrides applied to Table I must pass config.Validate, so a cluster size
+// that does not divide the SMX count is rejected here rather than failing
+// the run. It does not build anything.
 func (s RunSpec) Validate() error {
 	n := s.Normalized()
 	if n.SpecVersion < 1 || n.SpecVersion > CurrentVersion {
@@ -157,13 +234,37 @@ func (s RunSpec) Validate() error {
 	if _, err := ParseWarpPolicy(n.WarpPolicy); err != nil {
 		return err
 	}
+	if n.NumSMX < 0 || n.NumSMX > MaxNumSMX {
+		return fmt.Errorf("spec: num_smx %d out of range 0..%d (MaxNumSMX)", n.NumSMX, MaxNumSMX)
+	}
+	if n.DTBLLaunchLatency < 0 {
+		return fmt.Errorf("spec: dtbl_launch_latency %d is negative", n.DTBLLaunchLatency)
+	}
 	if p := n.SchedulerParams; p != nil {
-		if p.MaxLevels < 0 {
-			return fmt.Errorf("spec: scheduler_params.max_levels %d is negative", p.MaxLevels)
+		if p.MaxLevels < 0 || p.MaxLevels > MaxSchedulerLevels {
+			return fmt.Errorf("spec: scheduler_params.max_levels %d out of range 0..%d (MaxSchedulerLevels)",
+				p.MaxLevels, MaxSchedulerLevels)
 		}
 		if p.ClusterSize < 0 {
 			return fmt.Errorf("spec: scheduler_params.cluster_size %d is negative", p.ClusterSize)
 		}
+		if p.TBCap < 0 || p.TBCap > MaxTBCap {
+			return fmt.Errorf("spec: scheduler_params.tb_cap %d out of range 0..%d (MaxTBCap)", p.TBCap, MaxTBCap)
+		}
+		switch p.Backup {
+		case "":
+		case BackupFree:
+			if n.Scheduler != "adaptive-bind" {
+				return fmt.Errorf("spec: scheduler_params.backup %q needs scheduler adaptive-bind, the only one with a stage-3 backup (got %q)",
+					p.Backup, n.Scheduler)
+			}
+		default:
+			return fmt.Errorf("spec: unknown scheduler_params.backup %q (valid: %s, %s)", p.Backup, BackupSticky, BackupFree)
+		}
+	}
+	cfg := n.machine(nil)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("spec: invalid machine (Table I with this spec's overrides): %w", err)
 	}
 	return nil
 }
@@ -207,12 +308,14 @@ func Parse(data []byte) (RunSpec, error) {
 	return s, nil
 }
 
-// Options assembles the spec into its concrete pieces: the GPU
-// configuration (a private Table I copy with SchedulerParams applied), the
-// constructed scheduler inside ready-to-use gpu.Options, and the workload.
+// Options is the one assembler of a run: it resolves the spec into the GPU
+// configuration (a private copy of base, Table I when base is nil, with the
+// spec's overrides applied), the scheduler (the registry's, or the free
+// stage-3 backup, wrapped in core.Throttled under a TB cap) inside
+// ready-to-use gpu.Options, and the workload. It builds no program.
 // Callers may edit the returned Options (trace hooks, cycle caps) before
 // building the simulator.
-func (s RunSpec) Options() (gpu.Options, kernels.Workload, error) {
+func (s RunSpec) Options(base *config.GPU) (gpu.Options, kernels.Workload, error) {
 	n := s.Normalized()
 	if err := n.Validate(); err != nil {
 		return gpu.Options{}, kernels.Workload{}, err
@@ -221,18 +324,22 @@ func (s RunSpec) Options() (gpu.Options, kernels.Workload, error) {
 	if err != nil {
 		return gpu.Options{}, kernels.Workload{}, err
 	}
-	cfg := config.KeplerK20c()
-	if p := n.SchedulerParams; p != nil {
-		if p.MaxLevels > 0 {
-			cfg.MaxPriorityLevels = p.MaxLevels
-		}
-		if p.ClusterSize > 0 {
-			cfg.SMXsPerCluster = p.ClusterSize
-		}
+	cfg := n.machine(base)
+	if err := cfg.Validate(); err != nil {
+		return gpu.Options{}, kernels.Workload{}, fmt.Errorf("spec: %w", err)
 	}
-	sched, err := core.NewSchedulerFor(n.Scheduler, &cfg)
-	if err != nil {
+	var p SchedulerParams
+	if n.SchedulerParams != nil {
+		p = *n.SchedulerParams
+	}
+	var sched gpu.TBScheduler
+	if p.Backup == BackupFree {
+		sched = core.NewBindClusters(cfg.NumSMX, cfg.SMXsPerCluster, cfg.MaxPriorityLevels, core.BackupFree)
+	} else if sched, err = core.NewSchedulerFor(n.Scheduler, &cfg); err != nil {
 		return gpu.Options{}, kernels.Workload{}, err
+	}
+	if p.TBCap > 0 {
+		sched = core.NewThrottled(sched, p.TBCap)
 	}
 	model, err := ParseModel(n.Model)
 	if err != nil {
@@ -255,17 +362,24 @@ func (s RunSpec) Options() (gpu.Options, kernels.Workload, error) {
 	}, w, nil
 }
 
-// Build constructs the simulator and launches the workload's host kernel,
-// ready for Run/RunContext. Equal specs build byte-identical runs.
+// Build constructs the simulator on Table I and launches the workload's
+// host kernel, ready for Run/RunContext. Equal specs build byte-identical
+// runs.
 func (s RunSpec) Build() (*gpu.Simulator, kernels.Workload, error) {
-	return s.BuildWith(nil)
+	return s.BuildOn(nil, nil)
 }
 
 // BuildWith is Build with an Options hook: customize, when non-nil, edits
 // the assembled gpu.Options (trace hooks, sampling overrides, cycle caps)
 // before the simulator is constructed.
 func (s RunSpec) BuildWith(customize func(*gpu.Options)) (*gpu.Simulator, kernels.Workload, error) {
-	gopts, w, err := s.Options()
+	return s.BuildOn(nil, customize)
+}
+
+// BuildOn is BuildWith on a base machine other than Table I (nil means
+// Table I): the spec's overrides apply to a private copy of base.
+func (s RunSpec) BuildOn(base *config.GPU, customize func(*gpu.Options)) (*gpu.Simulator, kernels.Workload, error) {
+	gopts, w, err := s.Options(base)
 	if err != nil {
 		return nil, kernels.Workload{}, err
 	}
@@ -274,7 +388,7 @@ func (s RunSpec) BuildWith(customize func(*gpu.Options)) (*gpu.Simulator, kernel
 	}
 	sim, err := gpu.New(gopts)
 	if err != nil {
-		return nil, w, fmt.Errorf("spec: %s: %w", s.Normalized().Workload, err)
+		return nil, w, fmt.Errorf("spec: %s: %w", w.Name, err)
 	}
 	sc, err := ParseScale(s.Normalized().Scale)
 	if err != nil {
@@ -311,13 +425,22 @@ func ParseModel(name string) (gpu.Model, error) {
 	return m, nil
 }
 
+// WarpPolicyNames lists the valid warp_policy values: smx.Policy's names,
+// in declaration order.
+func WarpPolicyNames() []string {
+	var names []string
+	for _, p := range smx.Policies() {
+		names = append(names, p.String())
+	}
+	return names
+}
+
 // ParseWarpPolicy maps a warp-policy name to its smx.Policy.
 func ParseWarpPolicy(name string) (smx.Policy, error) {
-	switch name {
-	case "gto":
-		return smx.GTO, nil
-	case "lrr":
-		return smx.LRR, nil
+	for _, p := range smx.Policies() {
+		if p.String() == name {
+			return p, nil
+		}
 	}
-	return 0, fmt.Errorf("spec: unknown warp_policy %q (valid: gto, lrr)", name)
+	return 0, fmt.Errorf("spec: unknown warp_policy %q (valid: %s)", name, strings.Join(WarpPolicyNames(), ", "))
 }

@@ -7,8 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"laperm/internal/config"
+	"laperm/internal/core"
 	"laperm/internal/gpu"
 	"laperm/internal/kernels"
+	"laperm/internal/smx"
 )
 
 // Golden canonical form and hash of the all-defaults bfs-citation spec.
@@ -20,6 +23,42 @@ const (
 	goldenCanonical = `{"spec_version":1,"workload":"bfs-citation","scale":"small","model":"dtbl","scheduler":"adaptive-bind","warp_policy":"gto"}`
 	goldenHash      = "3593bd798b63dfd0e06a99bcd7788377a66d66adc3e91169ed27e710a78b70ec"
 )
+
+// goldenNewFieldsCanonical is the canonical form of a spec that sets every
+// field added after version 1 shipped: the SMX count, the DTBL launch
+// latency, the two-level warp policy, the nested-4 workload, and the TB cap
+// and free backup in scheduler_params. Their canonical order is as load-
+// bearing as goldenCanonical's.
+const goldenNewFieldsCanonical = `{"spec_version":1,"workload":"nested-4","scale":"tiny","model":"dtbl","scheduler":"adaptive-bind","scheduler_params":{"max_levels":8,"cluster_size":2,"tb_cap":8,"backup":"free"},"warp_policy":"two-level","num_smx":12,"dtbl_launch_latency":5000}`
+
+// TestCanonicalNewFieldsGolden: a spec that spells out the new fields in
+// any order canonicalizes to goldenNewFieldsCanonical.
+func TestCanonicalNewFieldsGolden(t *testing.T) {
+	s, err := Parse([]byte(`{"dtbl_launch_latency":5000,"num_smx":12,"warp_policy":"two-level",
+		"scheduler_params":{"backup":"free","tb_cap":8,"cluster_size":2,"max_levels":8},
+		"scale":"tiny","workload":"nested-4"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(c) != goldenNewFieldsCanonical {
+		t.Errorf("canonical form drifted:\n got %s\nwant %s", c, goldenNewFieldsCanonical)
+	}
+}
+
+// TestNewFieldDefaultsKeepHash: spelling out the defaults of the fields
+// added after version 1 — a sticky backup, zero SMX count, latency and cap —
+// keeps the version-1 canonical form and hash.
+func TestNewFieldDefaultsKeepHash(t *testing.T) {
+	s := RunSpec{Workload: "bfs-citation", NumSMX: 0, DTBLLaunchLatency: 0,
+		SchedulerParams: &SchedulerParams{Backup: BackupSticky, TBCap: 0}}
+	if h, err := s.Hash(); err != nil || h != goldenHash {
+		t.Errorf("hash = %s, %v; want the version-1 golden %s", h, err, goldenHash)
+	}
+}
 
 func TestCanonicalAndHashGolden(t *testing.T) {
 	s := RunSpec{Workload: "bfs-citation"}
@@ -125,6 +164,12 @@ func TestHashSensitivity(t *testing.T) {
 		"model":        {Workload: "bfs-citation", Model: "cdp"},
 		"scheduler":    {Workload: "bfs-citation", Scheduler: "rr"},
 		"sched-params": {Workload: "bfs-citation", SchedulerParams: &SchedulerParams{MaxLevels: 2}},
+		"tb-cap":       {Workload: "bfs-citation", SchedulerParams: &SchedulerParams{TBCap: 16}},
+		"free-backup":  {Workload: "bfs-citation", SchedulerParams: &SchedulerParams{Backup: BackupFree}},
+		"num-smx":      {Workload: "bfs-citation", NumSMX: 12},
+		"latency":      {Workload: "bfs-citation", DTBLLaunchLatency: 100},
+		"two-level":    {Workload: "bfs-citation", WarpPolicy: "two-level"},
+		"nested-4":     {Workload: "nested-4"},
 		"warp-policy":  {Workload: "bfs-citation", WarpPolicy: "lrr"},
 		"max-cycles":   {Workload: "bfs-citation", MaxCycles: 12345},
 		"sample-every": {Workload: "bfs-citation", SampleEvery: 64},
@@ -179,12 +224,40 @@ func TestValidateErrors(t *testing.T) {
 		"unknown-scale":    {Workload: "amr", Scale: "huge"},
 		"unknown-model":    {Workload: "amr", Model: "sycl"},
 		"unknown-sched":    {Workload: "amr", Scheduler: "fifo"},
-		"unknown-warp":     {Workload: "amr", WarpPolicy: "two-level"},
+		"unknown-warp":     {Workload: "amr", WarpPolicy: "round-robin"},
 		"neg-levels":       {Workload: "amr", SchedulerParams: &SchedulerParams{MaxLevels: -1}},
+		// A cluster size must divide the SMX count: 13 on Table I.
+		"cluster-2":         {Workload: "amr", Scale: "tiny", SchedulerParams: &SchedulerParams{ClusterSize: 2}},
+		"cluster-5":         {Workload: "amr", Scale: "tiny", SchedulerParams: &SchedulerParams{ClusterSize: 5}},
+		"cluster-26":        {Workload: "amr", Scale: "tiny", SchedulerParams: &SchedulerParams{ClusterSize: 26}},
+		"cluster-5-of-12":   {Workload: "amr", NumSMX: 12, SchedulerParams: &SchedulerParams{ClusterSize: 5}},
+		"levels-over-bound": {Workload: "amr", SchedulerParams: &SchedulerParams{MaxLevels: MaxSchedulerLevels + 1}},
+		"levels-100000":     {Workload: "amr", SchedulerParams: &SchedulerParams{MaxLevels: 100000}},
+		"neg-num-smx":       {Workload: "amr", NumSMX: -1},
+		"num-smx-over":      {Workload: "amr", NumSMX: MaxNumSMX + 1},
+		"neg-latency":       {Workload: "amr", DTBLLaunchLatency: -1},
+		"neg-tb-cap":        {Workload: "amr", SchedulerParams: &SchedulerParams{TBCap: -1}},
+		"tb-cap-over":       {Workload: "amr", SchedulerParams: &SchedulerParams{TBCap: MaxTBCap + 1}},
+		"unknown-backup":    {Workload: "amr", SchedulerParams: &SchedulerParams{Backup: "none"}},
+		"free-backup-rr":    {Workload: "amr", Scheduler: "rr", SchedulerParams: &SchedulerParams{Backup: BackupFree}},
 	}
 	for name, s := range cases {
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, s)
+		}
+	}
+	// A bounded size's error names its field and its bound.
+	for _, tc := range []struct {
+		s            RunSpec
+		field, bound string
+	}{
+		{RunSpec{Workload: "amr", SchedulerParams: &SchedulerParams{MaxLevels: 100000}}, "scheduler_params.max_levels", "MaxSchedulerLevels"},
+		{RunSpec{Workload: "amr", NumSMX: 100000}, "num_smx", "MaxNumSMX"},
+		{RunSpec{Workload: "amr", SchedulerParams: &SchedulerParams{TBCap: 100000}}, "scheduler_params.tb_cap", "MaxTBCap"},
+	} {
+		err := tc.s.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), tc.bound) {
+			t.Errorf("Validate(%+v) = %v, want an error naming %s and %s", tc.s, err, tc.field, tc.bound)
 		}
 	}
 	var ue *kernels.UnknownWorkloadError
@@ -259,11 +332,45 @@ func TestBuildWithHook(t *testing.T) {
 func TestSchedulerParamsApplied(t *testing.T) {
 	s := RunSpec{Workload: "amr", Scheduler: "tb-pri",
 		SchedulerParams: &SchedulerParams{MaxLevels: 1}}
-	gopts, _, err := s.Options()
+	gopts, _, err := s.Options(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gopts.Config.MaxPriorityLevels != 1 {
 		t.Errorf("MaxPriorityLevels = %d, want 1", gopts.Config.MaxPriorityLevels)
+	}
+}
+
+// TestAssemblerAppliesNewFields: the machine overrides land on a private
+// copy of the base machine, the TB cap wraps the scheduler in
+// core.Throttled, and the warp policy resolves by smx.Policy's name.
+func TestAssemblerAppliesNewFields(t *testing.T) {
+	base := config.SmallTest()
+	s := RunSpec{Workload: "nested-4", Scheduler: "adaptive-bind", WarpPolicy: "two-level",
+		NumSMX: 12, DTBLLaunchLatency: 5000,
+		SchedulerParams: &SchedulerParams{ClusterSize: 4, TBCap: 3, Backup: BackupFree}}
+	g, w, err := s.Options(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Name != "nested-4" {
+		t.Errorf("workload %q", w.Name)
+	}
+	c := g.Config
+	if c.NumSMX != 12 || c.DTBLLaunchLatency != 5000 || c.SMXsPerCluster != 4 || c.TBsPerSMX != base.TBsPerSMX {
+		t.Errorf("machine = %+v, want SmallTest with 12 SMXs, latency 5000, clusters of 4", *c)
+	}
+	if base.NumSMX != config.SmallTest().NumSMX {
+		t.Error("Options modified the base machine")
+	}
+	th, ok := g.Scheduler.(*core.Throttled)
+	if !ok || th.MaxTBsPerSMX != 3 {
+		t.Fatalf("scheduler = %T, want *core.Throttled capped at 3", g.Scheduler)
+	}
+	if _, ok := th.Inner.(*core.AdaptiveBind); !ok {
+		t.Errorf("capped scheduler wraps %T, want *core.AdaptiveBind", th.Inner)
+	}
+	if g.WarpPolicy != smx.TwoLevel {
+		t.Errorf("warp policy %v, want two-level", g.WarpPolicy)
 	}
 }

@@ -45,13 +45,15 @@ const (
 )
 
 // AxisFields lists the RunSpec fields a sweep axis may range over, in
-// canonical (RunSpec declaration) order. Scalar fields only; the two
-// scheduler parameters are addressed by dotted path.
+// canonical (RunSpec declaration) order. Scalar fields only; the scheduler
+// parameters are addressed by dotted path.
 func AxisFields() []string {
 	return []string{
 		"workload", "scale", "model", "scheduler",
 		"scheduler_params.max_levels", "scheduler_params.cluster_size",
-		"warp_policy", "max_cycles", "sample_every",
+		"scheduler_params.tb_cap", "scheduler_params.backup",
+		"warp_policy", "num_smx", "dtbl_launch_latency",
+		"max_cycles", "sample_every",
 		"attribution", "audit", "dense_clock",
 	}
 }

@@ -289,7 +289,7 @@ func TestSweepCellErrors(t *testing.T) {
 // dotted path and expand into the nested struct.
 func TestSweepDottedAxes(t *testing.T) {
 	s := SweepSpec{
-		Base: RunSpec{Workload: "amr", Scale: "tiny", Scheduler: "smx-bind"},
+		Base: RunSpec{Workload: "amr", Scale: "tiny", Scheduler: "smx-bind", NumSMX: 12},
 		Axes: []SweepAxis{
 			{Field: "scheduler_params.max_levels", Values: rawValues(`2`, `4`)},
 			{Field: "scheduler_params.cluster_size", Values: rawValues(`1`, `2`)},
