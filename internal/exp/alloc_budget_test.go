@@ -11,8 +11,10 @@ package exp
 // immediately. Raising a budget is an explicit, reviewed edit to this table.
 
 import (
+	"runtime"
 	"testing"
 
+	"laperm/internal/gpu"
 	"laperm/internal/kernels"
 )
 
@@ -53,5 +55,45 @@ func TestCellAllocationBudgets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// cellByteBudget bounds the bytes one warmed Table I tiny cell allocates.
+// A Table I memory hierarchy alone is some 430 KB; a cell that draws the
+// hierarchy its predecessor released (mem.System.Release) allocates only
+// its kernels, warps, scheduler and Result — 81–121 KB when measured.
+const cellByteBudget = 200 << 10
+
+// TestCellByteAllocationBudgets pins the recycled memory hierarchy: the
+// fewest bytes any of several back-to-back runs of a warmed Table I tiny
+// cell allocates must fit cellByteBudget. The minimum is taken because
+// the pool may drop a released System (a collection empties it; under
+// -race it drops one Put in four), and a run that allocates a new
+// hierarchy is correct, only slower.
+func TestCellByteAllocationBudgets(t *testing.T) {
+	o := Options{Scale: kernels.ScaleTiny}
+	for _, name := range []string{"bfs-citation", "amr", "join-uniform", "bht"} {
+		w, err := kernels.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		least := ^uint64(0)
+		for i := 0; i < 10; i++ {
+			runtime.ReadMemStats(&before)
+			if _, err := RunOne(w, gpu.DTBL, "adaptive-bind", o); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			// The first two runs warm the workload memos and the pool.
+			if d := after.TotalAlloc - before.TotalAlloc; i >= 2 && d < least {
+				least = d
+			}
+		}
+		t.Logf("%s/dtbl/adaptive-bind: at least %d KB per cell", name, least>>10)
+		if least > cellByteBudget {
+			t.Errorf("%s/dtbl/adaptive-bind: %d KB per cell at the least, budget %d KB",
+				name, least>>10, cellByteBudget>>10)
+		}
 	}
 }

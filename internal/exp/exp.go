@@ -25,7 +25,8 @@ var Models = gpu.Models()
 
 // Options configures an experiment run.
 type Options struct {
-	// Scale selects workload size (default ScaleSmall).
+	// Scale selects workload size. The zero value is kernels.ScaleTiny;
+	// the experiment CLI's default is ScaleSmall.
 	Scale kernels.Scale
 	// Workloads restricts the workload set (default: all of Table II for
 	// the figures, a per-study set for the sensitivity studies).

@@ -783,11 +783,16 @@ const ctxCheckMask = 1<<13 - 1
 // polls the context every few thousand loop iterations, so cancellation
 // latency is milliseconds, not cycles. A Result is never returned for a
 // canceled run; build a fresh Simulator to retry.
+//
+// However the run ends, RunContext releases the simulator's memory
+// hierarchy for a later simulator of the same geometry to recycle
+// (mem.System.Release) and drops its reference to it.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("gpu: Run called twice")
 	}
 	s.ran = true
+	defer s.releaseMem()
 	s.started = time.Now()
 	// Host kernels materialise as instances at cycle 0.
 	for _, k := range s.hostPending {
@@ -874,6 +879,14 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		PendingArrivals: s.pendingArrivals(),
 		KMUQueued:       s.kmuCount,
 	}
+}
+
+// releaseMem hands the memory hierarchy back for reuse. With the reference
+// gone, a stray use of memsys after the run dereferences nil instead of
+// reading another run's caches.
+func (s *Simulator) releaseMem() {
+	s.memsys.Release()
+	s.memsys = nil
 }
 
 // Kernels returns every kernel instance created during the run, in creation

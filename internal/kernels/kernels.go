@@ -160,13 +160,14 @@ func ByName(name string) (Workload, bool) {
 	return Workload{}, false
 }
 
-// UnknownWorkloadError reports a workload lookup by a name not in Table II,
-// carrying the valid names so callers (CLI usage errors, the simulation
-// service's 400 responses) can list them without re-deriving the set.
+// UnknownWorkloadError reports a workload lookup by a name Lookup does not
+// accept, carrying the valid names so callers (CLI usage errors, the
+// simulation service's 400 responses) can list them without re-deriving
+// the set.
 type UnknownWorkloadError struct {
 	// Name is the unknown name that was requested.
 	Name string
-	// Known lists every valid workload name in evaluation order.
+	// Known lists every valid workload name (LookupNames).
 	Known []string
 }
 
@@ -179,10 +180,14 @@ func (e *UnknownWorkloadError) Error() string {
 func Lookup(name string) (Workload, error) {
 	w, ok := ByName(name)
 	if !ok {
-		return Workload{}, &UnknownWorkloadError{Name: name, Known: Names()}
+		return Workload{}, &UnknownWorkloadError{Name: name, Known: LookupNames()}
 	}
 	return w, nil
 }
+
+// LookupNames returns every name Lookup accepts: Table II in evaluation
+// order, then Nested's.
+func LookupNames() []string { return append(Names(), nested.Name) }
 
 // Names returns all Table II workload names in evaluation order.
 func Names() []string {

@@ -251,8 +251,9 @@ func TestLookupUnknownWorkload(t *testing.T) {
 	if ue.Name != "no-such-workload" {
 		t.Errorf("UnknownWorkloadError.Name = %q", ue.Name)
 	}
-	if len(ue.Known) != len(All()) {
-		t.Errorf("UnknownWorkloadError.Known has %d names, want %d", len(ue.Known), len(All()))
+	if len(ue.Known) != len(All())+1 || ue.Known[len(ue.Known)-1] != Nested().Name {
+		t.Errorf("UnknownWorkloadError.Known = %v, want Table II's %d names, then %s",
+			ue.Known, len(All()), Nested().Name)
 	}
 	for _, name := range ue.Known {
 		if !strings.Contains(err.Error(), name) {

@@ -22,6 +22,10 @@
 // Per-bucket add stamps prove it in O(1) for one load (Rejected), and one
 // generation of the latest add into a bucket some stalled load watches
 // proves it for all of an SMX's stalled loads at once (AllRejected).
+//
+// A run hands its System back with Release, and NewSystem recycles it for
+// a later configuration of the same geometry, reset to exactly the state
+// of a newly allocated one.
 package mem
 
 import "fmt"
@@ -217,6 +221,17 @@ func NewCache(numSets, assoc int) *Cache {
 		assoc:   assoc,
 		mask:    uint64(numSets - 1),
 	}
+}
+
+// reset returns the cache to the state NewCache builds it in: every way
+// invalid, no installers, and the LRU clock, statistics, attribution and
+// reuse breakdown cleared.
+func (c *Cache) reset() {
+	clear(c.tags)
+	clear(c.lastUse)
+	clear(c.inst)
+	clear(c.parent)
+	c.useTick, c.stats, c.attrib, c.reuse = 0, Stats{}, false, ReuseStats{}
 }
 
 // Access looks up the line identified by lineID (byte address divided by the

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"sync"
 
 	"laperm/internal/config"
 )
@@ -128,16 +129,51 @@ func (m *mshrTable) add(lineID, complete, now uint64) {
 	}
 }
 
+// reset empties the table to the state NewSystem builds it in, keeping the
+// entries' backing array.
+func (m *mshrTable) reset() {
+	*m = mshrTable{entries: m.entries[:0], cap: m.cap, nextExpire: noExpiry, lastAdd: noExpiry}
+}
+
 // l1Port is the L1 and MSHR table serving one SMX (its cluster's).
 type l1Port struct {
 	l1   *Cache
 	mshr *mshrTable
 }
 
+// geometry is every configuration value a System's allocations are shaped
+// by: two configurations with equal geometry can run on one System's
+// memory in turn.
+type geometry struct {
+	numSMX, smxsPerCluster   int
+	l1Sets, l1Assoc, l1MSHRs int
+	l2Banks, l2Sets, l2Assoc int
+}
+
+func geometryOf(cfg *config.GPU) geometry {
+	return geometry{
+		numSMX: cfg.NumSMX, smxsPerCluster: cfg.SMXsPerCluster,
+		l1Sets: cfg.L1Sets(), l1Assoc: cfg.L1Assoc, l1MSHRs: cfg.L1MSHRs,
+		l2Banks: cfg.L2Banks, l2Sets: cfg.L2SetsPerBank(), l2Assoc: cfg.L2Assoc,
+	}
+}
+
+// systems holds the Systems handed back by Release for NewSystem to
+// recycle. A Table I hierarchy is some 430 KB of cache ways and MSHR
+// tables, most of what one small simulation allocates.
+var systems sync.Pool
+
 // System is the complete memory hierarchy: one L1 (with MSHRs) per SMX,
 // address-interleaved L2 banks, and a bandwidth-limited DRAM.
+//
+// One run owns a System from NewSystem until Release; NewSystem then hands
+// it, reset to a fresh System's state, to the next caller whose
+// configuration has the same geometry.
 type System struct {
 	cfg *config.GPU
+	geo geometry
+	// pooled is set while the System waits in systems after Release.
+	pooled bool
 
 	l1 []*Cache
 	l2 []*Cache
@@ -156,15 +192,29 @@ type System struct {
 	storeAccesses int64
 }
 
-// NewSystem builds the memory hierarchy for the given configuration.
+// NewSystem builds the memory hierarchy for the given configuration. It
+// recycles a released System of the same geometry when one is at hand, in
+// exactly the state a newly allocated one starts in.
 func NewSystem(cfg *config.GPU) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("mem: invalid config: %v", err))
 	}
+	geo := geometryOf(cfg)
+	// A released System of another geometry is left for the collector.
+	if s, _ := systems.Get().(*System); s != nil && s.geo == geo {
+		s.reset(cfg)
+		return s
+	}
+	return newSystem(cfg, geo)
+}
+
+// newSystem allocates the hierarchy for cfg, whose geometry is geo.
+func newSystem(cfg *config.GPU, geo geometry) *System {
 	// One L1 (and MSHR table) per cluster; with SMXsPerCluster == 1 each
 	// SMX has a private L1 (the K20c arrangement).
 	s := &System{
 		cfg:    cfg,
+		geo:    geo,
 		l1:     make([]*Cache, cfg.NumClusters()),
 		l2:     make([]*Cache, cfg.L2Banks),
 		l2Next: make([]uint64, cfg.L2Banks),
@@ -191,6 +241,34 @@ func NewSystem(cfg *config.GPU) *System {
 		s.l2[i] = NewCache(cfg.L2SetsPerBank(), cfg.L2Assoc)
 	}
 	return s
+}
+
+// reset returns a released System to the state NewSystem(cfg) allocates one
+// in; cfg has the System's geometry.
+func (s *System) reset(cfg *config.GPU) {
+	s.cfg, s.pooled = cfg, false
+	for _, c := range s.l1 {
+		c.reset()
+	}
+	for _, c := range s.l2 {
+		c.reset()
+	}
+	for i := 0; i < len(s.port); i += cfg.SMXsPerCluster {
+		s.port[i].mshr.reset()
+	}
+	clear(s.l2Next)
+	s.dramNextMilli, s.dramTrans, s.storeAccesses = 0, 0, 0
+}
+
+// Release hands s back for a later NewSystem of the same geometry to
+// recycle instead of allocating a new hierarchy. The caller must drop s:
+// the next run that draws it resets and reuses its caches.
+func (s *System) Release() {
+	if s.pooled {
+		panic("mem: System released twice")
+	}
+	s.pooled = true
+	systems.Put(s)
 }
 
 // mix64 is the (bijective) splitmix64 finalizer. The L2 hashes line

@@ -217,7 +217,7 @@ func (s RunSpec) Validate() error {
 			n.SpecVersion, CurrentVersion)
 	}
 	if n.Workload == "" {
-		return fmt.Errorf("spec: workload is required (valid: %v)", kernels.Names())
+		return fmt.Errorf("spec: workload is required (valid: %v)", kernels.LookupNames())
 	}
 	if _, err := kernels.Lookup(n.Workload); err != nil {
 		return fmt.Errorf("spec: %w", err)

@@ -3,6 +3,7 @@ package spec
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -263,6 +264,15 @@ func TestValidateErrors(t *testing.T) {
 	var ue *kernels.UnknownWorkloadError
 	if err := (RunSpec{Workload: "nope"}).Validate(); !errors.As(err, &ue) {
 		t.Errorf("unknown workload error is %T, want *kernels.UnknownWorkloadError", err)
+	}
+	// Both workload errors list every name Lookup accepts: Table II,
+	// then nested-4.
+	table2, nested := kernels.Names(), kernels.Nested().Name
+	for _, s := range []RunSpec{{Workload: "nope"}, {}} {
+		msg := fmt.Sprint(s.Validate())
+		if i := strings.Index(msg, nested); i < 0 || i < strings.Index(msg, table2[len(table2)-1]) {
+			t.Errorf("Validate(%+v) = %s, want an error naming %s after Table II", s, msg, nested)
+		}
 	}
 }
 
