@@ -433,7 +433,7 @@ func (c *Client) Run(ctx context.Context, sp spec.RunSpec) (RunView, error) {
 type SSEEvent struct {
 	// ID is the job-scoped monotonic event id.
 	ID uint64
-	// Type is the event name: "state", "retry", "progress", "sample".
+	// Type is the event name: "state", "retry", "sample".
 	Type string
 	// Data is the raw JSON payload.
 	Data json.RawMessage

@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"laperm/internal/faults"
-	"laperm/internal/telemetry"
 )
 
 // Progress is one sweep-progress observation delivered to a ProgressFunc.
@@ -66,18 +62,6 @@ type Pool struct {
 	// Meter, when non-nil, supplies the simulated-cycle totals reported
 	// in Progress observations (cells must feed it; see Options.Meter).
 	Meter *Meter
-	// Faults, when non-nil, arms deterministic failure injection at
-	// faults.SiteCellRun inside each cell's recovery scope: error faults
-	// become cell errors, panic faults are recovered into *PanicError —
-	// a crashing or flaking worker. Nil keeps the site zero-cost.
-	Faults *faults.Registry
-	// Busy, when non-nil, tracks pool occupancy: incremented while a cell
-	// executes, so a scrape sees how many workers are busy right now.
-	// CellSeconds, when non-nil, observes each cell's wall-clock run time.
-	// Both are nil-safe telemetry handles; unset they cost nothing.
-	Busy *telemetry.Gauge
-	// CellSeconds observes per-cell latency (seconds).
-	CellSeconds *telemetry.Histogram
 }
 
 // PanicError is a panic recovered from a worker-pool cell, surfaced as an
@@ -117,19 +101,6 @@ func (p Pool) effectiveWorkers(n int) int {
 // parallel run returns the same error a `for i := 0; i < n; i++` loop would.
 // A cell that panics is recovered and reported as a *PanicError.
 func (p Pool) Run(n int, fn func(i int) error) error {
-	return p.RunContext(context.Background(), n, func(_ context.Context, i int) error {
-		return fn(i)
-	})
-}
-
-// RunContext is Run under a context, for callers whose sweeps must cancel
-// cleanly (server jobs, signal-driven CLIs). Each cell receives the context
-// so it can thread it into Simulator.RunContext. Cancellation stops new
-// cells from being claimed; in-flight cells run to completion (interrupting
-// themselves via the context they were handed). Cell errors keep Run's
-// lowest-index semantics and take precedence; when the run was cut short by
-// cancellation and no cell failed, RunContext returns context.Cause(ctx).
-func (p Pool) RunContext(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -173,15 +144,10 @@ func (p Pool) RunContext(ctx context.Context, n int, fn func(ctx context.Context
 
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	var canceled atomic.Bool
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for !failed.Load() {
-				if ctx.Err() != nil {
-					canceled.Store(true)
-					return
-				}
 				// Claims are strictly index-ordered and a claimed cell
 				// always runs, so when any cell fails, every lower-index
 				// cell has already been claimed and will report its own
@@ -191,26 +157,16 @@ func (p Pool) RunContext(ctx context.Context, n int, fn func(ctx context.Context
 				if i >= n {
 					return
 				}
-				cellStart := time.Now()
-				p.Busy.Inc()
-				err := runCell(ctx, i, p.Faults, fn)
-				p.Busy.Dec()
-				p.CellSeconds.Observe(time.Since(cellStart).Seconds())
-				finish(i, err)
+				finish(i, runCell(i, fn))
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr == nil && canceled.Load() {
-		return context.Cause(ctx)
-	}
 	return firstErr
 }
 
-// runCell executes one cell with panic recovery. The cell failpoint sits
-// inside the recovery scope, so injected panics exercise the same recovery
-// path a real worker crash would.
-func runCell(ctx context.Context, i int, flts *faults.Registry, fn func(ctx context.Context, i int) error) (err error) {
+// runCell executes one cell with panic recovery.
+func runCell(i int, fn func(i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 64<<10)
@@ -218,10 +174,7 @@ func runCell(ctx context.Context, i int, flts *faults.Registry, fn func(ctx cont
 			err = &PanicError{Cell: i, Value: r, Stack: buf}
 		}
 	}()
-	if err := flts.Hit(faults.SiteCellRun); err != nil {
-		return err
-	}
-	return fn(ctx, i)
+	return fn(i)
 }
 
 // pool returns the Pool configured by these Options.

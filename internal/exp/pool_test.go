@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"laperm/internal/faults"
 )
 
 func TestPoolRunsEveryCellExactlyOnce(t *testing.T) {
@@ -207,72 +205,5 @@ func TestSweepReturnsResultsInIndexOrder(t *testing.T) {
 		return i, nil
 	}); err == nil || err.Error() != "boom" {
 		t.Errorf("sweep error = %v, want boom", err)
-	}
-}
-
-// mustFaults parses a fault schedule for pool injection tests.
-func mustFaults(t *testing.T, spec string) *faults.Registry {
-	t.Helper()
-	r, err := faults.Parse(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// TestPoolInjectedCellError: an error fault at the cell site surfaces as the
-// cell's error with the pool's serial min-index semantics, and IsInjected
-// marks it transient.
-func TestPoolInjectedCellError(t *testing.T) {
-	p := Pool{Workers: 1, Faults: mustFaults(t, "exp.cell.run=error:n=1")}
-	var ran atomic.Int32
-	err := p.Run(8, func(i int) error {
-		ran.Add(1)
-		return nil
-	})
-	if !faults.IsInjected(err) {
-		t.Fatalf("Run = %v, want an injected error", err)
-	}
-	// One worker claims in index order: cell 0 absorbs the single fault,
-	// and with the failure recorded no further cells start.
-	if got := ran.Load(); got != 0 {
-		t.Fatalf("%d cells ran after the injected min-index failure, want 0", got)
-	}
-}
-
-// TestPoolInjectedPanicRecovered: a panic fault is recovered by the cell's
-// recovery scope into *PanicError whose value is the structured
-// *faults.InjectedError.
-func TestPoolInjectedPanicRecovered(t *testing.T) {
-	p := Pool{Workers: 4, Faults: mustFaults(t, "exp.cell.run=panic:n=1")}
-	err := p.Run(16, func(i int) error { return nil })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Run = %T %v, want *PanicError", err, err)
-	}
-	if _, ok := pe.Value.(*faults.InjectedError); !ok {
-		t.Fatalf("PanicError.Value = %T, want *faults.InjectedError", pe.Value)
-	}
-	if !faults.IsInjected(err) {
-		// PanicError does not wrap its value; transient classification
-		// for panics goes through the panic value, which callers (the
-		// serve retry policy) inspect via the Value field.
-		t.Log("PanicError does not unwrap to the injected error (by design)")
-	}
-}
-
-// TestPoolExhaustedFaultsRunClean: once an n-limited schedule is spent, the
-// same pool value runs every cell — the retry story a service depends on.
-func TestPoolExhaustedFaultsRunClean(t *testing.T) {
-	p := Pool{Workers: 4, Faults: mustFaults(t, "exp.cell.run=error:n=1")}
-	if err := p.Run(4, func(i int) error { return nil }); !faults.IsInjected(err) {
-		t.Fatalf("first sweep: %v, want injected error", err)
-	}
-	var ran atomic.Int32
-	if err := p.Run(8, func(i int) error { ran.Add(1); return nil }); err != nil {
-		t.Fatalf("second sweep after fault exhaustion: %v", err)
-	}
-	if ran.Load() != 8 {
-		t.Fatalf("second sweep ran %d/8 cells", ran.Load())
 	}
 }

@@ -69,9 +69,10 @@ const (
 	// drops the client's stream mid-subscription — the broken pipe a
 	// resuming client must absorb via Last-Event-ID.
 	SiteSSEFlush Site = "serve.sse.flush"
-	// SiteCellRun fires inside the experiment pool's per-cell recovery
-	// scope, before the cell function runs — a wedged or crashing
-	// worker. Panic faults here are recovered into *exp.PanicError.
+	// SiteCellRun fires at the start of each lapermd run attempt, inside
+	// the attempt's recovery scope — a crashing or flaking worker. Error
+	// and panic faults both surface as the *InjectedError and are retried
+	// like any other transient attempt failure.
 	SiteCellRun Site = "exp.cell.run"
 	// SiteGPURunPoll fires at the engine's throttled cancellation poll
 	// (every few thousand loop iterations) — transient engine failures,

@@ -267,7 +267,7 @@ func TestChaosRandomizedFaultSchedules(t *testing.T) {
 }
 
 // TestChaosDrainUnderFaults: draining while chaos jobs are queued must
-// still terminate every job and exit the dispatcher — shutdown does not
+// still terminate every job and exit every worker — shutdown does not
 // wedge under injected failures.
 func TestChaosDrainUnderFaults(t *testing.T) {
 	reg, err := faults.Parse("serve.cache.write=error:p=0.5:n=4;exp.cell.run=error:p=0.5:n=2", 99)

@@ -36,8 +36,7 @@ type tenantQ struct {
 	idx   int // WRR cursor into flows
 }
 
-// fairQueue replaces the dispatcher's plain FIFO channel with two-level
-// fair scheduling:
+// fairQueue is the workers' job queue, with two-level fair scheduling:
 //
 //   - Across tenants: strict round-robin. Each dequeue serves the next
 //     tenant with queued work, so one tenant's thousand-cell sweep and
@@ -205,10 +204,9 @@ func (q *fairQueue) gcLocked(t *tenantQ) {
 	}
 }
 
-// PopBatch blocks until at least one job is queued (or the queue is closed
-// and empty — ok=false, the dispatcher's exit signal), then greedily
-// dequeues up to max jobs in fair order without further blocking.
-func (q *fairQueue) PopBatch(max int) ([]*Job, bool) {
+// Pop blocks until a job is queued and dequeues it in fair order; ok=false
+// once the queue is closed and empty — a worker's exit signal.
+func (q *fairQueue) Pop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.size == 0 {
@@ -217,15 +215,7 @@ func (q *fairQueue) PopBatch(max int) ([]*Job, bool) {
 		}
 		q.cond.Wait()
 	}
-	var batch []*Job
-	for len(batch) < max {
-		j := q.popLocked()
-		if j == nil {
-			break
-		}
-		batch = append(batch, j)
-	}
-	return batch, true
+	return q.popLocked(), true
 }
 
 // Remove unqueues a specific job (sweep cancellation releasing its queued
@@ -253,7 +243,7 @@ func (q *fairQueue) Remove(j *Job) bool {
 	return false
 }
 
-// Close stops accepting pushes; PopBatch drains what is queued and then
+// Close stops accepting pushes; Pop drains what is queued and then
 // reports done.
 func (q *fairQueue) Close() {
 	q.mu.Lock()

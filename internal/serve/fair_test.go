@@ -17,13 +17,11 @@ func drainOrder(t *testing.T, q *fairQueue) []string {
 	t.Helper()
 	var order []string
 	for q.Len() > 0 {
-		batch, ok := q.PopBatch(1)
+		j, ok := q.Pop()
 		if !ok {
 			t.Fatal("queue reported closed while jobs remained")
 		}
-		for _, j := range batch {
-			order = append(order, j.ID)
-		}
+		order = append(order, j.ID)
 	}
 	return order
 }
@@ -113,7 +111,7 @@ func TestFairQueueRemove(t *testing.T) {
 	}
 }
 
-// TestFairQueueClose: a closed queue rejects pushes and PopBatch drains the
+// TestFairQueueClose: a closed queue rejects pushes and Pop drains the
 // backlog before reporting done.
 func TestFairQueueClose(t *testing.T) {
 	q := newFairQueue(16)
@@ -122,11 +120,11 @@ func TestFairQueueClose(t *testing.T) {
 	if err := q.Push(fqJob("j2", flowKey{tenant: "t"}), 1); !errors.Is(err, errQueueClosed) {
 		t.Fatalf("push after close: err = %v, want errQueueClosed", err)
 	}
-	batch, ok := q.PopBatch(4)
-	if !ok || len(batch) != 1 {
-		t.Fatalf("PopBatch after close = (%v, %v), want the queued job", batch, ok)
+	j, ok := q.Pop()
+	if !ok || j.ID != "j1" {
+		t.Fatalf("Pop after close = (%v, %v), want the queued job", j, ok)
 	}
-	if _, ok := q.PopBatch(4); ok {
-		t.Fatal("PopBatch on a closed empty queue reported more work")
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop on a closed empty queue reported more work")
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"laperm/internal/telemetry"
 )
 
-// Event is one SSE payload: a state transition, a retry notice, a batch
-// progress tick, a timeline sample from a running simulation, or a sweep's
-// per-cell completion notice. ID is the stream-scoped monotonic SSE id;
-// clients resume a dropped stream by replaying everything after their
-// Last-Event-ID.
+// Event is one SSE payload: a state transition, a retry notice, a timeline
+// sample from a running simulation, or a sweep's per-cell completion notice.
+// ID is the stream-scoped monotonic SSE id; clients resume a dropped stream
+// by replaying everything after their Last-Event-ID.
 type Event struct {
 	ID   uint64
-	Type string // "state", "retry", "progress", "sample", "cell"
+	Type string // "state", "retry", "sample", "cell"
 	Data any
 }
 

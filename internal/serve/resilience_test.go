@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"laperm/internal/exp"
 	"laperm/internal/faults"
 )
 
@@ -89,8 +88,8 @@ func openEvents(t *testing.T, url string, lastEventID uint64) *http.Response {
 	return resp
 }
 
-// watchRun submits body to s, whose dispatcher must not be started yet,
-// attaches to the run's event stream, starts the dispatcher, and returns
+// watchRun submits body to s, whose workers must not be started yet,
+// attaches to the run's event stream, starts the workers, and returns
 // the view on the stream's terminal "state" event. A done run's record is
 // gone by the time a GET could ask, so that event is where its coalesced
 // and retries counts are told.
@@ -127,25 +126,25 @@ func mustParse(t *testing.T, spec string, seed uint64) *faults.Registry {
 // up — gets the terminal snapshot alone, at its own position.
 func TestSSEEventIDsMonotonicAndResume(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	held := make(chan struct{})
+	held := make(chan *Job)
 	release := make(chan struct{})
-	s.testBeforeRun = func(*Job) {
-		close(held)
+	s.testBeforeRun = func(j *Job) {
+		held <- j
 		<-release
 	}
 	s.Start()
 	_, view := submit(t, ts, tinySpec)
-	<-held
-	// The running transition was event 1; two batch progress ticks are
-	// events 2 and 3, published while the job is held.
-	for done := range 2 {
-		s.batchProgress(exp.Progress{Done: done, Total: 2})
+	j := <-held
+	// The running transition was event 1; two marker events are events 2
+	// and 3, published while the job is held.
+	for n := range 2 {
+		j.publish(Event{Type: "marker", Data: map[string]int{"n": n}})
 	}
 	resp := openEvents(t, ts.URL+"/v1/runs/"+view.ID+"/events", 1)
 	close(release)
 	resumed := readSSE(t, resp.Body)
-	if len(resumed) < 3 || resumed[0].id != 2 || resumed[0].event != "progress" || resumed[1].id != 3 {
-		t.Fatalf("resume from id 1 = %+v, want the progress events 2 and 3 first", resumed)
+	if len(resumed) < 3 || resumed[0].id != 2 || resumed[0].event != "marker" || resumed[1].id != 3 {
+		t.Fatalf("resume from id 1 = %+v, want the marker events 2 and 3 first", resumed)
 	}
 	prev := uint64(1)
 	for _, ev := range resumed {
@@ -205,9 +204,8 @@ func TestServerRetriesTransientFault(t *testing.T) {
 }
 
 // TestServerContainsInjectedPanic: a panic fault mid-attempt (here in the
-// cache commit) unwinds into runJob's containment — not the pool's cell
-// recovery, which would strand the job running forever — classifies as
-// transient, and is retried to completion.
+// cache commit) is recovered by the attempt — it never unwinds into the
+// worker — classifies as transient, and is retried to completion.
 func TestServerContainsInjectedPanic(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 1,
@@ -275,14 +273,14 @@ func TestRetryLimitExhaustedFailsTransient(t *testing.T) {
 	}
 }
 
-// TestCellFaultFailsJobWithTransientKind: a fault at the pool's cell site
-// fires before runJob ever runs, so the batch strands the job queued; the
-// dispatcher sweep must fail it with the classified transient cause — not
-// a bogus "canceled" — and a resubmission converges.
+// TestCellFaultFailsJobWithTransientKind: with retries off, a fault at the
+// cell site fails the job with the classified transient cause — not a
+// bogus "canceled" — and a resubmission converges.
 func TestCellFaultFailsJobWithTransientKind(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers: 1,
-		Faults:  mustParse(t, "exp.cell.run=error:n=1", 1),
+		Workers:    1,
+		RetryLimit: -1,
+		Faults:     mustParse(t, "exp.cell.run=error:n=1", 1),
 	})
 	s.Start()
 	_, view := submit(t, ts, tinySpec)
@@ -293,6 +291,28 @@ func TestCellFaultFailsJobWithTransientKind(t *testing.T) {
 	_, v2 := submit(t, ts, tinySpec)
 	if final2 := waitTerminal(t, ts, v2.ID); final2.State != StateDone {
 		t.Fatalf("resubmit after cell fault: %+v", final2)
+	}
+}
+
+// TestCellFaultRetriedWithinJob: under the default retry limit, error and
+// panic faults at the cell site are retried inside the job like any other
+// attempt failure: the run completes without a resubmission.
+func TestCellFaultRetriedWithinJob(t *testing.T) {
+	for _, kind := range []string{"error", "panic"} {
+		t.Run(kind, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{
+				Workers: 1,
+				Faults:  mustParse(t, "exp.cell.run="+kind+":n=1", 1),
+			})
+			final := watchRun(t, s, ts, tinySpec)
+			if final.State != StateDone || final.Retries != 1 {
+				t.Fatalf("state %s retries %d, want done after 1 retry", final.State, final.Retries)
+			}
+			if m := getMetrics(t, ts); m.CacheMisses != 1 || m.JobsFailed != 0 {
+				t.Fatalf("cache_misses %d jobs_failed %d, want 1 submission executed and no failure",
+					m.CacheMisses, m.JobsFailed)
+			}
+		})
 	}
 }
 

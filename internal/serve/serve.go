@@ -8,12 +8,11 @@
 // from the cache (hit), and the engine's bit-determinism guarantees the
 // cached artifacts are byte-identical to what a fresh run would produce.
 //
-// Execution fans into the experiment harness's bounded worker pool
-// (exp.Pool.RunContext): a dispatcher goroutine batches queued jobs up to the
-// worker count, runs each batch under the server's base context, and maps
-// run failures onto the engine's structured error taxonomy (deadlock,
-// invariant, cycle-limit, deadline, canceled, panic). Progress and timeline
-// samples stream to clients over Server-Sent Events.
+// Execution runs on Workers worker goroutines: each takes the next queued job
+// in fair order as soon as it is free, runs it under the server's base
+// context, and maps run failures onto the engine's structured error taxonomy
+// (deadlock, invariant, cycle-limit, deadline, canceled, panic). State
+// transitions and timeline samples stream to clients over Server-Sent Events.
 package serve
 
 import (
@@ -79,7 +78,8 @@ type Config struct {
 	// Workers bounds concurrently executing jobs; <= 0 means GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds queued-but-unstarted jobs; <= 0 means 256.
-	// Submissions beyond it are rejected with 503.
+	// Submissions beyond it are shed with 429 and Retry-After (503 is the
+	// draining answer).
 	QueueDepth int
 	// JobDeadline is the per-job wall-clock budget; a run that exceeds it
 	// is canceled and fails with kind "deadline". <= 0 means unlimited.
@@ -96,8 +96,8 @@ type Config struct {
 	// 0 means the default of 2; negative disables retries entirely.
 	RetryLimit int
 	// Faults, when non-nil, arms deterministic failure injection across
-	// the service: cache write/read/evict, submit, SSE flush, the
-	// experiment pool's cell site, and the engine's poll/watchdog sites.
+	// the service: cache write/read/evict, submit, SSE flush, the cell site
+	// at the start of each run attempt, and the engine's poll/watchdog sites.
 	// Nil (production) keeps every site zero-cost.
 	Faults *faults.Registry
 	// Telemetry, when non-nil, is the metric registry the server
@@ -137,8 +137,8 @@ func (c Config) retryLimit() int {
 }
 
 // Server is the lapermd service: handlers, the registries of live and
-// failed jobs and sweeps, dispatcher, and cache (which holds every done run
-// and sweep). Create with New, start the dispatcher with Start, mount Handler,
+// failed jobs and sweeps, workers, and cache (which holds every done run
+// and sweep). Create with New, start the workers with Start, mount Handler,
 // and stop with Drain (graceful) or Close (immediate).
 type Server struct {
 	cfg     Config
@@ -158,12 +158,9 @@ type Server struct {
 	fq       *fairQueue
 	limits   *rateLimits
 
-	batchMu sync.Mutex
-	batch   []*Job
-
 	baseCtx        context.Context
 	cancelBase     context.CancelCauseFunc
-	dispatcherDone chan struct{}
+	dispatcherDone chan struct{} // closed when the last worker returns
 
 	// testBeforeRun, when non-nil, runs after a job transitions to
 	// running and before the simulator starts — a test gate for
@@ -209,7 +206,7 @@ func (r *registry[T]) retire(id string, rec T) {
 }
 
 // New builds a Server (opening or creating its cache) without starting the
-// dispatcher; call Start before serving.
+// workers; call Start before serving.
 func New(cfg Config) (*Server, error) {
 	cache, err := OpenCache(cfg.CacheDir, cfg.CacheMaxBytes)
 	if err != nil {
@@ -255,13 +252,27 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Start launches the dispatcher goroutine.
-func (s *Server) Start() { go s.dispatch() }
+// Start launches the workers. Each one runs the next queued job as soon as
+// it is free, until the queue is closed and empty.
+func (s *Server) Start() {
+	var wg sync.WaitGroup
+	wg.Add(s.workers)
+	for range s.workers {
+		go func() {
+			defer wg.Done()
+			s.work()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(s.dispatcherDone)
+	}()
+}
 
 // Drain stops accepting new work (submissions get 503), lets queued and
-// running jobs finish, and returns when the dispatcher exits. If ctx expires
-// first, in-flight simulations are canceled (they fail with kind "canceled")
-// and Drain waits for the dispatcher before returning ctx's error.
+// running jobs finish, and returns when the last worker exits. If ctx
+// expires first, in-flight simulations are canceled (they fail with kind
+// "canceled") and Drain waits for the workers before returning ctx's error.
 func (s *Server) Drain(ctx context.Context) error {
 	s.closeQueue()
 	select {
@@ -274,7 +285,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close cancels all in-flight work and waits for the dispatcher to exit.
+// Close cancels all in-flight work and waits for the workers to exit.
 func (s *Server) Close() {
 	s.closeQueue()
 	s.cancelBase(errors.New("serve: server closed"))
@@ -629,12 +640,12 @@ func (s *Server) handleArtifact(names []string) http.HandlerFunc {
 }
 
 // handleEvents streams a job's lifecycle over Server-Sent Events: a "state"
-// snapshot immediately, then state transitions, retry notices, batch
-// "progress" ticks, and timeline "sample" events until the job reaches a
-// terminal state. Every published event carries a job-scoped monotonic
-// `id:`; a client reconnecting with Last-Event-ID replays everything it
-// missed from the job's ring before rejoining the live stream. A done run
-// has no ring: it streams its terminal snapshot alone.
+// snapshot immediately, then state transitions, retry notices, and timeline
+// "sample" events until the job reaches a terminal state. Every published
+// event carries a job-scoped monotonic `id:`; a client reconnecting with
+// Last-Event-ID replays everything it missed from the job's ring before
+// rejoining the live stream. A done run has no ring: it streams its terminal
+// snapshot alone.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, v, err := s.lookupRun(id)
@@ -726,73 +737,20 @@ func writeSSE(w io.Writer, ev Event) {
 	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Type, payload)
 }
 
-// dispatch is the dispatcher goroutine: it batches queued jobs up to the
-// worker count and fans each batch into the experiment pool under the
-// server's base context. It exits when the queue is closed and drained.
-func (s *Server) dispatch() {
-	defer close(s.dispatcherDone)
-	pool := exp.Pool{
-		Workers: s.workers, Meter: s.meter, Progress: s.batchProgress, Faults: s.cfg.Faults,
-		Busy: s.tel.poolBusy, CellSeconds: s.tel.cellSeconds,
-	}
+// work is one worker's loop: pop the next job and run it. A job popped after
+// the base context is canceled fails "canceled" without ever running.
+func (s *Server) work() {
 	for {
-		batch, ok := s.fq.PopBatch(s.workers)
+		j, ok := s.fq.Pop()
 		if !ok {
 			return
 		}
-		s.setBatch(batch)
-		// Job failures are recorded on the job, never returned as cell
-		// errors: a failed run must not stop the pool from claiming the
-		// rest of the batch. A non-nil pool error is therefore worker
-		// machinery failing (an injected cell fault, or cancellation),
-		// not a job outcome.
-		poolErr := pool.RunContext(s.baseCtx, len(batch), func(ctx context.Context, i int) error {
-			s.runJob(ctx, batch[i])
-			return nil
-		})
-		s.setBatch(nil)
-		// Cells the pool never ran — skipped by cancellation, or stranded
-		// when an injected cell fault stopped the batch — still hold
-		// queued jobs; fail them with the real cause so no submission
-		// waits forever and clients can classify (and resubmit
-		// transients).
-		for _, j := range batch {
-			if j.State() == StateQueued {
-				s.tel.queueDepth.Dec()
-				if poolErr != nil {
-					s.failJob(j, classifyErr(poolErr), poolErr)
-				} else {
-					s.failJob(j, KindCanceled, shutdownCause(s.baseCtx))
-				}
-			}
+		if s.baseCtx.Err() != nil {
+			s.tel.queueDepth.Dec()
+			s.failJob(j, KindCanceled, shutdownCause(s.baseCtx))
+			continue
 		}
-	}
-}
-
-func (s *Server) setBatch(batch []*Job) {
-	s.batchMu.Lock()
-	s.batch = batch
-	s.batchMu.Unlock()
-}
-
-// batchProgress relays pool progress to every still-running job's event
-// stream.
-func (s *Server) batchProgress(p exp.Progress) {
-	s.batchMu.Lock()
-	batch := s.batch
-	s.batchMu.Unlock()
-	ev := Event{Type: "progress", Data: map[string]any{
-		"done":               p.Done,
-		"total":              p.Total,
-		"elapsed_sec":        p.Elapsed.Seconds(),
-		"eta_sec":            p.ETA.Seconds(),
-		"sim_cycles":         p.SimCycles,
-		"sim_cycles_per_sec": p.CyclesPerSec,
-	}}
-	for _, j := range batch {
-		if j.State() == StateRunning {
-			j.publish(ev)
-		}
+		s.runJob(s.baseCtx, j)
 	}
 }
 
@@ -844,8 +802,7 @@ func (s *Server) markFailed(j *Job, kind string, err error) {
 // runJob executes one job end to end: state transitions, the simulation
 // itself (with bounded transparent retries of retryable failures), artifact
 // writes, and error classification. A panic anywhere in the attempt is
-// contained here — it must not unwind into the pool's cell recovery, which
-// would strand the job in StateRunning forever.
+// contained there, so the job always reaches a terminal state.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	s.tel.queueDepth.Dec()
 	s.tel.running.Inc()
@@ -909,7 +866,8 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 // to the cache. Panics are recovered into errors here — an injected panic
 // fault surfaces as its structured *faults.InjectedError (so it classifies
 // as transient), anything else as an *exp.PanicError — keeping the worker
-// cell alive and the job owned by this function.
+// alive and the job owned by runJob. The cell failpoint sits inside this
+// scope, so its faults retry like any other attempt failure.
 func (s *Server) attempt(ctx context.Context, j *Job) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -922,6 +880,9 @@ func (s *Server) attempt(ctx context.Context, j *Job) (err error) {
 			err = &exp.PanicError{Value: r, Stack: buf}
 		}
 	}()
+	if err := s.cfg.Faults.Hit(faults.SiteCellRun); err != nil {
+		return err
+	}
 	res, rec, err := s.execute(ctx, j)
 	if err != nil {
 		return err

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -317,6 +318,49 @@ func TestInFlightCoalescing(t *testing.T) {
 	if m.Coalesced != 1 || m.JobsDone != 1 || m.Submissions != 2 {
 		t.Fatalf("metrics = coalesced %d, done %d, submissions %d; want 1/1/2",
 			m.Coalesced, m.JobsDone, m.Submissions)
+	}
+}
+
+// TestSecondJobRunsWhileFirstHeld: each worker takes the next job as soon
+// as it is free. With two workers, a job submitted while the first one is
+// still running starts at once instead of waiting for it to finish.
+func TestSecondJobRunsWhileFirstHeld(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	held := make(chan struct{})
+	release := make(chan struct{})
+	releaseFirst := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(releaseFirst) // before the server's Close, which waits for it
+	started := make(chan string, 1)
+	var calls atomic.Int32
+	s.testBeforeRun = func(j *Job) {
+		if calls.Add(1) == 1 {
+			close(held)
+			<-release
+			return
+		}
+		started <- j.ID
+	}
+	s.Start()
+
+	_, first := submit(t, ts, tinySpec)
+	<-held
+	_, second := submit(t, ts, `{"workload":"bht","scale":"tiny"}`)
+	select {
+	case id := <-started:
+		if id != second.ID {
+			t.Fatalf("started %s, want the second job %s", id, second.ID)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second job did not start while the first was held")
+	}
+	if v := getStatus(t, ts, first.ID); v.State != StateRunning {
+		t.Fatalf("first job state %s while held, want running", v.State)
+	}
+	releaseFirst()
+	for _, id := range []string{first.ID, second.ID} {
+		if v := waitTerminal(t, ts, id); v.State != StateDone {
+			t.Fatalf("job %s: %+v", id, v)
+		}
 	}
 }
 

@@ -353,7 +353,7 @@ func TestSweepDedupesInFlightSingleton(t *testing.T) {
 func TestSweepCoalesceAndCache(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Workers: 2, CacheDir: dir})
-	// Not started: the sweep runs until the dispatcher starts.
+	// Not started: the sweep runs until the workers start.
 	_, v1 := submitSweep(t, ts, tinySweep)
 	code, v2 := submitSweep(t, ts, tinySweep)
 	if code != http.StatusOK {
@@ -436,8 +436,8 @@ func TestSweepRecomputesEvictedCell(t *testing.T) {
 // TestSweepFairShareNoStarvation: with one worker, a large sweep queued
 // first must not starve a small sweep from another tenant — strict tenant
 // round-robin interleaves them, so the small sweep finishes while the large
-// one still has queued cells. Both sweeps are queued before the dispatcher
-// starts, so the big sweep's entire backlog sits ahead of the small one.
+// one still has queued cells. Both sweeps are queued before the workers
+// start, so the big sweep's entire backlog sits ahead of the small one.
 func TestSweepFairShareNoStarvation(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 
@@ -650,7 +650,7 @@ func TestSweepEvents(t *testing.T) {
 		}
 	}
 
-	// Submit while the dispatcher is stopped, attach the stream, then
+	// Submit while the workers are stopped, attach the stream, then
 	// start: every cell event is delivered live.
 	_, view := submitSweep(t, ts, tinySweep)
 	url := ts.URL + "/v1/sweeps/" + view.ID + "/events"

@@ -45,8 +45,6 @@ const (
 	MetricCacheBytes     = "laperm_cache_bytes"
 	MetricCacheMaxBytes  = "laperm_cache_max_bytes"
 	MetricSimCycles      = "laperm_sim_cycles_total"
-	MetricPoolBusy       = "laperm_pool_busy_workers"
-	MetricCellSeconds    = "laperm_pool_cell_seconds"
 	MetricFaultEvals     = "laperm_fault_evals_total"
 	MetricFaultHits      = "laperm_fault_hits_total"
 	MetricUptime         = "laperm_uptime_seconds"
@@ -94,9 +92,6 @@ type serveMetrics struct {
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 
-	poolBusy    *telemetry.Gauge
-	cellSeconds *telemetry.Histogram
-
 	sweepSubmissions    *telemetry.Counter
 	sweepsCoalesced     *telemetry.Counter
 	sweepsThrottled     *telemetry.Counter
@@ -141,10 +136,6 @@ func (s *Server) newServeMetrics(reg *telemetry.Registry) *serveMetrics {
 
 		cacheHits:   reg.Counter(MetricCacheHits, "Submissions answered from a completed job or the disk cache."),
 		cacheMisses: reg.Counter(MetricCacheMisses, "Submissions that required a fresh execution."),
-
-		poolBusy: reg.Gauge(MetricPoolBusy, "Worker-pool cells executing right now."),
-		cellSeconds: reg.Histogram(MetricCellSeconds,
-			"Per-cell wall-clock latency in seconds inside the worker pool.", telemetry.DefBuckets),
 
 		sweepSubmissions: reg.Counter(MetricSweepSubmissions, "SweepSpec submissions accepted for processing."),
 		sweepsCoalesced:  reg.Counter(MetricSweepsCoalesced, "Sweep submissions that attached to an already in-flight sweep."),

@@ -127,7 +127,7 @@ func TestPrometheusExposition(t *testing.T) {
 		MetricShed, MetricCoalesced, MetricCacheMisses, MetricCacheEntries,
 		MetricCacheBytes, MetricCacheReadB, MetricCacheWrittenB,
 		MetricCacheEvictions, MetricCacheCorrupt, MetricSimCycles,
-		MetricUptime, MetricDraining, MetricWorkers, MetricPoolBusy,
+		MetricUptime, MetricDraining, MetricWorkers,
 	} {
 		if !strings.Contains(body, "# TYPE "+name+" ") {
 			t.Errorf("exposition missing family %s", name)
