@@ -154,10 +154,11 @@ func runFig9a(o Options, w io.Writer) error { return fig9(o, gpu.CDP, w) }
 // runFig9b prints IPC normalised to DTBL+RR (Figure 9(b)).
 func runFig9b(o Options, w io.Writer) error { return fig9(o, gpu.DTBL, w) }
 
-// fig9 renders a Figure 9 panel from o's matrix: IPC under one model
-// normalised to that model's RR baseline.
+// fig9 renders a Figure 9 panel from o's matrix under one model: IPC
+// normalised to that model's RR baseline. It simulates that model's cells
+// only; within RunAll, Figure 7 has already run them.
 func fig9(o Options, model gpu.Model, w io.Writer) error {
-	m, err := RunMatrix(o)
+	m, err := runMatrix(o, []gpu.Model{model})
 	if err != nil {
 		return err
 	}

@@ -40,3 +40,21 @@ func TestStudyPointsAreRunSpecs(t *testing.T) {
 		}
 	}
 }
+
+// TestFig9SimulatesOnlyItsModel: a standalone Figure 9 panel renders one
+// model, so it simulates that model's cells and no others.
+func TestFig9SimulatesOnlyItsModel(t *testing.T) {
+	o := fastOptions("amr", "bfs-citation")
+	pts, err := StudyPoints("fig9b", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(o.Workloads) * len(SchedulerNames); len(pts) != want {
+		t.Errorf("fig9b simulated %d points over %d workloads, want %d", len(pts), len(o.Workloads), want)
+	}
+	for _, p := range pts {
+		if p.Spec.Model != "dtbl" {
+			t.Errorf("fig9b simulated %s/%s/%s", p.Spec.Workload, p.Spec.Model, p.Spec.Scheduler)
+		}
+	}
+}

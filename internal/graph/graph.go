@@ -10,10 +10,9 @@
 //     "all over the graph", giving children distributed memory accesses.
 //   - Banded generates a banded sparse-matrix graph standing in for the
 //     Cage15 matrix, whose nonzeros concentrate near the diagonal.
-//   - Uniform generates an Erdős–Rényi-style graph for stress tests.
 //
-// Reference host-side algorithms (BFS levels, Bellman-Ford SSSP, greedy
-// colouring) are provided for workload construction and validation.
+// BFSLevels is the host-side reference traversal used for workload
+// construction.
 package graph
 
 import (
@@ -192,19 +191,6 @@ func Banded(n, avgDegree, bandwidth int, seed int64) *CSR {
 	return FromEdges(n, edges)
 }
 
-// Uniform generates an Erdős–Rényi-style graph with n vertices and
-// approximately n*avgDegree directed edges.
-func Uniform(n, avgDegree int, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
-	var edges [][2]int32
-	for i := 0; i < n*avgDegree; i++ {
-		u := int32(rng.Intn(n))
-		v := int32(rng.Intn(n))
-		edges = append(edges, [2]int32{u, v}, [2]int32{v, u})
-	}
-	return FromEdges(n, edges)
-}
-
 // BFSLevels returns the breadth-first level of every vertex from src (-1 for
 // unreachable vertices) and the vertices of each frontier in order.
 func BFSLevels(g *CSR, src int) (levels []int32, frontiers [][]int32) {
@@ -229,72 +215,6 @@ func BFSLevels(g *CSR, src int) (levels []int32, frontiers [][]int32) {
 		cur = next
 	}
 	return levels, frontiers
-}
-
-// SSSP runs Bellman-Ford from src with the given edge weight function and
-// returns the distance of every vertex (-1 when unreachable).
-func SSSP(g *CSR, src int, weight func(u, v int32) int64) []int64 {
-	const inf = int64(1) << 62
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = inf
-	}
-	dist[src] = 0
-	for iter := 0; iter < n; iter++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			if dist[u] == inf {
-				continue
-			}
-			for _, v := range g.Neighbors(u) {
-				if d := dist[u] + weight(int32(u), v); d < dist[v] {
-					dist[v] = d
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for i := range dist {
-		if dist[i] == inf {
-			dist[i] = -1
-		}
-	}
-	return dist
-}
-
-// GreedyColor colours the graph with the first-fit heuristic and returns the
-// colour of every vertex.
-func GreedyColor(g *CSR) []int32 {
-	n := g.NumVertices()
-	colors := make([]int32, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	var used []bool
-	for v := 0; v < n; v++ {
-		if need := g.MaxDegree() + 1; len(used) < need {
-			used = make([]bool, need)
-		}
-		for i := range used {
-			used[i] = false
-		}
-		for _, w := range g.Neighbors(v) {
-			if c := colors[w]; c >= 0 {
-				used[c] = true
-			}
-		}
-		for c := range used {
-			if !used[c] {
-				colors[v] = int32(c)
-				break
-			}
-		}
-	}
-	return colors
 }
 
 // LocalityIndex measures how concentrated adjacency is in index space: the
