@@ -229,8 +229,12 @@ type Simulator struct {
 	// path is the model's child-launch path, computed once from the
 	// registry descriptor and cfg; Launch consults it instead of
 	// branching on the model identity.
-	path   LaunchPath
-	sched  TBScheduler
+	path  LaunchPath
+	sched TBScheduler
+	// eng is the engine the run borrows (engine.go); memsys, smxs,
+	// arrivals and kmuQueue are its parts, held directly for the engine
+	// loop and handed back by releaseEngine.
+	eng    *engine
 	memsys *mem.System
 	smxs   []*smx.SMX
 	seq    uint64
@@ -344,9 +348,11 @@ func (s *Simulator) newInstance() *KernelInstance {
 	return &s.kiArena[len(s.kiArena)-1]
 }
 
-// New builds a simulator. It returns an error on a missing or invalid
-// configuration or a nil scheduler. MustNew panics instead, for tests and
-// known-good configurations.
+// New builds a simulator. Its engine — memory hierarchy, SMXs and queue
+// storage — is one a finished run released, reset to a new engine's state,
+// when one of the configuration's cache shapes is at hand (engine.go). New
+// returns an error on a missing or invalid configuration or a nil scheduler.
+// MustNew panics instead, for tests and known-good configurations.
 func New(opts Options) (*Simulator, error) {
 	if opts.Config == nil {
 		return nil, fmt.Errorf("gpu: Options.Config is required")
@@ -377,7 +383,6 @@ func New(opts Options) (*Simulator, error) {
 		model:         opts.Model,
 		path:          modelInfo.Path(opts.Config),
 		sched:         opts.Scheduler,
-		memsys:        mem.NewSystem(opts.Config),
 		maxCycles:     maxCycles,
 		trace:         opts.TraceDispatch,
 		traceQ:        opts.TraceQueue,
@@ -395,13 +400,9 @@ func New(opts Options) (*Simulator, error) {
 			s.idleSched, s.idlePeriod = ia, p
 		}
 	}
+	s.bindEngine(drawEngine(opts.Config), opts.WarpPolicy)
 	if opts.Attribution {
 		s.memsys.SetAttribution(true)
-	}
-	s.kmuQueue = make([]instQueue, opts.Config.MaxPriorityLevels+1)
-	s.smxs = make([]*smx.SMX, opts.Config.NumSMX)
-	for i := range s.smxs {
-		s.smxs[i] = smx.New(i, opts.Config, s.memsys, s, opts.WarpPolicy, &s.seq)
 	}
 	s.phaseList = s.phases()
 	return s, nil
@@ -618,6 +619,13 @@ func (q *instQueue) compact() {
 	q.head = 0
 }
 
+// reset empties the queue, keeping its backing array. Entries past the live
+// window are already nil (pop and compact clear them).
+func (q *instQueue) reset() {
+	clear(q.items)
+	*q = instQueue{items: q.items[:0]}
+}
+
 func (q *instQueue) len() int { return len(q.items) - q.head }
 
 func (q *instQueue) empty() bool { return q.head >= len(q.items) }
@@ -784,15 +792,23 @@ const ctxCheckMask = 1<<13 - 1
 // latency is milliseconds, not cycles. A Result is never returned for a
 // canceled run; build a fresh Simulator to retry.
 //
-// However the run ends, RunContext releases the simulator's memory
-// hierarchy for a later simulator of the same geometry to recycle
-// (mem.System.Release) and drops its reference to it.
+// However the run ends, RunContext releases the simulator's engine — its
+// memory hierarchy, SMXs and queue storage — for a later simulator of the
+// same geometry to recycle, and drops its references to it: NumSMX then
+// reads 0, while Kernels and Cycle keep answering for the run. A run that
+// panics keeps its engine, which no later run then draws.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("gpu: Run called twice")
 	}
 	s.ran = true
-	defer s.releaseMem()
+	res, err := s.run(ctx)
+	s.releaseEngine()
+	return res, err
+}
+
+// run is RunContext's simulation, on the engine RunContext then releases.
+func (s *Simulator) run(ctx context.Context) (*Result, error) {
 	s.started = time.Now()
 	// Host kernels materialise as instances at cycle 0.
 	for _, k := range s.hostPending {
@@ -879,14 +895,6 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		PendingArrivals: s.pendingArrivals(),
 		KMUQueued:       s.kmuCount,
 	}
-}
-
-// releaseMem hands the memory hierarchy back for reuse. With the reference
-// gone, a stray use of memsys after the run dereferences nil instead of
-// reading another run's caches.
-func (s *Simulator) releaseMem() {
-	s.memsys.Release()
-	s.memsys = nil
 }
 
 // Kernels returns every kernel instance created during the run, in creation

@@ -41,17 +41,6 @@ func (g *CSR) Degree(v int) int { return int(g.RowPtr[v+1] - g.RowPtr[v]) }
 // mutate).
 func (g *CSR) Neighbors(v int) []int32 { return g.Col[g.RowPtr[v]:g.RowPtr[v+1]] }
 
-// MaxDegree returns the largest out-degree in the graph.
-func (g *CSR) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		if d := g.Degree(v); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Validate reports an error if the CSR arrays are inconsistent.
 func (g *CSR) Validate() error {
 	if len(g.RowPtr) == 0 {

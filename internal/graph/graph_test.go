@@ -187,10 +187,3 @@ func TestFromEdgesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMaxDegree(t *testing.T) {
-	g := FromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 0}})
-	if g.MaxDegree() != 3 {
-		t.Errorf("MaxDegree = %d, want 3", g.MaxDegree())
-	}
-}

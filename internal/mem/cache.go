@@ -23,9 +23,9 @@
 // generation of the latest add into a bucket some stalled load watches
 // proves it for all of an SMX's stalled loads at once (AllRejected).
 //
-// A run hands its System back with Release, and NewSystem recycles it for
-// a later configuration of the same geometry, reset to exactly the state
-// of a newly allocated one.
+// Reset returns a System to exactly the state NewSystem builds one in, for
+// a later configuration of the same Geometry; the GPU engine's pool
+// (internal/gpu) decides when a System is reused.
 package mem
 
 import "fmt"

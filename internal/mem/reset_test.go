@@ -1,11 +1,10 @@
 package mem
 
-// The reset oracle: a System handed back by Release and drawn again by
-// NewSystem must be indistinguishable from one NewSystem allocates, field
-// for field, however dirty the run that released it left it — or the next
-// run would read the last run's tags, LRU order, MSHR entries, stall
-// bookkeeping, reuse attribution or DRAM queue. A System of another
-// geometry must never be drawn.
+// The reset oracle: a System reset for a new run must be indistinguishable
+// from one NewSystem allocates, field for field, however dirty the run that
+// used it left it — or the next run would read the last run's tags, LRU
+// order, MSHR entries, stall bookkeeping, reuse attribution or DRAM queue.
+// A System is never reset to another geometry.
 
 import (
 	"reflect"
@@ -68,55 +67,58 @@ func dirty(t *testing.T, s *System, cfg *config.GPU) {
 	}
 }
 
-// resetConfigs are the geometries the oracle dirties and resets: the
-// paper's Table I K20c, and the small test machine with two SMXs sharing
-// each L1 and MSHR table.
-func resetConfigs() map[string]*config.GPU {
-	k20c := config.KeplerK20c()
-	small := config.SmallTest()
-	small.SMXsPerCluster = 2
-	return map[string]*config.GPU{"table1": &k20c, "small-cluster2": &small}
-}
-
+// TestResetMatchesFresh resets a dirty System to another configuration of
+// its geometry and back, each time requiring it to equal a new System of the
+// configuration it was reset to. The configurations differ in timing, in
+// the SMX count and in the cluster size, so the L1s and MSHR tables are
+// repartitioned, and ones a larger machine left behind are reused.
 func TestResetMatchesFresh(t *testing.T) {
-	for name, cfg := range resetConfigs() {
-		t.Run(name, func(t *testing.T) {
-			fresh := newSystem(cfg, geometryOf(cfg))
-			s := NewSystem(cfg)
-			dirty(t, s, cfg)
-			if reflect.DeepEqual(s, fresh) {
-				t.Fatal("dirty System equals a fresh one: the oracle would prove nothing")
+	k20c, small := config.KeplerK20c(), config.SmallTest()
+	slow := func(g config.GPU) config.GPU {
+		g.L2HitLatency++
+		g.DRAMLatency *= 2
+		return g
+	}
+	pairs12, small2, small5, small6, small8 := k20c, small, small, small, small
+	pairs12.NumSMX, pairs12.SMXsPerCluster = 12, 2
+	small2.SMXsPerCluster = 2
+	small5.NumSMX, small6.NumSMX, small8.NumSMX = 5, 6, 8
+	cases := []struct {
+		name     string
+		from, to config.GPU
+	}{
+		{"table1", k20c, slow(k20c)},
+		{"small-cluster2", small2, slow(small2)},
+		{"table1-pairs12", k20c, pairs12},
+		{"num-smx", small, small8},
+		{"cluster", small, small2},
+		// Five L1 slots round up to a capacity of six: growing into it.
+		{"grow-within-capacity", small5, small6},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSystem(&tc.from)
+			for _, cfg := range []*config.GPU{&tc.to, &tc.from} {
+				dirty(t, s, s.cfg)
+				if reflect.DeepEqual(s, NewSystem(s.cfg)) {
+					t.Fatal("dirty System equals a fresh one: the oracle would prove nothing")
+				}
+				s.Reset(cfg)
+				if !reflect.DeepEqual(s, NewSystem(cfg)) {
+					t.Fatalf("System reset to %d SMXs in clusters of %d differs from a fresh one",
+						cfg.NumSMX, cfg.SMXsPerCluster)
+				}
 			}
-			s.reset(cfg)
-			if !reflect.DeepEqual(s, fresh) {
-				t.Fatal("reset System differs from a fresh one")
-			}
-
-			// Through the pool: whether or not NewSystem draws the
-			// released System (the pool may drop it), what it returns
-			// must equal a fresh System, here of a configuration that
-			// differs only in timing.
-			dirty(t, s, cfg)
-			s.Release()
-			slow := *cfg
-			slow.L2HitLatency++
-			slow.DRAMLatency *= 2
-			got := NewSystem(&slow)
-			if !reflect.DeepEqual(got, newSystem(&slow, geometryOf(&slow))) {
-				t.Fatal("NewSystem after Release differs from a fresh System")
-			}
-			got.Release()
 		})
 	}
 }
 
-// TestResetGeometryMismatch: a released System is never drawn for a
-// configuration whose geometry differs, in any one geometry value.
+// TestResetGeometryMismatch: Reset refuses a configuration whose geometry
+// differs in any one value, instead of running it on caches and MSHR tables
+// of another shape.
 func TestResetGeometryMismatch(t *testing.T) {
 	base := config.SmallTest()
 	variants := map[string]func(*config.GPU){
-		"num-smx":   func(g *config.GPU) { g.NumSMX = 8 },
-		"cluster":   func(g *config.GPU) { g.SMXsPerCluster = 2 },
 		"l1-sets":   func(g *config.GPU) { g.L1Bytes *= 2 },
 		"l1-assoc":  func(g *config.GPU) { g.L1Assoc *= 2; g.L1Bytes *= 2 },
 		"l1-mshrs":  func(g *config.GPU) { g.L1MSHRs++ },
@@ -133,30 +135,17 @@ func TestResetGeometryMismatch(t *testing.T) {
 			if err := cfg.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			if geometryOf(&cfg) == geometryOf(&base) {
+			if GeometryOf(&cfg) == GeometryOf(&base) {
 				t.Fatal("variant keeps the base geometry")
 			}
-			old := NewSystem(&base)
-			dirty(t, old, &base)
-			old.Release()
-			got := NewSystem(&cfg)
-			if got == old {
-				t.Fatal("NewSystem drew a released System of another geometry")
-			}
-			if !reflect.DeepEqual(got, newSystem(&cfg, geometryOf(&cfg))) {
-				t.Fatal("NewSystem differs from a fresh System")
-			}
+			s := NewSystem(&base)
+			dirty(t, s, &base)
+			defer func() {
+				if recover() == nil {
+					t.Error("Reset accepted a configuration of another geometry")
+				}
+			}()
+			s.Reset(&cfg)
 		})
 	}
-}
-
-func TestReleaseTwicePanics(t *testing.T) {
-	s := NewSystem(testCfg())
-	s.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("second Release did not panic")
-		}
-	}()
-	s.Release()
 }

@@ -2,7 +2,7 @@ package mem
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"laperm/internal/config"
 )
@@ -141,42 +141,35 @@ type l1Port struct {
 	mshr *mshrTable
 }
 
-// geometry is every configuration value a System's allocations are shaped
-// by: two configurations with equal geometry can run on one System's
-// memory in turn.
-type geometry struct {
-	numSMX, smxsPerCluster   int
-	l1Sets, l1Assoc, l1MSHRs int
-	l2Banks, l2Sets, l2Assoc int
+// Geometry is every configuration value the shape of a System's caches and
+// MSHR tables depends on. Systems of one Geometry differ only in how many
+// L1s they use and which SMXs share each, and Reset moves a System between
+// those.
+type Geometry struct {
+	L1Sets, L1Assoc, L1MSHRs int
+	L2Banks, L2Sets, L2Assoc int
 }
 
-func geometryOf(cfg *config.GPU) geometry {
-	return geometry{
-		numSMX: cfg.NumSMX, smxsPerCluster: cfg.SMXsPerCluster,
-		l1Sets: cfg.L1Sets(), l1Assoc: cfg.L1Assoc, l1MSHRs: cfg.L1MSHRs,
-		l2Banks: cfg.L2Banks, l2Sets: cfg.L2SetsPerBank(), l2Assoc: cfg.L2Assoc,
+// GeometryOf returns the geometry of the System NewSystem builds for cfg.
+func GeometryOf(cfg *config.GPU) Geometry {
+	return Geometry{
+		L1Sets: cfg.L1Sets(), L1Assoc: cfg.L1Assoc, L1MSHRs: cfg.L1MSHRs,
+		L2Banks: cfg.L2Banks, L2Sets: cfg.L2SetsPerBank(), L2Assoc: cfg.L2Assoc,
 	}
 }
 
-// systems holds the Systems handed back by Release for NewSystem to
-// recycle. A Table I hierarchy is some 430 KB of cache ways and MSHR
-// tables, most of what one small simulation allocates.
-var systems sync.Pool
-
 // System is the complete memory hierarchy: one L1 (with MSHRs) per SMX,
 // address-interleaved L2 banks, and a bandwidth-limited DRAM.
-//
-// One run owns a System from NewSystem until Release; NewSystem then hands
-// it, reset to a fresh System's state, to the next caller whose
-// configuration has the same geometry.
 type System struct {
 	cfg *config.GPU
-	geo geometry
-	// pooled is set while the System waits in systems after Release.
-	pooled bool
+	geo Geometry
 
-	l1 []*Cache
-	l2 []*Cache
+	// l1 and mshr hold one L1 and MSHR table per cluster. Past their
+	// lengths, the backing arrays keep those a machine with more clusters
+	// built, for Reset to reuse.
+	l1   []*Cache
+	mshr []*mshrTable
+	l2   []*Cache
 	// port resolves each SMX to its cluster's L1 and MSHR table once, so
 	// the per-access paths skip the cluster division.
 	port []l1Port
@@ -192,83 +185,84 @@ type System struct {
 	storeAccesses int64
 }
 
-// NewSystem builds the memory hierarchy for the given configuration. It
-// recycles a released System of the same geometry when one is at hand, in
-// exactly the state a newly allocated one starts in.
+// NewSystem builds the memory hierarchy for the given configuration.
 func NewSystem(cfg *config.GPU) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("mem: invalid config: %v", err))
 	}
-	geo := geometryOf(cfg)
-	// A released System of another geometry is left for the collector.
-	if s, _ := systems.Get().(*System); s != nil && s.geo == geo {
-		s.reset(cfg)
-		return s
-	}
-	return newSystem(cfg, geo)
-}
-
-// newSystem allocates the hierarchy for cfg, whose geometry is geo.
-func newSystem(cfg *config.GPU, geo geometry) *System {
-	// One L1 (and MSHR table) per cluster; with SMXsPerCluster == 1 each
-	// SMX has a private L1 (the K20c arrangement).
 	s := &System{
 		cfg:    cfg,
-		geo:    geo,
-		l1:     make([]*Cache, cfg.NumClusters()),
+		geo:    GeometryOf(cfg),
 		l2:     make([]*Cache, cfg.L2Banks),
 		l2Next: make([]uint64, cfg.L2Banks),
-		port:   make([]l1Port, cfg.NumSMX),
-	}
-	for i := range s.port {
-		if i%cfg.SMXsPerCluster != 0 {
-			s.port[i] = s.port[i-1] // the cluster's shared L1 and MSHR table
-			continue
-		}
-		l1 := NewCache(cfg.L1Sets(), cfg.L1Assoc)
-		s.l1[cfg.ClusterOf(i)] = l1
-		// The entry slice is preallocated to the table's capacity: add
-		// never runs past it (full gates admission), and prune reuses
-		// the backing array, so the MSHR path never allocates again.
-		s.port[i] = l1Port{l1: l1, mshr: &mshrTable{
-			entries:    make([]mshrEntry, 0, cfg.L1MSHRs),
-			cap:        cfg.L1MSHRs,
-			nextExpire: noExpiry,
-			lastAdd:    noExpiry,
-		}}
 	}
 	for i := range s.l2 {
 		s.l2[i] = NewCache(cfg.L2SetsPerBank(), cfg.L2Assoc)
 	}
+	s.partition(cfg)
 	return s
 }
 
-// reset returns a released System to the state NewSystem(cfg) allocates one
-// in; cfg has the System's geometry.
-func (s *System) reset(cfg *config.GPU) {
-	s.cfg, s.pooled = cfg, false
+// partition gives the System one L1 and MSHR table per cluster of cfg —
+// one per SMX with SMXsPerCluster == 1 (the K20c arrangement) — reusing
+// those the backing arrays keep, and points every SMX at its cluster's.
+// A reused L1 or table keeps its last contents until Reset clears it.
+func (s *System) partition(cfg *config.GPU) {
+	n := cfg.NumClusters()
+	// Past the old lengths, a slot holds a kept L1 or table, or nil.
+	s.l1, s.mshr = resize(s.l1, n), resize(s.mshr, n)
+	for c := range s.l1 {
+		if s.l1[c] == nil {
+			s.l1[c] = NewCache(cfg.L1Sets(), cfg.L1Assoc)
+		}
+		if s.mshr[c] == nil {
+			// The entry slice is preallocated to the table's capacity:
+			// add never runs past it (full gates admission), and prune
+			// reuses the backing array, so the MSHR path never allocates
+			// again.
+			s.mshr[c] = &mshrTable{
+				entries:    make([]mshrEntry, 0, cfg.L1MSHRs),
+				cap:        cfg.L1MSHRs,
+				nextExpire: noExpiry,
+				lastAdd:    noExpiry,
+			}
+		}
+	}
+	s.port = s.port[:0]
+	for i := 0; i < cfg.NumSMX; i++ {
+		c := cfg.ClusterOf(i)
+		s.port = append(s.port, l1Port{l1: s.l1[c], mshr: s.mshr[c]})
+	}
+}
+
+// resize returns x with length n, keeping what its backing array holds up to
+// n; the elements past its old length are nil where it held nothing.
+func resize[T any](x []*T, n int) []*T {
+	x = x[:min(n, cap(x))]
+	return slices.Grow(x, n-len(x))[:n]
+}
+
+// Reset returns s, whatever state a run left it in, to exactly the state
+// NewSystem(cfg) builds one in, keeping its allocations; the SMX count and
+// cluster size may change. cfg must be valid; Reset panics unless it has
+// s's Geometry.
+func (s *System) Reset(cfg *config.GPU) {
+	if g := GeometryOf(cfg); g != s.geo {
+		panic(fmt.Sprintf("mem: Reset to geometry %+v of a System built for %+v", g, s.geo))
+	}
+	s.cfg = cfg
+	s.partition(cfg)
 	for _, c := range s.l1 {
 		c.reset()
+	}
+	for _, m := range s.mshr {
+		m.reset()
 	}
 	for _, c := range s.l2 {
 		c.reset()
 	}
-	for i := 0; i < len(s.port); i += cfg.SMXsPerCluster {
-		s.port[i].mshr.reset()
-	}
 	clear(s.l2Next)
 	s.dramNextMilli, s.dramTrans, s.storeAccesses = 0, 0, 0
-}
-
-// Release hands s back for a later NewSystem of the same geometry to
-// recycle instead of allocating a new hierarchy. The caller must drop s:
-// the next run that draws it resets and reuses its caches.
-func (s *System) Release() {
-	if s.pooled {
-		panic("mem: System released twice")
-	}
-	s.pooled = true
-	systems.Put(s)
 }
 
 // mix64 is the (bijective) splitmix64 finalizer. The L2 hashes line

@@ -144,14 +144,12 @@ func AnalyzeFootprint(name string, k *isa.Kernel) FootprintStats {
 		st.ChildSibling = csSum / float64(csN)
 	}
 
-	// Parent-parent: each parent vs the union of the others.
+	// Parent-parent: each parent vs the union of the others. With count[b]
+	// the number of parents touching block b, the others' union is every
+	// block but this parent's exclusive ones (count 1), and the shared
+	// blocks are this parent's with count >= 2, so each parent costs one
+	// pass over its own blocks.
 	if len(k.TBs) >= 2 {
-		all := make(blockSet)
-		for _, ps := range parentSets {
-			union(all, ps)
-		}
-		// count[b] = number of parents touching block b, to form
-		// "union of others" cheaply.
 		count := make(map[uint64]int)
 		for _, ps := range parentSets {
 			for b := range ps {
@@ -161,20 +159,15 @@ func AnalyzeFootprint(name string, k *isa.Kernel) FootprintStats {
 		var ppSum float64
 		var ppN int
 		for _, ps := range parentSets {
-			othersLen := 0
-			shared := 0
-			for b := range all {
-				n := count[b]
-				if _, mine := ps[b]; mine {
-					if n >= 2 {
-						othersLen++
-						shared++
-					}
-				} else if n >= 1 {
-					othersLen++
+			exclusive, shared := 0, 0
+			for b := range ps {
+				if count[b] == 1 {
+					exclusive++
+				} else {
+					shared++
 				}
 			}
-			if othersLen > 0 {
+			if othersLen := len(count) - exclusive; othersLen > 0 {
 				ppSum += float64(shared) / float64(othersLen)
 				ppN++
 			}

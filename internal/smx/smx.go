@@ -235,8 +235,9 @@ type SMX struct {
 	// freeBlocks / freeWarps recycle retired Block and warp records so
 	// steady-state dispatch allocates nothing: sweep pushes a dead block's
 	// records here and AddBlockAttr pops (and fully reinitializes) them.
-	// Pool sizes are bounded by the SMX's peak residency. A retired Block
-	// keeps its fields until the memory is reused by a later dispatch, so
+	// Pool sizes are bounded by the SMX's peak residency over every run it
+	// served (Reset keeps them for the next run). A retired Block keeps its
+	// fields until the memory is reused by a later dispatch or a Reset, so
 	// a BlockDone observer must copy out anything it needs to keep.
 	freeBlocks []*Block
 	freeWarps  []*warp
@@ -250,9 +251,51 @@ func New(id int, cfg *config.GPU, m *mem.System, ev Events, policy Policy, nextS
 	n := cfg.WarpsPerSMX()
 	words := (n + 63) >> 6
 	b := make(bitset, 3*words)
-	return &SMX{ID: id, cfg: cfg, mem: m, events: ev, policy: policy, nextSeq: nextSeq,
+	s := &SMX{ID: id, mem: m,
 		ready: b[:words:words], stalled: b[words : 2*words : 2*words], seen: b[2*words:],
 		wake: make(wakeHeap, 0, n), stallLine: make([]uint32, 0, n)}
+	s.Bind(cfg, ev, policy, nextSeq)
+	return s
+}
+
+// Bind attaches a new or Reset SMX to a run: its configuration, which must
+// have the warps per SMX the SMX was built for, the engine observing its
+// events, its warp policy and the engine's dispatch-sequence counter.
+func (s *SMX) Bind(cfg *config.GPU, ev Events, policy Policy, nextSeq *uint64) {
+	s.cfg, s.events, s.policy, s.nextSeq = cfg, ev, policy, nextSeq
+}
+
+// Reset readies the SMX for another run, whatever state this one left it
+// in. Every block still resident (a run may stop with work in flight) joins
+// the freelists, every freelisted Block and warp record drops its program,
+// owner and block, and every other field returns to New's state with no
+// configuration, engine or sequence counter bound until Bind. The freelists
+// and the backing arrays survive, so a reset SMX allocates no more than its
+// last run did, and reaches nothing of that run.
+func (s *SMX) Reset() {
+	for _, b := range s.blocks {
+		s.freeWarps = append(s.freeWarps, b.warps...)
+		s.freeBlocks = append(s.freeBlocks, b)
+	}
+	for _, b := range s.freeBlocks {
+		*b = Block{warps: b.warps[:0]}
+	}
+	for _, w := range s.freeWarps {
+		*w = warp{}
+	}
+	words := (s.cfg.WarpsPerSMX() + 63) >> 6
+	clear(s.ready)
+	clear(s.stalled)
+	clear(s.seen)
+	clear(s.wake)
+	clear(s.blocks)
+	clear(s.warps)
+	clear(s.retiring)
+	*s = SMX{ID: s.ID, mem: s.mem,
+		ready: s.ready[:words], stalled: s.stalled[:words], seen: s.seen[:words],
+		wake: s.wake[:0], stallLine: s.stallLine[:0],
+		blocks: s.blocks[:0], warps: s.warps[:0], retiring: s.retiring[:0],
+		freeBlocks: s.freeBlocks, freeWarps: s.freeWarps}
 }
 
 // CanFit reports whether the block's resource demands fit in the SMX's
