@@ -179,7 +179,7 @@ func runWorkload(w io.Writer, sp spec.RunSpec, verbose bool, out string) error {
 	if rec == nil {
 		return nil
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	printReuse(w, "L1", res.L1Reuse)
 	printReuse(w, "L2", res.L2Reuse)
 	arts, err := serve.RunArtifacts(sp, res, rec)

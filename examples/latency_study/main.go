@@ -28,11 +28,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		cl := &metrics.ChildLatency{}
 		sim, err := gpu.New(gpu.Options{
 			Config:      &cfg,
 			Scheduler:   sched,
 			Model:       gpu.DTBL,
 			SampleEvery: 10_000,
+			TraceKernel: cl.Observe,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -47,7 +49,7 @@ func main() {
 
 		fmt.Printf("=== %s ===\n", schedName)
 		fmt.Println(res)
-		fmt.Println(metrics.AnalyzeChildLatency(sim.Kernels()))
+		fmt.Println(cl)
 		fmt.Println("timeline:")
 		for _, s := range res.Timeline {
 			fmt.Printf("  cycle %-7d ipc %-6.1f L1 %5.1f%%  L2 %5.1f%%  resident TBs %-4d live kernels %d\n",

@@ -31,35 +31,48 @@ import (
 
 // fifo is a FCFS queue of kernel instances that lazily drops exhausted
 // entries (instances whose every TB has been dispatched). Dispatch order is
-// FCFS, so exhausted entries cluster at the front; trimming the head keeps
-// accesses amortised O(1), with an occasional full compaction for interior
-// garbage left by concurrent-kernel fill-in.
+// FCFS, so exhausted entries cluster at the front; a start cursor steps past
+// them, keeping accesses amortised O(1), with an occasional full compaction
+// for interior garbage left by concurrent-kernel fill-in. Both keep the
+// backing array, so a queue that has reached its peak length never
+// allocates again, and both nil the slots they vacate.
 type fifo struct {
 	items []*gpu.KernelInstance
+	start int // index of the first entry not yet trimmed
 }
 
 func (f *fifo) push(k *gpu.KernelInstance) { f.items = append(f.items, k) }
 
-// trim pops exhausted instances off the front.
+// trim pops exhausted instances off the front. An emptied queue rewinds to
+// the start of its array; once the popped prefix is as long as what is
+// left, the entries left are copied down to the start.
 func (f *fifo) trim() {
-	i := 0
-	for i < len(f.items) && f.items[i].Exhausted() {
-		i++
+	for f.start < len(f.items) && f.items[f.start].Exhausted() {
+		f.items[f.start] = nil
+		f.start++
 	}
-	if i > 0 {
-		f.items = f.items[i:]
+	if f.start == len(f.items) {
+		f.items, f.start = f.items[:0], 0
+	} else if f.start >= fifoCompactThreshold && f.start*2 >= len(f.items) {
+		f.compact()
 	}
 }
 
-// compact removes exhausted instances everywhere.
+// fifoCompactThreshold is how long a fifo's popped prefix may grow before
+// trim copies the live entries down.
+const fifoCompactThreshold = 32
+
+// compact removes exhausted instances everywhere and moves the live ones to
+// the start of the array.
 func (f *fifo) compact() {
 	keep := f.items[:0]
-	for _, k := range f.items {
+	for _, k := range f.items[f.start:] {
 		if !k.Exhausted() {
 			keep = append(keep, k)
 		}
 	}
-	f.items = keep
+	clear(f.items[len(keep):])
+	f.items, f.start = keep, 0
 }
 
 // dispatchWindow bounds how many live kernels a dispatch slot may examine
@@ -74,7 +87,7 @@ const dispatchWindow = 8
 func (f *fifo) scan(fn func(*gpu.KernelInstance) bool) bool {
 	f.trim()
 	skipped, tried := 0, 0
-	for _, k := range f.items {
+	for _, k := range f.items[f.start:] {
 		if k.Exhausted() {
 			skipped++
 			continue
@@ -96,10 +109,10 @@ func (f *fifo) scan(fn func(*gpu.KernelInstance) bool) bool {
 // head returns the first live instance, or nil.
 func (f *fifo) head() *gpu.KernelInstance {
 	f.trim()
-	if len(f.items) == 0 {
+	if f.start == len(f.items) {
 		return nil
 	}
-	return f.items[0]
+	return f.items[f.start]
 }
 
 func (f *fifo) empty() bool { return f.head() == nil }

@@ -36,9 +36,9 @@ type dispatchRecord struct {
 }
 
 // runFig4 executes the Figure 4(a) launch structure under the given
-// scheduler and returns the dispatch trace plus the simulator (for kernel
-// inspection) and result.
-func runFig4(t *testing.T, sched gpu.TBScheduler) ([]dispatchRecord, *gpu.Simulator, *gpu.Result) {
+// scheduler and returns the dispatch trace plus a copy of every kernel
+// instance (for kernel inspection) and the result.
+func runFig4(t *testing.T, sched gpu.TBScheduler) ([]dispatchRecord, []gpu.KernelInstance, *gpu.Result) {
 	t.Helper()
 	// Each TB runs ~200 cycles of compute so dispatch "rounds" are well
 	// separated; the launch executes early in the parent TB.
@@ -60,6 +60,7 @@ func runFig4(t *testing.T, sched gpu.TBScheduler) ([]dispatchRecord, *gpu.Simula
 	}
 
 	var trace []dispatchRecord
+	var kept []gpu.KernelInstance
 	sim := gpu.MustNew(gpu.Options{
 		Config:    fig4Config(),
 		Scheduler: sched,
@@ -67,6 +68,7 @@ func runFig4(t *testing.T, sched gpu.TBScheduler) ([]dispatchRecord, *gpu.Simula
 		TraceDispatch: func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
 			trace = append(trace, dispatchRecord{kernel: ki.Prog.Name, tb: tbIndex, smx: smxID, cycle: cycle})
 		},
+		TraceKernel: func(ki *gpu.KernelInstance, _ uint64) { kept = append(kept, *ki) },
 	})
 	if err := sim.LaunchHost(kb.Build()); err != nil {
 		t.Fatalf("fig4 launch: %v", err)
@@ -78,7 +80,7 @@ func runFig4(t *testing.T, sched gpu.TBScheduler) ([]dispatchRecord, *gpu.Simula
 	if len(trace) != 8+2+4 {
 		t.Fatalf("dispatched %d TBs, want 14", len(trace))
 	}
-	return trace, sim, res
+	return trace, kept, res
 }
 
 func lastParentCycle(trace []dispatchRecord) uint64 {
@@ -102,9 +104,9 @@ func firstChildCycle(trace []dispatchRecord) uint64 {
 }
 
 // boundSMXOf returns the BoundSMX of the named dynamic kernel.
-func boundSMXOf(t *testing.T, sim *gpu.Simulator, name string) int {
+func boundSMXOf(t *testing.T, kept []gpu.KernelInstance, name string) int {
 	t.Helper()
-	for _, ki := range sim.Kernels() {
+	for _, ki := range kept {
 		if ki.Prog.Name == name {
 			return ki.BoundSMX
 		}
@@ -184,10 +186,10 @@ func TestFig4c_TBPri(t *testing.T) {
 // TestFig4d_SMXBind: every child TB executes on the SMX of its direct
 // parent (Figure 4(d)).
 func TestFig4d_SMXBind(t *testing.T) {
-	trace, sim, _ := runFig4(t, core.NewSMXBind(4, 4))
+	trace, kept, _ := runFig4(t, core.NewSMXBind(4, 4))
 
-	boundA := boundSMXOf(t, sim, "childA")
-	boundB := boundSMXOf(t, sim, "childB")
+	boundA := boundSMXOf(t, kept, "childA")
+	boundB := boundSMXOf(t, kept, "childB")
 	for _, r := range trace {
 		switch r.kernel {
 		case "childA":
@@ -221,7 +223,7 @@ func TestFig4d_SMXBind(t *testing.T) {
 // more balanced than strict SMX-Bind (Figure 4(e)).
 func TestFig4e_AdaptiveBind(t *testing.T) {
 	ab := core.NewAdaptiveBind(4, 4)
-	traceA, simA, resA := runFig4(t, ab)
+	traceA, keptA, resA := runFig4(t, ab)
 	_, _, resS := runFig4(t, core.NewSMXBind(4, 4))
 
 	if ab.Steals == 0 {
@@ -236,7 +238,7 @@ func TestFig4e_AdaptiveBind(t *testing.T) {
 	}
 	// Some childB TB still runs on the bound SMX (locality kept when the
 	// SMX is available), and some runs elsewhere (stolen).
-	boundB := boundSMXOf(t, simA, "childB")
+	boundB := boundSMXOf(t, keptA, "childB")
 	var onBound, elsewhere int
 	for _, r := range traceA {
 		if r.kernel != "childB" {

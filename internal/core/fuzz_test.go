@@ -90,6 +90,7 @@ func FuzzSchedulerDispatch(f *testing.F) {
 		for _, model := range gpu.Models() {
 			for _, info := range core.Schedulers() {
 				name := info.Name
+				var kept []gpu.KernelInstance
 				sim := gpu.MustNew(gpu.Options{
 					Config:           &cfg,
 					Scheduler:        info.New(&cfg),
@@ -97,6 +98,7 @@ func FuzzSchedulerDispatch(f *testing.F) {
 					Audit:            true,
 					WatchdogInterval: 5_000,
 					MaxCycles:        5_000_000,
+					TraceKernel:      func(ki *gpu.KernelInstance, _ uint64) { kept = append(kept, *ki) },
 				})
 				if err := sim.LaunchHost(k); err != nil {
 					t.Fatalf("%s/%v: LaunchHost: %v", name, model, err)
@@ -110,7 +112,7 @@ func FuzzSchedulerDispatch(f *testing.F) {
 					t.Fatalf("%s/%v: dispatched %d TBs, want %d (lost or duplicated work)",
 						name, model, res.BlockCount, wantTBs)
 				}
-				for _, ki := range sim.Kernels() {
+				for _, ki := range kept {
 					if !ki.Complete() {
 						t.Fatalf("%s/%v: kernel %d %q incomplete", name, model, ki.ID, ki.Prog.Name)
 					}

@@ -62,8 +62,10 @@ func mkChildTB(rng *rand.Rand, depth int) *isa.TB {
 	return b.Build()
 }
 
+// dispatchEvent is one observed dispatch, with a copy of its instance as it
+// was at the dispatch (the instance itself is valid only during the run).
 type dispatchEvent struct {
-	ki    *gpu.KernelInstance
+	ki    gpu.KernelInstance
 	tb    int
 	smx   int
 	cycle uint64
@@ -80,7 +82,7 @@ func runTraced(t *testing.T, k *isa.Kernel, mk func(cfg *config.GPU) gpu.TBSched
 		Scheduler: mk(&cfg),
 		Model:     model,
 		TraceDispatch: func(ki *gpu.KernelInstance, tbIndex, smxID int, cycle uint64) {
-			events = append(events, dispatchEvent{ki, tbIndex, smxID, cycle})
+			events = append(events, dispatchEvent{*ki, tbIndex, smxID, cycle})
 		},
 	})
 	if err := sim.LaunchHost(k); err != nil {
@@ -122,21 +124,23 @@ func TestSchedulerInvariantsOnRandomWorkloads(t *testing.T) {
 				events, res := runTraced(t, k, mk, model)
 
 				// (1) exactly-once dispatch per (instance, tb).
-				seen := make(map[*gpu.KernelInstance]map[int]bool)
+				seen := make(map[int]map[int]bool)
+				progs := make(map[int]*isa.Kernel)
 				for _, e := range events {
-					if seen[e.ki] == nil {
-						seen[e.ki] = make(map[int]bool)
+					if seen[e.ki.ID] == nil {
+						seen[e.ki.ID] = make(map[int]bool)
+						progs[e.ki.ID] = e.ki.Prog
 					}
-					if seen[e.ki][e.tb] {
+					if seen[e.ki.ID][e.tb] {
 						t.Fatalf("trial %d %s/%v: TB %d of kernel %d dispatched twice",
 							trial, name, model, e.tb, e.ki.ID)
 					}
-					seen[e.ki][e.tb] = true
+					seen[e.ki.ID][e.tb] = true
 				}
-				for ki, tbs := range seen {
-					if len(tbs) != len(ki.Prog.TBs) {
+				for id, tbs := range seen {
+					if len(tbs) != len(progs[id].TBs) {
 						t.Fatalf("trial %d %s/%v: kernel %d dispatched %d of %d TBs",
-							trial, name, model, ki.ID, len(tbs), len(ki.Prog.TBs))
+							trial, name, model, id, len(tbs), len(progs[id].TBs))
 					}
 				}
 

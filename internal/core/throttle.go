@@ -17,6 +17,10 @@ type Throttled struct {
 	// MaxTBsPerSMX caps the thread blocks concurrently resident on one
 	// SMX.
 	MaxTBsPerSMX int
+
+	// view is the dispatcher Select hands the inner policy, kept here so
+	// a Select allocates nothing.
+	view throttledDispatcher
 }
 
 // NewThrottled wraps inner with a residency cap. It panics on a
@@ -37,7 +41,8 @@ func (t *Throttled) Enqueue(k *gpu.KernelInstance) { t.Inner.Enqueue(k) }
 // Select implements gpu.TBScheduler by delegating to the wrapped policy
 // through a dispatcher view on which saturated SMXs report no room.
 func (t *Throttled) Select(d gpu.Dispatcher) (*gpu.KernelInstance, int) {
-	return t.Inner.Select(&throttledDispatcher{Dispatcher: d, cap: t.MaxTBsPerSMX})
+	t.view = throttledDispatcher{Dispatcher: d, cap: t.MaxTBsPerSMX}
+	return t.Inner.Select(&t.view)
 }
 
 // IdleSelectPeriod implements gpu.IdleAware by delegation. The residency cap

@@ -5,12 +5,12 @@ package exp
 // device-launch path the micro pins in internal/gpu cannot see), and result
 // assembly, across every registered launch model and scheduler. The steady
 // state is zero-alloc (pinned in gpu/smx/mem), and a cell draws the engine
-// its predecessor released, so a cell's total is what stays per run — its
-// kernel instances, scheduler and Result — measured at 60–84 allocations
-// per cell. The budgets leave ~50% headroom for benign construction changes;
-// a single stray allocation on a per-cycle path adds tens of thousands and
-// fails immediately. Raising a budget is an explicit, reviewed edit to this
-// table.
+// its predecessor released, kernel-instance records included, so a cell's
+// total is what stays per run — its scheduler and Result — measured at 40–44
+// allocations per cell. The budgets leave ~50% headroom for benign
+// construction changes; a single stray allocation on a per-cycle path adds
+// tens of thousands and fails immediately. Raising a budget is an explicit,
+// reviewed edit to this table.
 
 import (
 	"math"
@@ -25,10 +25,10 @@ var cellAllocBudgets = []struct {
 	workload string
 	budget   float64
 }{
-	{"bfs-citation", 130},
-	{"join-uniform", 130},
-	{"amr", 130},
-	{"bht", 130},
+	{"bfs-citation", 64},
+	{"join-uniform", 64},
+	{"amr", 64},
+	{"bht", 64},
 }
 
 // TestCellAllocationBudgets takes the fewest allocations of a few warmed
@@ -72,10 +72,12 @@ func TestCellAllocationBudgets(t *testing.T) {
 }
 
 // cellByteBudget bounds the bytes one warmed tiny cell allocates. A Table I
-// engine — memory hierarchy, SMXs, freelists and queues — is some 500 KB; a
-// cell that draws the engine its predecessor released allocates only its
-// kernel instances, scheduler and Result: 32–37 KB when measured.
-const cellByteBudget = 56 << 10
+// engine — memory hierarchy, SMXs, freelists, queues and instance records —
+// is some 500 KB; a cell that draws the engine its predecessor released
+// allocates only its scheduler and Result: 4–5 KB when measured. The budget
+// is below what a tiny cell's instance records alone take (some 14 KB for
+// bfs-citation's 145 instances), so a run that allocates its own fails.
+const cellByteBudget = 16 << 10
 
 // leastCellBytes returns the fewest bytes any of several back-to-back runs
 // of each cell allocates, the first two rounds (which warm the workload
@@ -116,6 +118,25 @@ func TestCellByteAllocationBudgets(t *testing.T) {
 			t.Errorf("%s/dtbl/adaptive-bind: %d KB per cell at the least, budget %d KB",
 				name, least>>10, cellByteBudget>>10)
 		}
+	}
+}
+
+// smallCellByteBudget bounds the bytes one warmed Table I small-scale cell
+// allocates. A small bfs-citation DTBL cell launches some 3,300 child
+// kernels. With their records in the recycled engine it allocates 32 KB
+// when measured, most of it its scheduler's queues growing to their peak;
+// the records alone would take some 310 KB.
+const smallCellByteBudget = 64 << 10
+
+// TestSmallCellByteAllocationBudgets pins the recycled instance records: a
+// warmed Table I small bfs-citation DTBL cell must fit smallCellByteBudget.
+func TestSmallCellByteAllocationBudgets(t *testing.T) {
+	sp := spec.RunSpec{Workload: "bfs-citation", Scale: kernels.ScaleSmall.String(), Model: "dtbl", Scheduler: "adaptive-bind"}
+	least := leastCellBytes(t, sp)[0]
+	t.Logf("small bfs-citation/dtbl/adaptive-bind: at least %d KB per cell", least>>10)
+	if least > smallCellByteBudget {
+		t.Errorf("small bfs-citation/dtbl/adaptive-bind: %d KB per cell at the least, budget %d KB",
+			least>>10, smallCellByteBudget>>10)
 	}
 }
 

@@ -42,7 +42,7 @@ func runClockCell(t *testing.T, workload string, model gpu.Model, sched string,
 		t.Fatalf("%s/%v/%s dense=%v: %v", workload, model, sched, dense, err)
 	}
 	res.WallTime, res.SimCyclesPerSec = 0, 0
-	rec.FinishRun(sim)
+	rec.FinishRun()
 
 	a := clockCellArtifacts{res: res}
 	var buf bytes.Buffer

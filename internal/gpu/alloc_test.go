@@ -65,14 +65,7 @@ func startAlloc(t *testing.T, prog *isa.Kernel, dense bool) *Simulator {
 		t.Fatal(err)
 	}
 	s.ran = true
-	for _, k := range s.hostPending {
-		ki := s.newInstance()
-		ki.ID, ki.Prog, ki.BoundSMX, ki.viaKMU = s.nextID, k, -1, true
-		s.nextID++
-		s.live++
-		s.kernels = append(s.kernels, ki)
-		s.arrivals.push(ki)
-	}
+	s.materializeHost()
 	s.lastProgress = s.progress()
 	return s
 }

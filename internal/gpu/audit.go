@@ -42,7 +42,7 @@ func (s *Simulator) stateDump() string {
 		pool = "direct"
 	}
 	return fmt.Sprintf("cycle=%d live=%d kernels=%d arrivals=%d kmuCount=%d kduUsed=%d kmuPool=%d/%d %s=%d/%d residentTBs=%d",
-		s.now, s.live, len(s.kernels), s.pendingArrivals(), s.kmuCount, s.kduUsed,
+		s.now, s.live, s.nextID, s.pendingArrivals(), s.kmuCount, s.kduUsed,
 		s.kmuInFlight, s.cfg.KMUPendingCapacity, pool, s.aggUsed, s.path.Capacity, resident)
 }
 
@@ -70,7 +70,8 @@ func (s *Simulator) runAudit() error {
 	}
 
 	var live, kdu, poolKMU, poolAgg, schedLive int
-	for _, ki := range s.kernels {
+	for id := 0; id < s.nextID; id++ {
+		ki := s.instance(id)
 		if ki.enqueued && !ki.Exhausted() {
 			schedLive++
 		}

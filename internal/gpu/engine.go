@@ -26,18 +26,30 @@ func engineKeyOf(cfg *config.GPU) engineKey {
 
 // engine is the part of a simulator that a later run can reuse: the memory
 // hierarchy, the SMXs with their Block and warp freelists, scan bitsets, wake
-// heaps and stall arrays, and the backing arrays of the arrival and KMU
-// queues. Past its length, smxs keeps the reset SMXs a larger machine used.
-// What a caller keeps after Run — the KernelInstance arena, the kernels
-// list, the timeline samples, the scheduler and the Result — is not part of
-// it.
+// heaps and stall arrays, the backing arrays of the arrival and KMU queues,
+// and the kernel-instance records. Past its length, smxs keeps the reset
+// SMXs a larger machine used. What a caller keeps after Run — the timeline
+// samples, the scheduler and the Result — is not part of it.
 type engine struct {
 	key      engineKey
 	memsys   *mem.System
 	smxs     []*smx.SMX
 	arrivals instQueue
 	kmuQueue []instQueue
+	// kernels holds the kernel-instance records in chunks: instance i is
+	// kernels[i/kiChunkSize][i%kiChunkSize]. A run fills them from the
+	// first record on and the engine keeps every chunk it ever filled, so
+	// a run needs new chunks only past the largest instance count its
+	// engine has served.
+	kernels []*kiChunk
 }
+
+// kiChunkSize is the number of kernel-instance records in one chunk.
+const kiChunkSize = 256
+
+// kiChunk is one chunk of kernel-instance records. Chunks never move, so a
+// record's address is stable for the whole run.
+type kiChunk [kiChunkSize]KernelInstance
 
 // enginePools holds the engines RunContext released, one sync.Pool per key.
 // A Table I engine is some 500 KB, most of what one small simulation would
@@ -103,11 +115,15 @@ func (s *Simulator) bindEngine(e *engine, policy smx.Policy) {
 // releaseEngine hands s's engine back for a later simulator of the same key
 // to recycle. It first drops every pointer the engine holds into this run —
 // queued instances, resident and freelisted blocks and warps, the SMXs'
-// bindings to s — so a pooled engine keeps none of the run's instances or
-// programs alive. s then drops the engine, so a stray use of it after the
-// run dereferences nil instead of reading another run's state.
+// bindings to s, the programs and parents of the instance records — so a
+// pooled engine keeps none of the run's programs alive. s then drops the
+// engine, so a stray use of it after the run dereferences nil instead of
+// reading another run's state.
 func (s *Simulator) releaseEngine() {
 	e := s.eng
+	for id := 0; id < s.nextID; id += kiChunkSize {
+		clear(e.kernels[id/kiChunkSize][:min(s.nextID-id, kiChunkSize)])
+	}
 	s.arrivals.reset()
 	e.arrivals = s.arrivals
 	for i := range s.kmuQueue {

@@ -33,8 +33,15 @@ import (
 
 // KernelInstance is one running (or pending) grid: a host-launched kernel,
 // a CDP device kernel, or a DTBL thread-block group.
+//
+// A *KernelInstance is valid only until the RunContext of its run returns.
+// The records live in the simulator's engine, which RunContext blanks and
+// hands on to a later run (engine.go), so an observer that needs an
+// instance after the run copies out what it needs from inside a trace hook;
+// Options.TraceKernel delivers every instance once at the end of the run.
 type KernelInstance struct {
-	// ID is unique per simulation, in creation order.
+	// ID is unique per simulation, in creation order: the instance's index
+	// in its run.
 	ID int
 	// Prog is the grid's program.
 	Prog *isa.Kernel
@@ -137,8 +144,9 @@ const (
 type QueueEvent struct {
 	Kind  QueueEventKind
 	Cycle uint64
-	// SMX is the launching SMX; Parent the launching instance; Child the
-	// grid whose launch stalled or overflowed.
+	// SMX is the launching SMX; Parent the launching instance (valid only
+	// during the hook call); Child the grid whose launch stalled or
+	// overflowed.
 	SMX    int
 	Parent *KernelInstance
 	Child  *isa.Kernel
@@ -171,6 +179,12 @@ type Options struct {
 	// taken (requires SampleEvery). Trace recorders use it to build
 	// counter tracks.
 	TraceSample func(s Sample)
+	// TraceKernel, when non-nil, observes every kernel instance of the run
+	// once, in ID order, when the run ends — however it ends, after result
+	// assembly — with the run's final cycle. It is the one way to read an
+	// instance after the engine loop stops: the instance is valid only for
+	// the call. Trace recorders and the child-latency analysis use it.
+	TraceKernel func(ki *KernelInstance, end uint64)
 	// SampleEvery, when non-zero, records a timeline Sample (windowed
 	// IPC, cache hit rates, occupancy, queue depths, stall counters)
 	// every that many cycles into Result.Timeline.
@@ -256,13 +270,13 @@ type Simulator struct {
 	kduUsed    int
 	kduFilled  uint64 // cumulative KMU->KDU moves (watchdog progress)
 	live       int
-	kernels    []*KernelInstance // every instance ever created
-	nextID     int
+	nextID     int // the next instance's ID: the instances created so far
 	maxCycles  uint64
 	trace      func(ki *KernelInstance, tbIndex, smxID int, cycle uint64)
 	traceQ     func(ev QueueEvent)
 	traceBlock func(ki *KernelInstance, tbIndex, smxID int, dispatchCycle, cycle uint64)
 	traceSmp   func(s Sample)
+	traceInst  func(ki *KernelInstance, end uint64)
 
 	// Bounded launch-path state. kmuInFlight counts device launches
 	// holding a KMU pending-pool entry (in arrivals or KMU queues);
@@ -321,13 +335,6 @@ type Simulator struct {
 	// traceSpan observes coarse wall-clock run phases (nil = off).
 	traceSpan func(name string, start, end time.Time)
 
-	// kiArena is the current KernelInstance allocation chunk. Launches
-	// draw instance records from chunked slabs — one allocation per
-	// kiChunkSize launches instead of one per launch — and the slabs are
-	// never recycled: instances live to the end of the run (Kernels()
-	// exposes them), so pointers into a chunk stay valid forever.
-	kiArena []KernelInstance
-
 	// phaseList is the engine's phase decomposition, built once in New;
 	// RunContext iterates it every processed cycle.
 	phaseList []Clocked
@@ -336,20 +343,29 @@ type Simulator struct {
 	ran         bool
 }
 
-// kiChunkSize is the KernelInstance arena chunk length.
-const kiChunkSize = 256
-
-// newInstance carves one zeroed KernelInstance from the arena.
+// newInstance returns the next kernel instance, counted live: the engine's
+// next record, zeroed but for its ID, in a chunk the engine kept from an
+// earlier run or, past those, a new one.
 func (s *Simulator) newInstance() *KernelInstance {
-	if len(s.kiArena) == cap(s.kiArena) {
-		s.kiArena = make([]KernelInstance, 0, kiChunkSize)
+	id := s.nextID
+	c := id / kiChunkSize
+	if c == len(s.eng.kernels) {
+		s.eng.kernels = append(s.eng.kernels, new(kiChunk))
 	}
-	s.kiArena = append(s.kiArena, KernelInstance{})
-	return &s.kiArena[len(s.kiArena)-1]
+	ki := &s.eng.kernels[c][id%kiChunkSize]
+	*ki = KernelInstance{ID: id}
+	s.nextID++
+	s.live++
+	return ki
 }
 
-// New builds a simulator. Its engine — memory hierarchy, SMXs and queue
-// storage — is one a finished run released, reset to a new engine's state,
+// instance returns the instance with the given ID.
+func (s *Simulator) instance(id int) *KernelInstance {
+	return &s.eng.kernels[id/kiChunkSize][id%kiChunkSize]
+}
+
+// New builds a simulator. Its engine — memory hierarchy, SMXs, queue
+// storage and instance records — is one a finished run released, reset to a new engine's state,
 // when one of the configuration's cache shapes is at hand (engine.go). New
 // returns an error on a missing or invalid configuration or a nil scheduler.
 // MustNew panics instead, for tests and known-good configurations.
@@ -388,6 +404,7 @@ func New(opts Options) (*Simulator, error) {
 		traceQ:        opts.TraceQueue,
 		traceBlock:    opts.TraceBlockDone,
 		traceSmp:      opts.TraceSample,
+		traceInst:     opts.TraceKernel,
 		sampleEvery:   opts.SampleEvery,
 		watchdogEvery: watchdog,
 		audit:         opts.Audit,
@@ -476,7 +493,6 @@ func (s *Simulator) Launch(smxID int, b *smx.Block, child *isa.Kernel, now uint6
 		latency = s.path.Latency
 	}
 	ki := s.newInstance()
-	ki.ID = s.nextID
 	ki.Prog = child
 	ki.Priority = prio
 	ki.BoundSMX = smxID
@@ -504,9 +520,6 @@ func (s *Simulator) Launch(smxID int, b *smx.Block, child *isa.Kernel, now uint6
 				Parent: parent, Child: child, Queue: s.path.Queue})
 		}
 	}
-	s.nextID++
-	s.live++
-	s.kernels = append(s.kernels, ki)
 	s.arrivals.insert(ki)
 	return true
 }
@@ -792,33 +805,41 @@ const ctxCheckMask = 1<<13 - 1
 // latency is milliseconds, not cycles. A Result is never returned for a
 // canceled run; build a fresh Simulator to retry.
 //
-// However the run ends, RunContext releases the simulator's engine — its
-// memory hierarchy, SMXs and queue storage — for a later simulator of the
-// same geometry to recycle, and drops its references to it: NumSMX then
-// reads 0, while Kernels and Cycle keep answering for the run. A run that
-// panics keeps its engine, which no later run then draws.
+// However the run ends, RunContext hands every kernel instance to
+// Options.TraceKernel and then releases the simulator's engine — its memory
+// hierarchy, SMXs, queue storage and instance records — for a later
+// simulator of the same geometry to recycle, and drops its references to
+// it: NumSMX then reads 0, while Cycle keeps answering for the run. A run
+// that panics keeps its engine, which no later run then draws.
 func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	if s.ran {
 		return nil, fmt.Errorf("gpu: Run called twice")
 	}
 	s.ran = true
 	res, err := s.run(ctx)
+	if s.traceInst != nil {
+		for id := 0; id < s.nextID; id++ {
+			s.traceInst(s.instance(id), s.now)
+		}
+	}
 	s.releaseEngine()
 	return res, err
+}
+
+// materializeHost turns the kernels LaunchHost queued into instances that
+// arrive at the KMU at cycle 0.
+func (s *Simulator) materializeHost() {
+	for _, k := range s.hostPending {
+		ki := s.newInstance()
+		ki.Prog, ki.BoundSMX, ki.viaKMU = k, -1, true
+		s.arrivals.push(ki)
+	}
 }
 
 // run is RunContext's simulation, on the engine RunContext then releases.
 func (s *Simulator) run(ctx context.Context) (*Result, error) {
 	s.started = time.Now()
-	// Host kernels materialise as instances at cycle 0.
-	for _, k := range s.hostPending {
-		ki := s.newInstance()
-		ki.ID, ki.Prog, ki.BoundSMX, ki.viaKMU = s.nextID, k, -1, true
-		s.nextID++
-		s.live++
-		s.kernels = append(s.kernels, ki)
-		s.arrivals.push(ki)
-	}
+	s.materializeHost()
 	if s.live == 0 {
 		return nil, fmt.Errorf("gpu: nothing to run; call LaunchHost first")
 	}
@@ -896,7 +917,3 @@ func (s *Simulator) run(ctx context.Context) (*Result, error) {
 		KMUQueued:       s.kmuCount,
 	}
 }
-
-// Kernels returns every kernel instance created during the run, in creation
-// order, for post-run analysis.
-func (s *Simulator) Kernels() []*KernelInstance { return s.kernels }

@@ -61,6 +61,13 @@ func run(t *testing.T, opts gpu.Options, kernels ...*isa.Kernel) *gpu.Result {
 	return res
 }
 
+// keepKernels returns an Options.TraceKernel hook that appends a copy of
+// every kernel instance of the run to *kept, for checks after the run (the
+// instances themselves are valid only until the run returns).
+func keepKernels(kept *[]gpu.KernelInstance) func(*gpu.KernelInstance, uint64) {
+	return func(ki *gpu.KernelInstance, _ uint64) { *kept = append(*kept, *ki) }
+}
+
 func mustLaunch(t *testing.T, sim *gpu.Simulator, k *isa.Kernel) {
 	t.Helper()
 	if err := sim.LaunchHost(k); err != nil {
@@ -174,13 +181,15 @@ func TestNestedLaunchPriorityClamp(t *testing.T) {
 	inner := isa.NewKernel("inner").Add(isa.NewTB(32).Launch(0, mid).Build()).Build()
 	root := isa.NewKernel("root").Add(isa.NewTB(32).Launch(0, inner).Build()).Build()
 
-	sim := gpu.MustNew(gpu.Options{Config: cfg, Scheduler: core.NewTBPri(cfg.MaxPriorityLevels), Model: gpu.DTBL})
+	var kept []gpu.KernelInstance
+	sim := gpu.MustNew(gpu.Options{Config: cfg, Scheduler: core.NewTBPri(cfg.MaxPriorityLevels), Model: gpu.DTBL,
+		TraceKernel: keepKernels(&kept)})
 	mustLaunch(t, sim, root)
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var prios []int
-	for _, ki := range sim.Kernels() {
+	for _, ki := range kept {
 		prios = append(prios, ki.Priority)
 	}
 	want := []int{0, 1, 2, 2}
@@ -301,12 +310,14 @@ func TestAllSchedulersCompleteAllModels(t *testing.T) {
 func TestKernelTimestamps(t *testing.T) {
 	cfg := smallCfg()
 	cfg.DTBLLaunchLatency = 50
-	sim := gpu.MustNew(gpu.Options{Config: cfg, Scheduler: core.NewRoundRobin(), Model: gpu.DTBL})
+	var kept []gpu.KernelInstance
+	sim := gpu.MustNew(gpu.Options{Config: cfg, Scheduler: core.NewRoundRobin(), Model: gpu.DTBL,
+		TraceKernel: keepKernels(&kept)})
 	mustLaunch(t, sim, launchingKernel(2, 2))
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, ki := range sim.Kernels() {
+	for _, ki := range kept {
 		if ki.Parent == nil {
 			continue
 		}

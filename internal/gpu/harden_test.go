@@ -109,10 +109,10 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 // completionSet reduces a run to its multiset of completed kernels, for the
 // backpressure-equivalence checks: bounded queues may reshuffle timing but
 // must never lose or duplicate work.
-func completionSet(t *testing.T, sim *gpu.Simulator) []string {
+func completionSet(t *testing.T, kept []gpu.KernelInstance) []string {
 	t.Helper()
 	var set []string
-	for _, ki := range sim.Kernels() {
+	for _, ki := range kept {
 		if !ki.Complete() {
 			t.Fatalf("kernel %d %q incomplete after Run", ki.ID, ki.Prog.Name)
 		}
@@ -142,31 +142,33 @@ func overflowWorkload(nParents, launchesPerParent int) *isa.Kernel {
 func TestAggBufferOverflowStallWarp(t *testing.T) {
 	k := func() *isa.Kernel { return overflowWorkload(4, 6) }
 
-	runWith := func(entries int, policy config.OverflowPolicy) (*gpu.Result, *gpu.Simulator) {
+	runWith := func(entries int, policy config.OverflowPolicy) (*gpu.Result, []gpu.KernelInstance) {
 		cfg := config.SmallTest()
 		cfg.DTBLAggBufferEntries = entries
 		cfg.DTBLOverflowPolicy = policy
+		var kept []gpu.KernelInstance
 		sim := gpu.MustNew(gpu.Options{
-			Config:    &cfg,
-			Scheduler: core.NewRoundRobin(),
-			Model:     gpu.DTBL,
-			Audit:     true,
+			Config:      &cfg,
+			Scheduler:   core.NewRoundRobin(),
+			Model:       gpu.DTBL,
+			Audit:       true,
+			TraceKernel: keepKernels(&kept),
 		})
 		mustLaunch(t, sim, k())
 		res, err := sim.Run()
 		if err != nil {
 			t.Fatalf("entries=%d policy=%v: %v", entries, policy, err)
 		}
-		return res, sim
+		return res, kept
 	}
 
-	base, baseSim := runWith(0, config.StallWarp) // unbounded baseline
+	base, baseKept := runWith(0, config.StallWarp) // unbounded baseline
 	if base.LaunchStallCycles != 0 || base.QueueOverflows != 0 {
 		t.Fatalf("unbounded baseline reports backpressure: %+v", base)
 	}
 
 	// StallWarp: launches past the 2-entry buffer stall the warp.
-	stall, stallSim := runWith(2, config.StallWarp)
+	stall, stallKept := runWith(2, config.StallWarp)
 	if stall.LaunchStallCycles == 0 {
 		t.Error("StallWarp: LaunchStallCycles = 0, want > 0")
 	}
@@ -186,15 +188,15 @@ func TestAggBufferOverflowStallWarp(t *testing.T) {
 
 	// DropToKMU: overflowing launches are demoted, counted, and pay the
 	// CDP latency instead of stalling forever.
-	drop, dropSim := runWith(2, config.DropToKMU)
+	drop, dropKept := runWith(2, config.DropToKMU)
 	if drop.QueueOverflows == 0 {
 		t.Error("DropToKMU: QueueOverflows = 0, want > 0")
 	}
 
 	// Identical final completion set across all three regimes.
-	want := completionSet(t, baseSim)
-	for name, sim := range map[string]*gpu.Simulator{"stall": stallSim, "drop": dropSim} {
-		got := completionSet(t, sim)
+	want := completionSet(t, baseKept)
+	for name, kept := range map[string][]gpu.KernelInstance{"stall": stallKept, "drop": dropKept} {
+		got := completionSet(t, kept)
 		if len(got) != len(want) {
 			t.Fatalf("%s: completed %d kernels, baseline %d", name, len(got), len(want))
 		}
@@ -210,11 +212,13 @@ func TestKMUPoolBackpressureCDP(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.KMUPendingCapacity = 1
 	cfg.CDPLaunchLatency = 50
+	var kept []gpu.KernelInstance
 	sim := gpu.MustNew(gpu.Options{
-		Config:    &cfg,
-		Scheduler: core.NewRoundRobin(),
-		Model:     gpu.CDP,
-		Audit:     true,
+		Config:      &cfg,
+		Scheduler:   core.NewRoundRobin(),
+		Model:       gpu.CDP,
+		Audit:       true,
+		TraceKernel: keepKernels(&kept),
 	})
 	// Few parents (machine keeps free slots), many launches against a
 	// 1-entry pool: launches serialise but everything completes.
@@ -232,7 +236,7 @@ func TestKMUPoolBackpressureCDP(t *testing.T) {
 	if want := 1 + 2*5; res.KernelCount != want { // host kernel + 2 parents x 5 children
 		t.Errorf("KernelCount = %d, want %d", res.KernelCount, want)
 	}
-	completionSet(t, sim) // fails the test if anything is incomplete
+	completionSet(t, kept) // fails the test if anything is incomplete
 }
 
 func TestTraceQueueObservesBackpressure(t *testing.T) {

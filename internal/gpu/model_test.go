@@ -108,13 +108,15 @@ func TestPMKBypassesKMU(t *testing.T) {
 func TestPMKLaunchLatency(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.PMKLaunchLatency = 30
-	sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: core.NewRoundRobin(), Model: gpu.PMK})
+	var kept []gpu.KernelInstance
+	sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: core.NewRoundRobin(), Model: gpu.PMK,
+		TraceKernel: keepKernels(&kept)})
 	mustLaunch(t, sim, launchingKernel(2, 2))
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
 	children := 0
-	for _, ki := range sim.Kernels() {
+	for _, ki := range kept {
 		if ki.Parent == nil {
 			continue
 		}

@@ -14,13 +14,21 @@ import (
 	"laperm/internal/mem"
 )
 
-// TestRunContextReleasesMemory: however a run ends — a result, a deadlock,
-// the cycle limit with launches in flight, cancellation, an injected fault
-// or nothing to run — the simulator hands its whole engine back and keeps
-// no reference to it, so nothing after the run can read state a later run
-// has drawn; and the released engine reaches nothing of the run, so the
-// pool keeps none of its kernel instances or programs alive.
-func TestRunContextReleasesMemory(t *testing.T) {
+// exitCase is one way a run can end: the options and program that make it
+// end so, and a check of the error RunContext returns.
+type exitCase struct {
+	name string
+	opts Options
+	prog *isa.Kernel // nil: nothing launched
+	ctx  context.Context
+	want func(error) bool
+}
+
+// exitCases returns a run for each way a run can end — a result, a
+// deadlock, the cycle limit with launches in flight, cancellation, an
+// injected fault or nothing to run — on a machine exitSim builds.
+func exitCases(t *testing.T) []exitCase {
+	t.Helper()
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	fault, err := faults.Parse("gpu.run.poll=error:n=1", 1)
@@ -39,13 +47,7 @@ func TestRunContextReleasesMemory(t *testing.T) {
 	}
 	deadlock := parents.Build()
 
-	cases := []struct {
-		name string
-		opts Options
-		prog *isa.Kernel // nil: nothing launched
-		ctx  context.Context
-		want func(error) bool
-	}{
+	return []exitCase{
 		{"result", Options{}, steadyProg(4, 40), context.Background(), func(err error) bool { return err == nil }},
 		{"deadlock", Options{Model: CDP, WatchdogInterval: 2_000}, deadlock, context.Background(),
 			func(err error) bool { var e *DeadlockError; return errors.As(err, &e) }},
@@ -58,23 +60,43 @@ func TestRunContextReleasesMemory(t *testing.T) {
 		{"dtbl-launches-in-flight", Options{Model: DTBL, MaxCycles: 40}, deadlock, context.Background(),
 			func(err error) bool { var e *CycleLimitError; return errors.As(err, &e) && e.Live > 0 }},
 	}
-	for _, tc := range cases {
+}
+
+// exitSim builds tc's simulator, with edit applied to its options, on a
+// small machine whose KMU pool and KDU a launching program can wedge, and
+// launches tc's program.
+func exitSim(t *testing.T, tc exitCase, edit func(*Options)) *Simulator {
+	t.Helper()
+	cfg := config.SmallTest()
+	cfg.MaxConcurrentKernels = 4
+	cfg.KMUPendingCapacity = 2
+	cfg.CDPLaunchLatency = 100
+	opts := tc.opts
+	opts.Config, opts.Scheduler = &cfg, &allocFIFO{}
+	if edit != nil {
+		edit(&opts)
+	}
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.prog != nil {
+		if err := s.LaunchHost(tc.prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestRunContextReleasesMemory: however a run ends, the simulator hands its
+// whole engine back and keeps no reference to it, so nothing after the run
+// can read state a later run has drawn; and the released engine reaches
+// nothing of the run — every instance record it filled is blank — so the
+// pool keeps none of its kernel instances or programs alive.
+func TestRunContextReleasesMemory(t *testing.T) {
+	for _, tc := range exitCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := config.SmallTest()
-			cfg.MaxConcurrentKernels = 4
-			cfg.KMUPendingCapacity = 2
-			cfg.CDPLaunchLatency = 100
-			opts := tc.opts
-			opts.Config, opts.Scheduler = &cfg, &allocFIFO{}
-			s, err := New(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.prog != nil {
-				if err := s.LaunchHost(tc.prog); err != nil {
-					t.Fatal(err)
-				}
-			}
+			s := exitSim(t, tc, nil)
 			e := s.eng
 			if _, err := s.RunContext(tc.ctx); !tc.want(err) {
 				t.Fatalf("RunContext: unexpected error %v", err)
@@ -87,6 +109,16 @@ func TestRunContextReleasesMemory(t *testing.T) {
 			}
 			if path := reachesRun(reflect.ValueOf(e), "engine", map[seenPtr]bool{}); path != "" {
 				t.Errorf("released engine reaches its last run at %s", path)
+			}
+			if tc.prog != nil && len(e.kernels) == 0 {
+				t.Error("released engine kept no instance records: the walk saw none")
+			}
+			for c, chunk := range e.kernels {
+				for i := range chunk {
+					if chunk[i] != (KernelInstance{}) {
+						t.Fatalf("released engine's instance record %d is not blank: %+v", c*kiChunkSize+i, chunk[i])
+					}
+				}
 			}
 			if _, err := s.RunContext(tc.ctx); err == nil {
 				t.Error("second RunContext succeeded")
@@ -164,7 +196,9 @@ func reachesRun(v reflect.Value, path string, seen map[seenPtr]bool) string {
 }
 
 // TestReachesRunFindsRunState guards the walker: a live simulator's engine
-// reaches the simulator itself, through its SMXs' event binding.
+// reaches the simulator itself, through its SMXs' event binding, and an
+// engine whose instance record still names a program or a parent reaches
+// them through its chunks.
 func TestReachesRunFindsRunState(t *testing.T) {
 	cfg := config.SmallTest()
 	s, err := New(Options{Config: &cfg, Scheduler: &allocFIFO{}})
@@ -173,6 +207,17 @@ func TestReachesRunFindsRunState(t *testing.T) {
 	}
 	if reachesRun(reflect.ValueOf(s.eng), "engine", map[seenPtr]bool{}) == "" {
 		t.Fatal("a bound engine reaches no run state: the walker proves nothing")
+	}
+	for field, set := range map[string]func(*KernelInstance){
+		"Prog":   func(ki *KernelInstance) { ki.Prog = steadyProg(1, 1) },
+		"Parent": func(ki *KernelInstance) { ki.Parent = new(KernelInstance) },
+	} {
+		e := &engine{kernels: []*kiChunk{new(kiChunk), new(kiChunk)}}
+		set(&e.kernels[1][kiChunkSize-1])
+		want := fmt.Sprintf("engine.kernels[1][%d].%s", kiChunkSize-1, field)
+		if path := reachesRun(reflect.ValueOf(e), "engine", map[seenPtr]bool{}); path != want {
+			t.Errorf("walker found %q in an engine whose last record holds a %s, want %q", path, field, want)
+		}
 	}
 }
 

@@ -211,10 +211,11 @@ func (s *Simulator) result() *Result {
 	if r.Cycles > 0 {
 		r.IPC = float64(r.ThreadInsts) / float64(r.Cycles)
 	}
-	r.KernelCount = len(s.kernels)
+	r.KernelCount = s.nextID
 	var waitSum float64
 	var waitN int
-	for _, ki := range s.kernels {
+	for id := 0; id < s.nextID; id++ {
+		ki := s.instance(id)
 		if ki.Parent == nil {
 			continue
 		}

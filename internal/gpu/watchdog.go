@@ -30,7 +30,7 @@ type progressVec struct {
 
 func (s *Simulator) progress() progressVec {
 	v := progressVec{
-		launched:      len(s.kernels),
+		launched:      s.nextID,
 		delivered:     s.delivered,
 		kduFilled:     s.kduFilled,
 		tbsDispatched: s.tbsDispatched,
@@ -87,7 +87,8 @@ func (s *Simulator) deadlockError() *DeadlockError {
 		e.QueueDepths[p] = s.kmuQueue[p].len()
 	}
 	const maxListed = 16
-	for _, ki := range s.kernels {
+	for id := 0; id < s.nextID; id++ {
+		ki := s.instance(id)
 		if ki.Complete() {
 			continue
 		}

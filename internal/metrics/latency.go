@@ -66,10 +66,11 @@ func (s *Series) String() string {
 		s.N(), s.Mean(), s.Percentile(50), s.Percentile(90), s.Max())
 }
 
-// ChildLatency breaks down the dynamic-launch pipeline of a finished run:
-// the launch latency itself, the queueing delay between arrival and first
-// dispatch (the component the LaPerm scheduler attacks, Section III-B), and
-// the execution span.
+// ChildLatency breaks down the dynamic-launch pipeline of a run: the launch
+// latency itself, the queueing delay between arrival and first dispatch (the
+// component the LaPerm scheduler attacks, Section III-B), and the execution
+// span. The zero value is empty; set Observe as the run's
+// gpu.Options.TraceKernel hook to fill it.
 type ChildLatency struct {
 	// LaunchToArrive is the device-launch latency (cycles).
 	LaunchToArrive Series
@@ -79,19 +80,16 @@ type ChildLatency struct {
 	DispatchToComplete Series
 }
 
-// AnalyzeChildLatency computes the breakdown over every completed dynamic
-// kernel instance of a run (host kernels are excluded).
-func AnalyzeChildLatency(kernels []*gpu.KernelInstance) *ChildLatency {
-	cl := &ChildLatency{}
-	for _, ki := range kernels {
-		if ki.Parent == nil || !ki.Complete() {
-			continue
-		}
-		cl.LaunchToArrive.Add(float64(ki.ArriveCycle - ki.LaunchCycle))
-		cl.ArriveToDispatch.Add(float64(ki.FirstDispatchCycle - ki.ArriveCycle))
-		cl.DispatchToComplete.Add(float64(ki.CompleteCycle - ki.FirstDispatchCycle))
+// Observe adds one kernel instance to the breakdown if it is a completed
+// dynamic instance (host kernels and unfinished children are left out). Its
+// signature is gpu.Options.TraceKernel's.
+func (c *ChildLatency) Observe(ki *gpu.KernelInstance, _ uint64) {
+	if ki.Parent == nil || !ki.Complete() {
+		return
 	}
-	return cl
+	c.LaunchToArrive.Add(float64(ki.ArriveCycle - ki.LaunchCycle))
+	c.ArriveToDispatch.Add(float64(ki.FirstDispatchCycle - ki.ArriveCycle))
+	c.DispatchToComplete.Add(float64(ki.CompleteCycle - ki.FirstDispatchCycle))
 }
 
 // String summarises the breakdown.

@@ -69,14 +69,14 @@ func TestAnalyzeChildLatencyEndToEnd(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		kb.Add(isa.NewTB(32).Compute(2).Launch(0, child).Compute(50).Build())
 	}
-	sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: core.NewRoundRobin(), Model: gpu.DTBL})
+	cl := &ChildLatency{}
+	sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: core.NewRoundRobin(), Model: gpu.DTBL, TraceKernel: cl.Observe})
 	if err := sim.LaunchHost(kb.Build()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cl := AnalyzeChildLatency(sim.Kernels())
 	if cl.LaunchToArrive.N() != 6 {
 		t.Fatalf("observed %d children, want 6", cl.LaunchToArrive.N())
 	}
@@ -99,14 +99,14 @@ func TestAnalyzeChildLatencyEndToEnd(t *testing.T) {
 func TestAnalyzeChildLatencySkipsHostKernels(t *testing.T) {
 	cfg := config.SmallTest()
 	k := isa.NewKernel("plain").Add(isa.NewTB(32).Compute(1).Build()).Build()
-	sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: core.NewRoundRobin()})
+	cl := &ChildLatency{}
+	sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: core.NewRoundRobin(), TraceKernel: cl.Observe})
 	if err := sim.LaunchHost(k); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	cl := AnalyzeChildLatency(sim.Kernels())
 	if cl.LaunchToArrive.N() != 0 {
 		t.Error("host kernel counted as dynamic child")
 	}
@@ -126,14 +126,15 @@ func TestQueueingDelayShrinksUnderLaPerm(t *testing.T) {
 	}
 	delay := func(mk func(cfg *config.GPU) gpu.TBScheduler) float64 {
 		cfg := config.SmallTest()
-		sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: mk(&cfg), Model: gpu.DTBL})
+		cl := &ChildLatency{}
+		sim := gpu.MustNew(gpu.Options{Config: &cfg, Scheduler: mk(&cfg), Model: gpu.DTBL, TraceKernel: cl.Observe})
 		if err := sim.LaunchHost(build()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return AnalyzeChildLatency(sim.Kernels()).ArriveToDispatch.Mean()
+		return cl.ArriveToDispatch.Mean()
 	}
 	rr := delay(func(cfg *config.GPU) gpu.TBScheduler { return core.NewRoundRobin() })
 	ab := delay(func(cfg *config.GPU) gpu.TBScheduler {

@@ -563,7 +563,7 @@ func BenchmarkCachePut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	arts, err := RunArtifacts(sp, res, rec)
 	if err != nil {
 		b.Fatal(err)

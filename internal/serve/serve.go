@@ -927,7 +927,7 @@ func (s *Server) execute(ctx context.Context, j *Job) (*gpu.Result, *trace.Recor
 	if err != nil {
 		return nil, nil, err
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	s.meter.Add(res.Cycles)
 	return res, rec, nil
 }

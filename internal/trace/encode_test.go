@@ -229,9 +229,8 @@ func TestEncodersMatchReferenceOnFormattingEdges(t *testing.T) {
 }
 
 // recordCell runs the cell sp describes with every trace hook attached and
-// returns its recorder before FinishRun, with the simulator to finish it
-// against.
-func recordCell(t testing.TB, sp spec.RunSpec) (*Recorder, *gpu.Simulator) {
+// returns its recorder before FinishRun.
+func recordCell(t testing.TB, sp spec.RunSpec) *Recorder {
 	t.Helper()
 	rec := NewRecorder()
 	sim, _, err := sp.BuildWith(rec.Attach)
@@ -241,7 +240,7 @@ func recordCell(t testing.TB, sp spec.RunSpec) (*Recorder, *gpu.Simulator) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatalf("%+v: %v", sp, err)
 	}
-	return rec, sim
+	return rec
 }
 
 // TestEncodersMatchReferenceOnTinyCells: on every tiny cell (model ×
@@ -254,10 +253,10 @@ func TestEncodersMatchReferenceOnTinyCells(t *testing.T) {
 		for _, workload := range kernels.Names() {
 			for _, sched := range spec.SchedulerNames() {
 				sp := spec.RunSpec{Workload: workload, Scale: "tiny", Model: model, Scheduler: sched, SampleEvery: 256}
-				rec, sim := recordCell(t, sp)
+				rec := recordCell(t, sp)
 				ref := &Recorder{events: slices.Clone(rec.events)}
-				rec.FinishRun(sim)
-				refFinishRun(ref, sim)
+				rec.FinishRun()
+				refFinishRun(ref)
 				if !slices.Equal(rec.events, ref.events) {
 					t.Fatalf("%s/%s/%s: FinishRun order differs from the stable sort", model, workload, sched)
 				}
@@ -295,8 +294,8 @@ func TestFlightEncoderMatchesReference(t *testing.T) {
 // buffer allocates a small constant number of times — the same for half
 // the events as for all of them.
 func TestEncoderAllocPins(t *testing.T) {
-	rec, sim := recordCell(t, spec.RunSpec{Workload: "bfs-citation", Scale: "tiny", SampleEvery: 256})
-	rec.FinishRun(sim)
+	rec := recordCell(t, spec.RunSpec{Workload: "bfs-citation", Scale: "tiny", SampleEvery: 256})
+	rec.FinishRun()
 	half := &Recorder{events: rec.events[:rec.Len()/2]}
 	for _, tc := range []struct {
 		name  string
@@ -331,8 +330,8 @@ func TestEncoderAllocPins(t *testing.T) {
 // about chunkSize, so encoding a trace needs no buffer the size of the
 // trace.
 func TestEncodersStreamInChunks(t *testing.T) {
-	rec, sim := recordCell(t, spec.RunSpec{Workload: "bfs-citation", Scale: "tiny", SampleEvery: 256})
-	rec.FinishRun(sim)
+	rec := recordCell(t, spec.RunSpec{Workload: "bfs-citation", Scale: "tiny", SampleEvery: 256})
+	rec.FinishRun()
 	for name, write := range map[string]func(io.Writer) error{
 		"events.jsonl":        rec.WriteJSONL,
 		"trace.perfetto.json": rec.WritePerfetto,

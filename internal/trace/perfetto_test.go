@@ -46,7 +46,7 @@ func runFullyTraced(t *testing.T) *Recorder {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	return rec
 }
 
@@ -188,10 +188,11 @@ func TestFinishRunSkipsUnarrivedKernels(t *testing.T) {
 	cfg.DTBLLaunchLatency = 10000 // far beyond the cutoff
 	rec := NewRecorder()
 	sim := gpu.MustNew(gpu.Options{
-		Config:    &cfg,
-		Scheduler: core.NewRoundRobin(),
-		Model:     gpu.DTBL,
-		MaxCycles: 200,
+		Config:      &cfg,
+		Scheduler:   core.NewRoundRobin(),
+		Model:       gpu.DTBL,
+		MaxCycles:   200,
+		TraceKernel: rec.KernelHook(),
 	})
 	child := isa.NewKernel("late-child").Add(isa.NewTB(32).Compute(2).Build()).Build()
 	host := isa.NewKernel("host").
@@ -202,7 +203,7 @@ func TestFinishRunSkipsUnarrivedKernels(t *testing.T) {
 	if _, err := sim.Run(); err == nil {
 		t.Fatal("expected a MaxCycles error with an unarrivable child")
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	end := sim.Cycle()
 	sawLateLaunch := false
 	for _, e := range rec.Events() {

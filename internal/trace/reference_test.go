@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"laperm/internal/gpu"
 	"laperm/internal/telemetry"
 )
 
@@ -33,28 +32,9 @@ type refPerfettoTrace struct {
 	TraceEvents []refPerfettoEvent `json:"traceEvents"`
 }
 
-// refFinishRun is FinishRun as a reflection-based stable sort: append the
-// kernel lifecycle events, then order by cycle, lifecycle rank, kernel ID,
-// and TB index.
-func refFinishRun(r *Recorder, sim *gpu.Simulator) {
-	end := sim.Cycle()
-	for _, ki := range sim.Kernels() {
-		base := Event{Kernel: ki.ID, Name: ki.Prog.Name, Priority: ki.Priority,
-			Parent: parentID(ki), TB: -1, SMX: -1}
-		launched := base
-		launched.Cycle, launched.Kind = ki.LaunchCycle, KernelLaunched
-		r.events = append(r.events, launched)
-		if ki.ArriveCycle <= end {
-			arrived := base
-			arrived.Cycle, arrived.Kind = ki.ArriveCycle, KernelArrived
-			r.events = append(r.events, arrived)
-		}
-		if ki.Complete() {
-			completed := base
-			completed.Cycle, completed.Kind = ki.CompleteCycle, KernelCompleted
-			r.events = append(r.events, completed)
-		}
-	}
+// refFinishRun is FinishRun as a reflection-based stable sort: order by
+// cycle, lifecycle rank, kernel ID, and TB index.
+func refFinishRun(r *Recorder) {
 	sort.SliceStable(r.events, func(i, j int) bool {
 		a, b := &r.events[i], &r.events[j]
 		if a.Cycle != b.Cycle {

@@ -2,9 +2,10 @@
 // thread-block placement and retirement, launch backpressure, timeline
 // samples) and exports them as JSON Lines and Perfetto JSON for debugging
 // and visualisation. Recorder.Attach wires the recorder into gpu.Options'
-// trace hooks and FinishRun adds the kernel-instance timestamps after the
-// run, so it costs nothing when unused. `lapermsim -out` and lapermd write
-// these exports as part of one run-artifact set (serve.RunArtifacts).
+// trace hooks — the kernel-instance timestamps arrive through TraceKernel as
+// the run ends — and FinishRun orders the events, so it costs nothing when
+// unused. `lapermsim -out` and lapermd write these exports as part of one
+// run-artifact set (serve.RunArtifacts).
 package trace
 
 import (
@@ -101,14 +102,15 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Attach points every trace hook of g at r: TB dispatch and completion,
-// launch backpressure, and timeline samples (delivered only when the run
-// samples). A caller that needs a hook for itself too wraps the one Attach
-// installed.
+// launch backpressure, timeline samples (delivered only when the run
+// samples) and the kernel lifecycles. A caller that needs a hook for itself
+// too wraps the one Attach installed.
 func (r *Recorder) Attach(g *gpu.Options) {
 	g.TraceDispatch = r.DispatchHook()
 	g.TraceQueue = r.QueueHook()
 	g.TraceBlockDone = r.BlockHook()
 	g.TraceSample = r.SampleHook()
+	g.TraceKernel = r.KernelHook()
 }
 
 // DispatchHook returns a function suitable for gpu.Options.TraceDispatch
@@ -188,16 +190,13 @@ func (r *Recorder) SampleHook() func(s gpu.Sample) {
 	}
 }
 
-// FinishRun appends the kernel lifecycle events (launch, arrival,
-// completion) recorded in the simulator's kernel instances and sorts the
-// trace. Call it after Run returns; events are ordered by cycle, with ties
-// broken by lifecycle rank, kernel ID, and TB index, so equal runs produce
-// byte-identical traces. Instances whose launch latency had not elapsed
-// when the run ended (ArriveCycle beyond the final cycle) get no
-// KernelArrived event: the arrival never happened.
-func (r *Recorder) FinishRun(sim *gpu.Simulator) {
-	end := sim.Cycle()
-	for _, ki := range sim.Kernels() {
+// KernelHook returns a function suitable for gpu.Options.TraceKernel that
+// records an instance's lifecycle events: KernelLaunched, KernelArrived and
+// KernelCompleted. An instance whose launch latency had not elapsed when
+// the run ended (ArriveCycle beyond end) gets no KernelArrived event: the
+// arrival never happened; an incomplete one gets no KernelCompleted.
+func (r *Recorder) KernelHook() func(ki *gpu.KernelInstance, end uint64) {
+	return func(ki *gpu.KernelInstance, end uint64) {
 		base := Event{
 			Kernel:   ki.ID,
 			Name:     ki.Prog.Name,
@@ -222,8 +221,12 @@ func (r *Recorder) FinishRun(sim *gpu.Simulator) {
 			r.events = append(r.events, completed)
 		}
 	}
-	sortEvents(r.events)
 }
+
+// FinishRun orders the trace. Call it after Run returns; events are ordered
+// by cycle, with ties broken by lifecycle rank, kernel ID, and TB index, so
+// equal runs produce byte-identical traces.
+func (r *Recorder) FinishRun() { sortEvents(r.events) }
 
 // sortEvents orders events by cycle, lifecycle rank, kernel ID, and TB
 // index, keeping the recorded order among equals. It sorts small keys and

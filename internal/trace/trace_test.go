@@ -22,6 +22,7 @@ func runTraced(t *testing.T) (*Recorder, *gpu.Simulator) {
 		Scheduler:     core.NewRoundRobin(),
 		Model:         gpu.DTBL,
 		TraceDispatch: rec.DispatchHook(),
+		TraceKernel:   rec.KernelHook(),
 	})
 	child := isa.NewKernel("child").Add(isa.NewTB(32).Compute(5).Build()).Build()
 	kb := isa.NewKernel("host")
@@ -34,7 +35,7 @@ func runTraced(t *testing.T) (*Recorder, *gpu.Simulator) {
 	if _, err := sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	return rec, sim
 }
 
@@ -160,7 +161,7 @@ func runBackpressured(t *testing.T, policy config.OverflowPolicy) (*Recorder, *g
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.FinishRun(sim)
+	rec.FinishRun()
 	return rec, res
 }
 
